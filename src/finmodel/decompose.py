@@ -351,38 +351,62 @@ def check_bond_faithful(
     a bond of the host.
     """
     members = tuple(parts.parts) if isinstance(parts, Decomposition) else tuple(parts)
+    return _bond_faithful_checker(G, kappa, component_cap)(members)
+
+
+def _bond_faithful_checker(
+    G: Graph, kappa: int, component_cap: int
+) -> Callable[[Sequence[Graph]], BondFaithfulReport]:
+    """The check of :func:`check_bond_faithful` against one host, for
+    any number of decompositions: the host's bonds are enumerated once,
+    and each member edge set's foreign bonds are kept for its next use."""
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    if not is_decomposition(G, members):
-        raise ValueError("parts do not form a decomposition of the host")
-    oversized = tuple(
-        i for i, part in enumerate(members) if len(part.edges) > kappa
-    )
     host_bonds, sampled = _host_bonds_upto(G, kappa, component_cap)
-    split = tuple(
-        F for F in host_bonds
-        if not any(F <= part.edges for part in members)
-    )
-    foreign: list[tuple[int, frozenset[Edge]]] = []
-    for i, part in enumerate(members):
-        for F in enumerate_bonds(part, max_size=None, component_cap=component_cap):
-            if len(F) < kappa and not is_bond(G, F):
-                foreign.append((i, F))
-    return BondFaithfulReport(
-        kappa=kappa,
-        size_ok=not oversized,
-        containment_ok=not split,
-        bond_preservation_ok=not foreign,
-        oversized_members=oversized,
-        split_bonds=split,
-        foreign_bonds=tuple(foreign),
-        sampled=sampled,
-    )
+    foreign_of: dict[frozenset[Edge], list[frozenset[Edge]]] = {}
+
+    def check(members: Sequence[Graph]) -> BondFaithfulReport:
+        if not is_decomposition(G, members):
+            raise ValueError("parts do not form a decomposition of the host")
+        oversized = tuple(
+            i for i, part in enumerate(members) if len(part.edges) > kappa
+        )
+        split = tuple(
+            F for F in host_bonds
+            if not any(F <= part.edges for part in members)
+        )
+        foreign: list[tuple[int, frozenset[Edge]]] = []
+        for i, part in enumerate(members):
+            if part.edges not in foreign_of:
+                foreign_of[part.edges] = [
+                    F
+                    for F in enumerate_bonds(
+                        part, max_size=kappa - 1, component_cap=component_cap
+                    )
+                    if not is_bond(G, F)
+                ]
+            foreign.extend((i, F) for F in foreign_of[part.edges])
+        return BondFaithfulReport(
+            kappa=kappa,
+            size_ok=not oversized,
+            containment_ok=not split,
+            bond_preservation_ok=not foreign,
+            oversized_members=oversized,
+            split_bonds=split,
+            foreign_bonds=tuple(foreign),
+            sampled=sampled,
+        )
+
+    return check
 
 
 @dataclass(frozen=True)
 class BondFaithfulSearch:
-    status: str  # found | budget-exhausted | proven-absent
+    """``sampled`` is a decomposition that passed a check against sampled
+    host bonds only, because a component exceeded the enumeration cap: a
+    candidate, not a proof."""
+
+    status: str  # found | sampled | budget-exhausted | proven-absent
     decomposition: Decomposition | None = None
     report: BondFaithfulReport | None = None
 
@@ -460,14 +484,23 @@ def search_bond_faithful(
     """Heuristic pipeline: component split, chain slicing, recursion,
     then a merge repair pass; every candidate is validated before being
     returned.  On graphs with few edges a failed heuristic falls back to
-    exhaustive partition search, which can prove absence."""
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+    exhaustive partition search, which can prove absence.  A candidate
+    that passes only against sampled host bonds, because a component
+    exceeds the enumeration cap, comes back as ``sampled``, not
+    ``found``."""
+    check = _bond_faithful_checker(G, kappa, BOND_COMPONENT_CAP)
+
+    def verdict(parts: list[Graph]) -> BondFaithfulSearch | None:
+        report = check(parts)
+        if not report.verdict:
+            return None
+        status = "sampled" if report.sampled else "found"
+        return BondFaithfulSearch(status, Decomposition(tuple(parts)), report)
+
     candidate = _search_candidate(G, kappa, budget)
-    members = [_subgraph_of(G, m) for m in candidate if m]
-    report = check_bond_faithful(G, members, kappa)
-    if report.verdict:
-        return BondFaithfulSearch("found", Decomposition(tuple(members)), report)
+    outcome = verdict([_subgraph_of(G, m) for m in candidate if m])
+    if outcome:
+        return outcome
     if len(G.edges) <= EXHAUSTIVE_EDGE_LIMIT:
         spent = 0
         for partition in _edge_partitions(sorted(G.edges)):
@@ -476,10 +509,9 @@ def search_bond_faithful(
                 return BondFaithfulSearch("budget-exhausted")
             if any(len(block) > kappa for block in partition):
                 continue
-            parts = [_subgraph_of(G, block) for block in partition]
-            rep = check_bond_faithful(G, parts, kappa)
-            if rep.verdict:
-                return BondFaithfulSearch("found", Decomposition(tuple(parts)), rep)
+            outcome = verdict([_subgraph_of(G, block) for block in partition])
+            if outcome:
+                return outcome
         return BondFaithfulSearch("proven-absent")
     return BondFaithfulSearch("budget-exhausted")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -191,25 +191,60 @@ def is_cut(G: Graph, F: Iterable[Edge]) -> bool:
     return True
 
 
+def _bit_adjacency(
+    vertices: Iterable[int], edges: Iterable[Edge]
+) -> tuple[dict[int, int], list[int]]:
+    """One-bit masks for the sorted vertices, and each one's neighbour mask.
+
+    Bits stand for positions in sorted order, not for vertex ids:
+    hereditarily-finite runs label vertices with set codes such as 1, 2,
+    4, 8, ...
+    """
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    adj = [0] * len(index)
+    for u, v in edges:
+        i, j = index[u], index[v]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return {v: 1 << i for v, i in index.items()}, adj
+
+
+def _reach(adj: list[int], start: int, within: int) -> int:
+    """The mask of vertices in ``within`` reachable from the mask
+    ``start`` (itself inside ``within``) along edges inside ``within``."""
+    seen = frontier = start
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def is_bond(G: Graph, F: Iterable[Edge]) -> bool:
     """Nonempty F is a bond when two distinct components of G minus F
-    account for exactly the edges of F between them."""
+    account for exactly the edges of F between them.
+
+    Flood-fills G minus F from both ends of one F edge; F is a bond
+    exactly when every F edge joins the two regions reached.
+    """
     fset = frozenset(edge(u, v) for u, v in F)
     if not fset or not fset <= G.edges:
         return False
-    comp_of: dict[int, int] = {}
-    comps = components(delete_edges(G, fset))
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
+    bit, adj = _bit_adjacency(G.vertices, G.edges - fset)
+    everything = (1 << len(adj)) - 1
     u, v = next(iter(fset))
-    c1, c2 = comp_of[u], comp_of[v]
-    if c1 == c2:
+    one = _reach(adj, bit[u], everything)
+    if one & bit[v]:
         return False
-    between = frozenset(
-        e for e in G.edges if {comp_of[e[0]], comp_of[e[1]]} == {c1, c2}
+    other = _reach(adj, bit[v], everything)
+    return all(
+        bit[a] & one and bit[b] & other or bit[b] & one and bit[a] & other
+        for a, b in fset
     )
-    return between == fset
 
 
 def cut_to_bonds(G: Graph, F: Iterable[Edge]) -> list[frozenset[Edge]]:
@@ -244,32 +279,58 @@ def cut_to_bonds(G: Graph, F: Iterable[Edge]) -> list[frozenset[Edge]]:
     return bonds
 
 
+def _connected_sides(adj: list[int], anchor: int) -> Iterator[int]:
+    """Every connected vertex mask that contains the one-bit mask
+    ``anchor``, each once.
+
+    A side grows by one frontier vertex at a time, and each branch bars
+    the vertices its earlier siblings added, so no side is reached twice.
+    """
+    stack = [(anchor, adj[anchor.bit_length() - 1], 0)]
+    while stack:
+        side, frontier, barred = stack.pop()
+        yield side
+        fresh = frontier & ~barred
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            grown = side | low
+            reach = (frontier | adj[low.bit_length() - 1]) & ~grown
+            stack.append((grown, reach, barred))
+            barred |= low
+
+
 def enumerate_bonds(
     G: Graph, max_size: int | None = None, component_cap: int = 20
 ) -> list[frozenset[Edge]]:
     """All bonds (optionally only those up to max_size), deterministic.
 
-    A bond always lives inside one connected component, so bipartitions
-    are enumerated per component; components larger than the cap raise.
+    A bond always lives inside one connected component, and the bonds of
+    a connected component are exactly the cuts of the sides A, taken
+    here to contain the component's smallest vertex, such that A and its
+    complement are both connected (Tsukiyama, Shirakawa, Ozaki and
+    Ariyoshi, JACM 1980).  Connected sides are grown as bitmasks per
+    component; components larger than the cap raise.
     """
-    out: dict[frozenset[Edge], None] = {}
-    for comp in components(G):
-        members = sorted(comp)
-        if len(members) > component_cap:
+    bit, adj = _bit_adjacency(G.vertices, G.edges)
+    ends = [(e, bit[e[0]] | bit[e[1]]) for e in G.edges]
+    out: list[frozenset[Edge]] = []
+    left = (1 << len(adj)) - 1
+    while left:
+        anchor = left & -left
+        comp = _reach(adj, anchor, left)
+        left ^= comp
+        size = comp.bit_count()
+        if size > component_cap:
             raise ValueError(
-                f"component with {len(members)} vertices exceeds the enumeration cap"
+                f"component with {size} vertices exceeds the enumeration cap"
             )
-        if len(members) < 2:
-            continue
-        anchor, rest = members[0], members[1:]
-        for k in range(len(rest) + 1):
-            for picked in itertools.combinations(rest, k):
-                side = frozenset((anchor, *picked))
-                F = cut_of(G, side).edges
-                if not F or (max_size is not None and len(F) > max_size):
-                    continue
-                if F not in out and is_bond(G, F):
-                    out[F] = None
+        for side in _connected_sides(adj, anchor):
+            other = comp ^ side
+            if other and _reach(adj, other & -other, other) == other:
+                F = frozenset(e for e, m in ends if m & side and m & other)
+                if max_size is None or len(F) <= max_size:
+                    out.append(F)
     return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
@@ -548,10 +609,6 @@ def bridges(G: Graph) -> list[Edge]:
     return sorted(out)
 
 
-def is_bridgeless(G: Graph) -> bool:
-    return not bridges(G)
-
-
 # ---------------------------------------------------------------------------
 # cycle double cover search
 
@@ -610,7 +667,7 @@ def cycle_double_cover_search(
     chosen: list[int] = []
     nodes = 0
 
-    def search(min_cycle: int) -> str:
+    def search() -> str:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -618,17 +675,17 @@ def cycle_double_cover_search(
         open_edges = [e for e in edges if demand[e] > 0]
         if not open_edges:
             return "found"
+        # every cover has a cycle through the first open edge, so trying
+        # each of them (a cycle may repeat) keeps the search complete
         target = open_edges[0]
         for i in cycles_through[target]:
-            if i < min_cycle:
-                continue
             cyc = cycles[i]
             if any(demand[e] == 0 for e in cyc):
                 continue
             for e in cyc:
                 demand[e] -= 1
             chosen.append(i)
-            verdict = search(i)  # same cycle may repeat (e.g. a lone triangle)
+            verdict = search()
             if verdict != "absent":
                 return verdict
             chosen.pop()
@@ -636,7 +693,7 @@ def cycle_double_cover_search(
                 demand[e] += 1
         return "absent"
 
-    verdict = search(0)
+    verdict = search()
     if verdict == "found":
         family = tuple(cycles[i] for i in chosen)
         counts: dict[Edge, int] = {e: 0 for e in edges}

@@ -16,6 +16,7 @@ from .combinatorics import DeltaSystem, SetFamily, is_delta_system
 from .graph import Edge, Graph, components, delete_edges, edge
 
 BIPARTITION_GATE = 16
+DOUBLE_COVER_GATE = 14
 
 
 def all_cuts(G: Graph) -> set[frozenset[Edge]]:
@@ -94,6 +95,76 @@ def bond_faithful_by_definition(
             if len(F) < kappa and F not in host_bond_set:
                 return False
     return True
+
+
+def cycles_by_subsets(G: Graph) -> list[frozenset[Edge]]:
+    """Edge subsets that form a cycle: every vertex they touch has degree
+    two in them, and they are connected.  Found by scanning all subsets."""
+    edges = sorted(G.edges)
+    if len(edges) > DOUBLE_COVER_GATE:
+        raise ValueError(f"{len(edges)} edges exceed the double-cover gate")
+    cycles = []
+    for mask in range(1, 1 << len(edges)):
+        subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
+        degree: dict[int, int] = {}
+        for u, v in subset:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        if all(d == 2 for d in degree.values()) and len(
+            components(Graph(frozenset(degree), frozenset(subset)))
+        ) == 1:
+            cycles.append(frozenset(subset))
+    return cycles
+
+
+def is_double_cover(G: Graph, family: Iterable[frozenset[Edge]]) -> bool:
+    """Is every member a cycle of G, and every edge in exactly two members?"""
+    cycles = set(cycles_by_subsets(G))
+    members = list(family)
+    return all(c in cycles for c in members) and all(
+        sum(e in c for c in members) == 2 for e in G.edges
+    )
+
+
+def double_cover_by_multisets(G: Graph) -> tuple[frozenset[Edge], ...] | None:
+    """A family of cycles covering every edge exactly twice, or None.
+
+    Tries the multisets of cycles, each cycle used at most twice, by
+    choosing a multiplicity of 2, 1 or 0 for each cycle in turn; a prefix
+    is abandoned once an edge is covered three times, or once the last
+    cycle through an edge has passed with that edge covered fewer than
+    twice.
+    """
+    cycles = cycles_by_subsets(G)
+    last = {e: i for i, c in enumerate(cycles) for e in c}
+    if set(last) != set(G.edges):
+        return None  # an edge on no cycle
+    closing: list[list[Edge]] = [[] for _ in cycles]
+    for e, i in last.items():
+        closing[i].append(e)
+    count = {e: 0 for e in G.edges}
+    chosen: list[frozenset[Edge]] = []
+
+    def extend(i: int) -> bool:
+        if i == len(cycles):
+            return True
+        for times in (2, 1, 0):
+            for e in cycles[i]:
+                count[e] += times
+            chosen.extend([cycles[i]] * times)
+            fits = all(count[e] <= 2 for e in cycles[i]) and all(
+                count[e] == 2 for e in closing[i]
+            )
+            if fits and extend(i + 1):
+                return True
+            del chosen[len(chosen) - times:]
+            for e in cycles[i]:
+                count[e] -= times
+        return False
+
+    if not G.edges or extend(0):
+        return tuple(chosen)
+    return None
 
 
 def max_sunflower_by_kernels(family: SetFamily) -> DeltaSystem:

@@ -108,6 +108,49 @@ def test_budget_exit_code(fixtures):
     assert "budget" in proc.stderr
 
 
+def test_budget_zero_is_honoured(fixtures):
+    proc = run_fm(
+        ["--budget", "0", "eval", "--structure", "v4.json",
+         "--formula", "Ex Ey ((x in y) | (y in x))"],
+        fixtures,
+    )
+    assert proc.returncode == 3
+    assert "budget" in proc.stderr
+
+
+def test_sampled_bond_faithful_pass_exits_3(fixtures):
+    (fixtures / "path22.json").write_text(
+        json.dumps(graph_to_json(make_graph(range(22), [(i, i + 1) for i in range(21)])))
+    )
+    singles = [graph_to_json(make_graph([i, i + 1], [(i, i + 1)])) for i in range(21)]
+    (fixtures / "singles.json").write_text(json.dumps(singles))
+    pairs = [
+        graph_to_json(make_graph([i, i + 1, i + 2], [(i, i + 1), (i + 1, i + 2)]))
+        for i in range(0, 20, 2)
+    ] + [graph_to_json(make_graph([20, 21], [(20, 21)]))]
+    (fixtures / "pairs.json").write_text(json.dumps(pairs))
+
+    search = run_fm(["bondfaithful", "search", "--graph", "path22.json", "--kappa", "1"], fixtures)
+    assert search.returncode == 3
+    result = json.loads(search.stdout)["result"]
+    assert result["status"] == "sampled" and result["report"]["sampled"] is True
+
+    check = run_fm(
+        ["bondfaithful", "check", "--graph", "path22.json", "--parts", "singles.json", "--kappa", "1"],
+        fixtures,
+    )
+    assert check.returncode == 3
+    assert json.loads(check.stdout)["result"]["verdict"] is True
+
+    # a failing verdict names real bonds, sampled or not
+    failing = run_fm(
+        ["bondfaithful", "check", "--graph", "path22.json", "--parts", "pairs.json", "--kappa", "1"],
+        fixtures,
+    )
+    assert failing.returncode == 1
+    assert json.loads(failing.stdout)["result"]["sampled"] is True
+
+
 def test_graph_subcommands(fixtures):
     nw = run_fm(["graph", "nw", "--graph", "c4.json"], fixtures)
     assert nw.returncode == 0 and json.loads(nw.stdout)["result"]["nw"] is True
@@ -136,6 +179,14 @@ def test_graph_subcommands(fixtures):
     dcc = run_fm(["graph", "dcc", "--graph", "c3.json"], fixtures)
     assert dcc.returncode == 0
     assert json.loads(dcc.stdout)["result"]["status"] == "found"
+
+    (fixtures / "diamond.json").write_text(
+        json.dumps(graph_to_json(make_graph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])))
+    )
+    diamond = run_fm(["graph", "dcc", "--graph", "diamond.json", "--validate"], fixtures)
+    assert diamond.returncode == 0
+    result = json.loads(diamond.stdout)["result"]
+    assert result["status"] == "found" and result["validated"] is True
 
     starved = run_fm(["graph", "dcc", "--graph", "k4.json", "--search-budget", "1"], fixtures)
     assert starved.returncode == 3

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from finmodel.decompose import (
@@ -238,3 +242,56 @@ def test_search_random_outcomes_always_validated():
         if out.status == "found":
             assert out.report.verdict
             assert check_bond_faithful(G, out.decomposition.parts, kappa).verdict
+
+
+def test_search_reports_sampled_not_found():
+    # a 22-vertex path exceeds the 20-vertex enumeration cap, so host
+    # bonds are sampled and a passing candidate is not a proof
+    path22 = make_graph(range(22), [(i, i + 1) for i in range(21)])
+    out = search_bond_faithful(path22, 1)
+    assert out.status == "sampled"
+    assert out.report.verdict and out.report.sampled
+    assert is_decomposition(path22, out.decomposition.parts)
+    singles = [make_graph([i, i + 1], [(i, i + 1)]) for i in range(21)]
+    assert check_bond_faithful(path22, singles, 1).sampled
+    pairs = [make_graph(range(22), [(i, i + 1), (i + 1, i + 2)]) for i in range(0, 20, 2)]
+    pairs.append(make_graph([20, 21], [(20, 21)]))
+    failed = check_bond_faithful(path22, pairs, 1)
+    assert failed.sampled and not failed.verdict and failed.oversized_members
+
+
+def test_search_sweep_matches_recorded_answers():
+    # every labelled graph on 5 vertices with at most 6 edges, kappa 1..3:
+    # status, parts and report as recorded before host bonds were shared
+    # across the checks of one search
+    slots = list(itertools.combinations(range(5), 2))
+    digest = hashlib.sha256()
+    counts: dict[str, int] = {}
+    for r in range(7):
+        for edges in itertools.combinations(slots, r):
+            G = make_graph(range(5), edges)
+            for kappa in (1, 2, 3):
+                out = search_bond_faithful(G, kappa)
+                rep = out.report
+                record = [
+                    out.status,
+                    None if out.decomposition is None
+                    else [sorted(p.edges) for p in out.decomposition.parts],
+                    None if rep is None else [
+                        rep.kappa, rep.size_ok, rep.containment_ok,
+                        rep.bond_preservation_ok, list(rep.oversized_members),
+                        [sorted(b) for b in rep.split_bonds],
+                        [[i, sorted(b)] for i, b in rep.foreign_bonds], rep.sampled,
+                    ],
+                ]
+                digest.update(json.dumps(record).encode())
+                key = f"{kappa}:{out.status}"
+                counts[key] = counts.get(key, 0) + 1
+    assert counts == {
+        "1:found": 848,
+        "2:found": 291, "2:proven-absent": 557,
+        "3:found": 536, "3:proven-absent": 312,
+    }
+    assert digest.hexdigest() == (
+        "7707a4f52ef26f08ad50618042a02b4c0ac66f72a380c551682effa54d31c290"
+    )

@@ -14,6 +14,7 @@ from finmodel.graph import (
     cycle_graph,
     delete_edges,
     edge_connectivity,
+    edge,
     edge_disjoint_paths,
     enumerate_bonds,
     enumerate_cycles,
@@ -30,10 +31,13 @@ from finmodel.oracles import (
     all_cuts,
     bonds_by_definition,
     bridges_by_deletion,
+    double_cover_by_multisets,
     edge_connectivity_brute,
     is_bond_by_definition,
+    is_double_cover,
     separates,
 )
+from finmodel.universe import recode_graph
 
 from conftest import bowtie, edge_slot_count, random_bitmask_graph, seeded
 
@@ -276,6 +280,60 @@ def test_enumerate_bonds_matches_definition():
         assert enumerate_bonds(G) == bonds_by_definition(G)
 
 
+def test_bond_kernel_matches_definition_every_graph_upto_5_vertices():
+    # every labelled graph on 0..5 vertices, so disconnected hosts and
+    # isolated vertices included; is_bond on every edge subset
+    for n in range(6):
+        for mask in range(1 << edge_slot_count(n)):
+            G = random_bitmask_graph(n, mask)
+            want = bonds_by_definition(G)
+            assert enumerate_bonds(G) == want
+            for size in (1, 2, 3):
+                assert enumerate_bonds(G, max_size=size) == [
+                    F for F in want if len(F) <= size
+                ]
+            bonds = set(want)
+            edges = sorted(G.edges)
+            for r in range(len(edges) + 1):
+                for F in itertools.combinations(edges, r):
+                    assert is_bond(G, F) == (frozenset(F) in bonds)
+
+
+def test_bond_kernel_on_code_labelled_graphs():
+    # recoded vertices are set codes (1, 2, 4, ...), far apart as ints
+    for G in _random_graphs(40, 6, 41):
+        coded, codes = recode_graph(G)
+        want = bonds_by_definition(coded)
+        assert enumerate_bonds(coded) == want
+        assert enumerate_bonds(coded, max_size=2) == [F for F in want if len(F) <= 2]
+        vc = codes.vertex_code
+        relabelled = {
+            frozenset(edge(vc[u], vc[v]) for u, v in F) for F in enumerate_bonds(G)
+        }
+        assert relabelled == set(want)
+        edges = sorted(coded.edges)
+        for r in range(min(3, len(edges)) + 1):
+            for F in itertools.combinations(edges, r):
+                assert is_bond(coded, F) == is_bond_by_definition(coded, F)
+
+
+def _path(n, offset=0):
+    return make_graph(
+        range(offset, offset + n), [(i, i + 1) for i in range(offset, offset + n - 1)]
+    )
+
+
+def test_enumerate_bonds_component_cap():
+    assert len(enumerate_bonds(_path(20))) == 19
+    with pytest.raises(ValueError, match="21 vertices"):
+        enumerate_bonds(_path(21))
+    with pytest.raises(ValueError):
+        enumerate_bonds(_path(5), component_cap=4)
+    # the cap is per component
+    two = make_graph(range(40), _path(20).edges | _path(20, 20).edges)
+    assert len(enumerate_bonds(two)) == 38
+
+
 def test_separating_cut_confirms_connectivity():
     G = bowtie()
     assert separates(G, cut_of(G, {0, 1}).edges, 0, 3)
@@ -301,6 +359,32 @@ def test_double_cover_known_cases():
 
     with pytest.raises(ValueError):
         cycle_double_cover_search(make_graph([0, 1], [(0, 1)]))
+
+
+def test_double_cover_diamond():
+    # triangles 012 and 023 plus the square 0-1-2-3 cover every edge twice
+    G = make_graph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    out = cycle_double_cover_search(G)
+    assert out.status == "found"
+    assert is_double_cover(G, out.cycles)
+    assert not is_double_cover(G, out.cycles[1:])
+    assert double_cover_by_multisets(make_graph([0, 1, 2], [(0, 1), (1, 2)])) is None
+
+
+def test_double_cover_every_bridgeless_graph_upto_5_vertices():
+    swept = 0
+    for n in (3, 4, 5):
+        for mask in range(1, 1 << edge_slot_count(n)):
+            G = random_bitmask_graph(n, mask)
+            if bridges(G):
+                continue
+            swept += 1
+            out = cycle_double_cover_search(G)
+            assert out.status == "found", sorted(G.edges)
+            assert is_double_cover(G, out.cycles)
+            oracle = double_cover_by_multisets(G)
+            assert oracle is not None and is_double_cover(G, oracle)
+    assert swept == 328
 
 
 def test_double_cover_budget_is_distinct():
