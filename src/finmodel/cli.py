@@ -105,30 +105,29 @@ def _budget(args) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON in {path}: {exc}")
 
 
 def _load_structure(path: str):
     if path.endswith(".txt"):
-        try:
-            return structure_from_matrix(Path(path).read_text())
-        except FileNotFoundError:
-            raise InputError(f"no such file: {path}")
+        return structure_from_matrix(_read_text(path))
     return structure_from_json(_load_json(path))
 
 
 def _load_graph(path: str):
     if path.endswith(".txt"):
-        try:
-            return graph_from_edge_list(Path(path).read_text())
-        except FileNotFoundError:
-            raise InputError(f"no such file: {path}")
+        return graph_from_edge_list(_read_text(path))
     return graph_from_json(_load_json(path))
 
 
@@ -161,7 +160,8 @@ def _edges_json(edges) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (exit_code, result dict)
+# handlers: each returns (exit_code, result dict); main turns a result
+# with ``"validated": false`` into a violation
 
 
 def cmd_parse(args):
@@ -228,8 +228,6 @@ def cmd_hull(args):
     if args.validate:
         check = is_sigma_elementary(h.carrier, N, pack, _budget(args))
         result["validated"] = bool(check) and verify_hull(N, pack, h, _budget(args))
-        if not result["validated"]:
-            return EXIT_VIOLATION, result
     return EXIT_OK, result
 
 
@@ -256,8 +254,6 @@ def cmd_chain(args):
             for stage in ch.stages
         ]
         result["validated"] = all(checks)
-        if not result["validated"]:
-            return EXIT_VIOLATION, result
     return EXIT_OK, result
 
 
@@ -328,8 +324,6 @@ def cmd_graph_bonds(args):
         want = sorted(sorted(map(list, b)) for b in expected)
         got = sorted(sorted(map(list, b)) for b in bonds)
         result["validated"] = want == got
-        if not result["validated"]:
-            return EXIT_VIOLATION, result
     return EXIT_OK, result
 
 
@@ -342,8 +336,6 @@ def cmd_graph_gamma(args):
         result["paths"] = paths
     if args.validate:
         result["validated"] = value == edge_connectivity_brute(G, args.x, args.y)
-        if not result["validated"]:
-            return EXIT_VIOLATION, result
     return EXIT_OK, result
 
 
@@ -369,9 +361,7 @@ def cmd_graph_veblen(args):
         result["validated"] = is_decomposition(G, parts) and all(
             is_cycle(p) for p in parts
         )
-        if not result["validated"]:
-            return EXIT_VIOLATION, result
-    if args.format == "dot":
+    if args.format == "dot" and result.get("validated", True):
         return EXIT_OK, graph_to_dot(G, parts)
     return EXIT_OK, result
 
@@ -382,8 +372,6 @@ def cmd_graph_bridges(args):
     result = {"bridges": [_edges_json([e])[0] for e in found]}
     if args.validate:
         result["validated"] = found == bridges_by_deletion(G)
-        if not result["validated"]:
-            return EXIT_VIOLATION, result
     return EXIT_OK, result
 
 
@@ -400,8 +388,6 @@ def cmd_graph_dcc(args):
         result["validated"] = exists == (outcome.status == "found") and (
             not exists or is_double_cover(G, outcome.cycles)
         )
-        if not result["validated"]:
-            return EXIT_VIOLATION, result
     return (EXIT_OK if outcome.status == "found" else EXIT_VIOLATION), result
 
 
@@ -414,8 +400,6 @@ def cmd_bondfaithful_check(args):
         result["validated"] = report.verdict == bond_faithful_by_definition(
             G, parts, args.kappa
         )
-        if not result["validated"]:
-            return EXIT_VIOLATION, result
     return _bond_verdict_exit(report), result
 
 
@@ -479,8 +463,6 @@ def cmd_sunflower(args):
         if args.validate:
             other = max_sunflower_by_kernels(family)
             result["validated"] = other.indices == system.indices
-            if not result["validated"]:
-                return EXIT_VIOLATION, result
         return EXIT_OK, result
     m_obj = _load_json(args.m) if args.m else {"elements": [], "members": []}
     mset: set = set(int(x) for x in m_obj.get("elements", []))
@@ -492,8 +474,6 @@ def cmd_sunflower(args):
         ok = is_delta_system(system.members) is not None or len(system.members) < 2
         ok = ok and is_maximal_for_kernel(family, system)
         result["validated"] = ok
-        if not ok:
-            return EXIT_VIOLATION, result
     return EXIT_OK, result
 
 
@@ -519,8 +499,6 @@ def cmd_freeset(args):
         result["validated"] = is_free(
             report.chosen, {k: frozenset(v) for k, v in mapping.items()}
         )
-        if not result["validated"]:
-            return EXIT_VIOLATION, result
     return EXIT_OK, result
 
 
@@ -707,6 +685,8 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(result, str):
         sys.stdout.write(result)
         return code
+    if not result.get("validated", True):
+        code = EXIT_VIOLATION
     report = {"schema": SCHEMA, "command": args.command, "result": result}
     if getattr(args, "format", "json") == "text":
         sys.stdout.write(_to_text(report) + "\n")

@@ -62,12 +62,6 @@ def is_delta_system(family: SetFamily | Sequence[frozenset[int]]) -> frozenset[i
     return kernel
 
 
-def _validate_kernel(members: Sequence[frozenset[int]], kernel: frozenset[int]) -> bool:
-    if len(members) < 2:
-        return all(kernel <= m for m in members)
-    return all(a & b == kernel for a, b in itertools.combinations(members, 2))
-
-
 def trace_kernel_sunflower(family: SetFamily, M: Iterable) -> DeltaSystem:
     """Extract a maximal delta-system via the trace kernel.
 

@@ -411,9 +411,6 @@ class BondFaithfulSearch:
     report: BondFaithfulReport | None = None
 
 
-EXHAUSTIVE_EDGE_LIMIT = 8
-
-
 def _subgraph_of(G: Graph, edges: Iterable[Edge]) -> Graph:
     es = frozenset(edges)
     vs = frozenset(v for e in es for v in e)
@@ -483,11 +480,12 @@ def search_bond_faithful(
 ) -> BondFaithfulSearch:
     """Heuristic pipeline: component split, chain slicing, recursion,
     then a merge repair pass; every candidate is validated before being
-    returned.  On graphs with few edges a failed heuristic falls back to
-    exhaustive partition search, which can prove absence.  A candidate
-    that passes only against sampled host bonds, because a component
-    exceeds the enumeration cap, comes back as ``sampled``, not
-    ``found``."""
+    returned.  A failed heuristic falls back to exhaustive search over
+    the edge partitions, which proves absence when it runs to the end
+    and gives up as ``budget-exhausted`` after *budget* partitions.  A
+    candidate that passes only against sampled host bonds, because a
+    component exceeds the enumeration cap, comes back as ``sampled``,
+    not ``found``."""
     check = _bond_faithful_checker(G, kappa, BOND_COMPONENT_CAP)
 
     def verdict(parts: list[Graph]) -> BondFaithfulSearch | None:
@@ -501,19 +499,17 @@ def search_bond_faithful(
     outcome = verdict([_subgraph_of(G, m) for m in candidate if m])
     if outcome:
         return outcome
-    if len(G.edges) <= EXHAUSTIVE_EDGE_LIMIT:
-        spent = 0
-        for partition in _edge_partitions(sorted(G.edges)):
-            spent += 1
-            if spent > budget:
-                return BondFaithfulSearch("budget-exhausted")
-            if any(len(block) > kappa for block in partition):
-                continue
-            outcome = verdict([_subgraph_of(G, block) for block in partition])
-            if outcome:
-                return outcome
-        return BondFaithfulSearch("proven-absent")
-    return BondFaithfulSearch("budget-exhausted")
+    spent = 0
+    for partition in _edge_partitions(sorted(G.edges)):
+        spent += 1
+        if spent > budget:
+            return BondFaithfulSearch("budget-exhausted")
+        if any(len(block) > kappa for block in partition):
+            continue
+        outcome = verdict([_subgraph_of(G, block) for block in partition])
+        if outcome:
+            return outcome
+    return BondFaithfulSearch("proven-absent")
 
 
 def _search_candidate(G: Graph, kappa: int, budget: int) -> list[frozenset[Edge]]:

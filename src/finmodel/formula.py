@@ -16,8 +16,8 @@ structure and it only enters a tree through :func:`relativize`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Mapping, Union
 
 
 class ParseError(ValueError):
@@ -265,23 +265,13 @@ def _and(left: Formula, right: Formula) -> Formula:
 
 
 def _all_names(phi: Formula) -> set[str]:
+    # every quantifier sits above at least one atom, so the bound sets
+    # of the terms name every quantified variable
     names: set[str] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, _ATOMS):
-            for t in (f.left, f.right):
-                if isinstance(t, Var):
-                    names.add(t.name)
-        elif isinstance(f, Negation):
-            walk(f.body)
-        elif isinstance(f, Disjunction):
-            walk(f.left)
-            walk(f.right)
-        else:
-            names.add(f.var)
-            walk(f.body)
-
-    walk(phi)
+    for t, bound in _terms(phi):
+        names |= bound
+        if isinstance(t, Var):
+            names.add(t.name)
     return names
 
 
@@ -296,23 +286,12 @@ def _fresh_var(base: str, phi: Formula) -> str:
 def _rename_free(phi: Formula, old: str, new: str) -> Formula:
     """Rename free occurrences of *old* to *new* (new must be fresh)."""
 
-    def sub(t: Term) -> Term:
-        if isinstance(t, Var) and t.name == old:
+    def sub(t: Term, bound: frozenset[str]) -> Term:
+        if isinstance(t, Var) and t.name == old and old not in bound:
             return Var(new)
         return t
 
-    if isinstance(phi, Membership):
-        return Membership(sub(phi.left), sub(phi.right))
-    if isinstance(phi, Equality):
-        return Equality(sub(phi.left), sub(phi.right))
-    if isinstance(phi, Negation):
-        return Negation(_rename_free(phi.body, old, new))
-    if isinstance(phi, Disjunction):
-        return Disjunction(_rename_free(phi.left, old, new), _rename_free(phi.right, old, new))
-    if phi.var == old:
-        return phi
-    body = _rename_free(phi.body, old, new)
-    return type(phi)(phi.var, body)
+    return _map_terms(phi, sub)
 
 
 def parse(text: str) -> Formula:
@@ -322,10 +301,6 @@ def parse(text: str) -> Formula:
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def render_term(t: Term) -> str:
-    return str(t)
 
 
 def render(phi: Formula) -> str:
@@ -357,47 +332,62 @@ def _wrap(phi: Formula) -> str:
 
 # ---------------------------------------------------------------------------
 # structural operations
+#
+# Every transformation below is a fold over the term occurrences of the
+# tree.  The two helpers stay private: a public recursive helper would be
+# traced once per node it visits.
+
+
+def _terms(phi: Formula) -> Iterator[tuple[Term, frozenset[str]]]:
+    """Every term occurrence, left to right, with the variables bound above it."""
+    stack: list[tuple[Formula, frozenset[str]]] = [(phi, frozenset())]
+    while stack:
+        f, bound = stack.pop()
+        if isinstance(f, _ATOMS):
+            yield f.left, bound
+            yield f.right, bound
+        elif isinstance(f, Negation):
+            stack.append((f.body, bound))
+        elif isinstance(f, Disjunction):
+            stack.append((f.right, bound))
+            stack.append((f.left, bound))
+        else:
+            stack.append((f.body, bound | {f.var}))
+
+
+def _map_terms(
+    phi: Formula,
+    fn: Callable[[Term, frozenset[str]], Term],
+    quantifier: type | None = None,
+    bound: frozenset[str] = frozenset(),
+) -> Formula:
+    """Rebuild *phi* with each term replaced by ``fn(term, bound)`` and, when
+    *quantifier* is given, each quantifier node rebuilt as one.  An atom
+    whose terms come back unchanged is kept, not copied."""
+    if isinstance(phi, _ATOMS):
+        left, right = fn(phi.left, bound), fn(phi.right, bound)
+        if left is phi.left and right is phi.right:
+            return phi
+        return type(phi)(left, right)
+    if isinstance(phi, Negation):
+        return Negation(_map_terms(phi.body, fn, quantifier, bound))
+    if isinstance(phi, Disjunction):
+        return Disjunction(
+            _map_terms(phi.left, fn, quantifier, bound),
+            _map_terms(phi.right, fn, quantifier, bound),
+        )
+    body = _map_terms(phi.body, fn, quantifier, bound | {phi.var})
+    return (quantifier or type(phi))(phi.var, body)
 
 
 def free_vars(phi: Formula) -> list[str]:
     """Free variables in first-occurrence order."""
-    out: list[str] = []
-
-    def walk(f: Formula, bound: frozenset[str]) -> None:
-        if isinstance(f, _ATOMS):
-            for t in (f.left, f.right):
-                if isinstance(t, Var) and t.name not in bound and t.name not in out:
-                    out.append(t.name)
-        elif isinstance(f, Negation):
-            walk(f.body, bound)
-        elif isinstance(f, Disjunction):
-            walk(f.left, bound)
-            walk(f.right, bound)
-        else:
-            walk(f.body, bound | {f.var})
-
-    walk(phi, frozenset())
-    return out
+    free = (t.name for t, bound in _terms(phi) if isinstance(t, Var) and t.name not in bound)
+    return list(dict.fromkeys(free))
 
 
 def constants(phi: Formula) -> set[int]:
-    out: set[int] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, _ATOMS):
-            for t in (f.left, f.right):
-                if isinstance(t, Const):
-                    out.add(t.ident)
-        elif isinstance(f, Negation):
-            walk(f.body)
-        elif isinstance(f, Disjunction):
-            walk(f.left)
-            walk(f.right)
-        else:
-            walk(f.body)
-
-    walk(phi)
-    return out
+    return {t.ident for t, _ in _terms(phi) if isinstance(t, Const)}
 
 
 def substitute(phi: Formula, binding: Mapping[str, int]) -> Formula:
@@ -411,34 +401,26 @@ def substitute(phi: Formula, binding: Mapping[str, int]) -> Formula:
         if name not in free:
             raise ValueError(f"variable {name!r} is not free in the formula")
 
-    def walk(f: Formula, bound: frozenset[str]) -> Formula:
-        def sub(t: Term) -> Term:
-            if isinstance(t, Var) and t.name in binding and t.name not in bound:
-                return Const(binding[t.name])
-            return t
+    def sub(t: Term, bound: frozenset[str]) -> Term:
+        if isinstance(t, Var) and t.name in binding and t.name not in bound:
+            return Const(binding[t.name])
+        return t
 
-        if isinstance(f, Membership):
-            return Membership(sub(f.left), sub(f.right))
-        if isinstance(f, Equality):
-            return Equality(sub(f.left), sub(f.right))
-        if isinstance(f, Negation):
-            return Negation(walk(f.body, bound))
-        if isinstance(f, Disjunction):
-            return Disjunction(walk(f.left, bound), walk(f.right, bound))
-        return type(f)(f.var, walk(f.body, bound | {f.var}))
+    return _map_terms(phi, sub)
 
-    return walk(phi, frozenset())
+
+def remap_constants(phi: Formula, remap: Mapping[int, int]) -> Formula:
+    """Replace each constant ``#c`` with ``#remap[c]``."""
+
+    def sub(t: Term, bound: frozenset[str]) -> Term:
+        return Const(remap[t.ident]) if isinstance(t, Const) else t
+
+    return _map_terms(phi, sub)
 
 
 def relativize(phi: Formula) -> Formula:
     """Bound every plain existential to the distinguished subset."""
-    if isinstance(phi, _ATOMS):
-        return phi
-    if isinstance(phi, Negation):
-        return Negation(relativize(phi.body))
-    if isinstance(phi, Disjunction):
-        return Disjunction(relativize(phi.left), relativize(phi.right))
-    return BoundedExists(phi.var, relativize(phi.body))
+    return _map_terms(phi, lambda t, bound: t, BoundedExists)
 
 
 def quantifier_depth(phi: Formula) -> int:
@@ -516,34 +498,37 @@ def term_from_json(obj: dict) -> Term:
     raise ValueError(f"not a term: {obj!r}")
 
 
+_NODE_OF_TAG = {
+    "membership": Membership,
+    "equality": Equality,
+    "negation": Negation,
+    "disjunction": Disjunction,
+    "exists": Exists,
+    "bounded_exists": BoundedExists,
+}
+_TAG_OF_NODE = {node: tag for tag, node in _NODE_OF_TAG.items()}
+# field names in declaration order; ``var`` holds a name, the rest hold
+# terms in an atom and subformulas elsewhere
+_FIELDS = {node: tuple(f.name for f in fields(node)) for node in _TAG_OF_NODE}
+
+
 def formula_to_json(phi: Formula) -> dict:
-    if isinstance(phi, Membership):
-        return {"tag": "membership", "left": term_to_json(phi.left), "right": term_to_json(phi.right)}
-    if isinstance(phi, Equality):
-        return {"tag": "equality", "left": term_to_json(phi.left), "right": term_to_json(phi.right)}
-    if isinstance(phi, Negation):
-        return {"tag": "negation", "body": formula_to_json(phi.body)}
-    if isinstance(phi, Disjunction):
-        return {"tag": "disjunction", "left": formula_to_json(phi.left), "right": formula_to_json(phi.right)}
-    tag = "exists" if isinstance(phi, Exists) else "bounded_exists"
-    return {"tag": tag, "var": phi.var, "body": formula_to_json(phi.body)}
+    node = type(phi)
+    out: dict = {"tag": _TAG_OF_NODE[node]}
+    child = term_to_json if node in _ATOMS else formula_to_json
+    for name in _FIELDS[node]:
+        value = getattr(phi, name)
+        out[name] = value if name == "var" else child(value)
+    return out
 
 
 def formula_from_json(obj: dict) -> Formula:
     tag = obj.get("tag")
-    if tag == "membership":
-        return Membership(term_from_json(obj["left"]), term_from_json(obj["right"]))
-    if tag == "equality":
-        return Equality(term_from_json(obj["left"]), term_from_json(obj["right"]))
-    if tag == "negation":
-        return Negation(formula_from_json(obj["body"]))
-    if tag == "disjunction":
-        return Disjunction(formula_from_json(obj["left"]), formula_from_json(obj["right"]))
-    if tag == "exists":
-        return Exists(obj["var"], formula_from_json(obj["body"]))
-    if tag == "bounded_exists":
-        return BoundedExists(obj["var"], formula_from_json(obj["body"]))
-    raise ValueError(f"unknown formula tag: {tag!r}")
+    node = _NODE_OF_TAG.get(tag) if isinstance(tag, str) else None
+    if node is None:
+        raise ValueError(f"unknown formula tag: {tag!r}")
+    child = term_from_json if node in _ATOMS else formula_from_json
+    return node(*[obj[name] if name == "var" else child(obj[name]) for name in _FIELDS[node]])
 
 
 def pack_to_json(pack: FormulaPack) -> dict:

@@ -152,7 +152,7 @@ def cut_of(G: Graph, A: Iterable[int]) -> CutWitness:
 
 
 def is_cut(G: Graph, F: Iterable[Edge]) -> bool:
-    """Is F of the form ``E âˆ© [A, A-complement]`` for some vertex set A?
+    """Is F of the form ``E ∩ [A, A-complement]`` for some vertex set A?
 
     Characterization used: every F-edge must join two different
     components of G minus F, and the component multigraph drawn by the

@@ -1,5 +1,6 @@
-"""File formats: structures and graphs as JSON or text, packs as JSON,
-DOT export, and canonical report dumping.
+"""File formats: structures and graphs as JSON or text, DOT export, and
+canonical report dumping.  Formula packs have their JSON mirror in
+:mod:`finmodel.formula`.
 
 Reports are serialized with sorted keys and a trailing newline so that
 identical runs produce identical bytes.
@@ -10,7 +11,6 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .formula import FormulaPack, pack_from_json, pack_to_json
 from .graph import Graph, make_graph
 from .structure import FinStructure
 
@@ -138,14 +138,3 @@ def graph_to_dot(G: Graph, parts: Sequence[Iterable] | None = None, name: str = 
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# packs
-
-
-def pack_to_json_text(pack: FormulaPack) -> str:
-    return canonical_dumps(pack_to_json(pack))
-
-
-def pack_from_json_obj(obj: dict) -> FormulaPack:
-    return pack_from_json(obj)

@@ -29,6 +29,7 @@ from .formula import (
     Negation,
     constants,
     free_vars,
+    remap_constants,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -125,35 +126,20 @@ def _compile(phi: Formula, N: FinStructure, bounded: tuple[int, ...] | None) -> 
         left = _compile(phi.left, N, bounded)
         right = _compile(phi.right, N, bounded)
         return lambda env, budget: left(env, budget) or right(env, budget)
-    if isinstance(phi, Exists):
+    if isinstance(phi, (Exists, BoundedExists)):
+        # a plain quantifier scans N and is charged its size; a bounded one
+        # is charged at least one step, and its scope is read at call time
+        if isinstance(phi, Exists):
+            scope, least = range(size), 0
+        elif bounded is None:
+            raise EvalError("relativized quantifier encountered in plain evaluation")
+        else:
+            scope, least = bounded, 1
         var = phi.var
         body = _compile(phi.body, N, bounded)
 
         def ev_ex(env, budget):
-            budget.spend(size)
-            shadowed = env.get(var, _MISSING)
-            found = False
-            for a in range(size):
-                env[var] = a
-                if body(env, budget):
-                    found = True
-                    break
-            if shadowed is _MISSING:
-                env.pop(var, None)
-            else:
-                env[var] = shadowed
-            return found
-
-        return ev_ex
-    if isinstance(phi, BoundedExists):
-        if bounded is None:
-            raise EvalError("relativized quantifier encountered in plain evaluation")
-        var = phi.var
-        body = _compile(phi.body, N, bounded)
-        scope = bounded
-
-        def ev_bex(env, budget):
-            budget.spend(max(len(scope), 1))
+            budget.spend(len(scope) or least)
             shadowed = env.get(var, _MISSING)
             found = False
             for a in scope:
@@ -167,20 +153,39 @@ def _compile(phi: Formula, N: FinStructure, bounded: tuple[int, ...] | None) -> 
                 env[var] = shadowed
             return found
 
-        return ev_bex
+        return ev_ex
     raise EvalError(f"cannot evaluate node {type(phi).__name__}")
 
 
-def _check_entry(N: FinStructure, phi: Formula, valuation: Mapping[str, int]) -> None:
+def _evaluate(
+    N: FinStructure,
+    phi: Formula,
+    valuation: Mapping[str, int] | None,
+    budget: int,
+    subset: frozenset[int] | None,
+) -> bool:
+    """Check the entry valuation and constants, then evaluate; with a
+    *subset*, both must lie in it and ``BoundedExists`` scans it."""
+    valuation = dict(valuation or {})
     for name in free_vars(phi):
         if name not in valuation:
             raise EvalError(f"unbound free variable {name!r}")
     for name, value in valuation.items():
         if not (0 <= value < N.size):
             raise EvalError(f"valuation sends {name!r} to {value}, outside the universe")
-    for c in constants(phi):
+    consts = constants(phi)
+    for c in consts:
         if not (0 <= c < N.size):
             raise EvalError(f"dangling constant #{c}")
+    if subset is not None:
+        for name, value in valuation.items():
+            if value not in subset:
+                raise EvalError(f"valuation sends {name!r} outside the designated subset")
+        for c in consts:
+            if c not in subset:
+                raise EvalError(f"constant #{c} lies outside the designated subset")
+    fn = _compile(phi, N, None if subset is None else tuple(sorted(subset)))
+    return fn(valuation, _Budget(budget))
 
 
 def eval_formula(
@@ -190,10 +195,7 @@ def eval_formula(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Satisfaction of an unrelativized core formula under a valuation."""
-    valuation = dict(valuation or {})
-    _check_entry(N, phi, valuation)
-    fn = _compile(phi, N, None)
-    return fn(valuation, _Budget(budget))
+    return _evaluate(N, phi, valuation, budget, None)
 
 
 def eval_relativized(
@@ -210,17 +212,7 @@ def eval_relativized(
     must lie inside M (they play the role of parameters from M); inner
     unbounded witnesses may roam.
     """
-    mset = frozenset(M)
-    valuation = dict(valuation or {})
-    _check_entry(N, phi, valuation)
-    for name, value in valuation.items():
-        if value not in mset:
-            raise EvalError(f"valuation sends {name!r} outside the designated subset")
-    for c in constants(phi):
-        if c not in mset:
-            raise EvalError(f"constant #{c} lies outside the designated subset")
-    fn = _compile(phi, N, tuple(sorted(mset)))
-    return fn(valuation, _Budget(budget))
+    return _evaluate(N, phi, valuation, budget, frozenset(M))
 
 
 def induced_substructure(N: FinStructure, M: Iterable[int]) -> tuple[FinStructure, dict[int, int]]:
@@ -243,25 +235,6 @@ def induced_substructure(N: FinStructure, M: Iterable[int]) -> tuple[FinStructur
         labels = {remap[k]: v for k, v in N.labels.items() if k in remap}
     codes = tuple(N.codes[m] for m in members) if N.codes is not None else None
     return FinStructure(len(members), pairs, labels, codes), remap
-
-
-def _remap_constants(phi: Formula, remap: Mapping[int, int]) -> Formula:
-    def sub(t):
-        if isinstance(t, Const):
-            return Const(remap[t.ident])
-        return t
-
-    if isinstance(phi, Membership):
-        return Membership(sub(phi.left), sub(phi.right))
-    if isinstance(phi, Equality):
-        return Equality(sub(phi.left), sub(phi.right))
-    if isinstance(phi, Negation):
-        return Negation(_remap_constants(phi.body, remap))
-    if isinstance(phi, Disjunction):
-        return Disjunction(
-            _remap_constants(phi.left, remap), _remap_constants(phi.right, remap)
-        )
-    return type(phi)(phi.var, _remap_constants(phi.body, remap))
 
 
 @dataclass(frozen=True)
@@ -302,7 +275,7 @@ def is_absolute(
     for c in constants(phi):
         if c not in remap:
             raise EvalError(f"constant #{c} lies outside M")
-    phi_sub = _remap_constants(phi, remap)
+    phi_sub = remap_constants(phi, remap)
     names = free_vars(phi)
     host_fn = _compile(phi, N, None)
     sub_fn = _compile(phi_sub, sub, None)

@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from finmodel import cli
 from finmodel.graph import cycle_graph, make_graph
 from finmodel.serialize import graph_to_json, structure_to_json
 from finmodel.universe import build_hierarchy
@@ -149,6 +151,69 @@ def test_sampled_bond_faithful_pass_exits_3(fixtures):
     )
     assert failing.returncode == 1
     assert json.loads(failing.stdout)["result"]["sampled"] is True
+
+
+def test_bondfaithful_search_spends_its_budget(fixtures):
+    # K4 plus a 3-edge tail has 9 edges and no bond-faithful decomposition
+    # at kappa 3; its exhaustive search runs until the budget says stop
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    G = make_graph(range(7), k4 + [(3, 4), (4, 5), (5, 6)])
+    (fixtures / "k4tail.json").write_text(json.dumps(graph_to_json(G)))
+    absent = run_fm(["bondfaithful", "search", "--graph", "k4tail.json", "--kappa", "3"], fixtures)
+    assert absent.returncode == 1
+    assert json.loads(absent.stdout)["result"]["status"] == "proven-absent"
+    starved = run_fm(
+        ["bondfaithful", "search", "--graph", "k4tail.json", "--kappa", "3", "--search-budget", "10"],
+        fixtures,
+    )
+    assert starved.returncode == 3
+    assert json.loads(starved.stdout)["result"]["status"] == "budget-exhausted"
+
+
+# each --validate handler, with the oracle name it calls replaced by a
+# lying stand-in, must report "validated": false and exit 1
+_LYING_ORACLES = [
+    (["hull", "--structure", "v4.json", "--pack", "pack.json", "--seed-elems", "0,1"],
+     "verify_hull", lambda *a: False),
+    (["chain", "--structure", "v4.json", "--pack", "pairing"],
+     "is_sigma_elementary", lambda *a: False),
+    (["graph", "bonds", "--graph", "c4.json"], "bonds_by_definition", lambda G: []),
+    (["graph", "gamma", "--graph", "c4.json", "--x", "0", "--y", "2"],
+     "edge_connectivity_brute", lambda *a: -1),
+    (["graph", "veblen", "--graph", "c4.json"], "is_cycle", lambda p: False),
+    (["graph", "bridges", "--graph", "c4.json"], "bridges_by_deletion", lambda G: [(0, 1)]),
+    (["graph", "dcc", "--graph", "c3.json"], "is_double_cover", lambda *a: False),
+    (["bondfaithful", "check", "--graph", "c4.json", "--parts", "singles.json", "--kappa", "1"],
+     "bond_faithful_by_definition", lambda *a: False),
+    (["sunflower", "max", "--family", "family.json"],
+     "max_sunflower_by_kernels", lambda family: SimpleNamespace(indices=())),
+    (["sunflower", "trace", "--family", "family.json"], "is_maximal_for_kernel", lambda *a: False),
+    (["freeset", "--map", "map.json"], "is_free", lambda *a: False),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, oracle, liar", _LYING_ORACLES, ids=[case[1] for case in _LYING_ORACLES]
+)
+def test_failed_validation_exits_1(fixtures, monkeypatch, capsys, argv, oracle, liar):
+    singles = [graph_to_json(make_graph([u, v], [(u, v)])) for u, v in cycle_graph(4).edges]
+    (fixtures / "singles.json").write_text(json.dumps(singles))
+    monkeypatch.chdir(fixtures)
+    assert cli.main(argv + ["--validate"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["validated"] is True
+    monkeypatch.setattr(cli, oracle, liar)
+    assert cli.main(argv + ["--validate"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
+
+
+def test_failed_veblen_validation_prints_the_report_not_dot(fixtures, monkeypatch, capsys):
+    monkeypatch.chdir(fixtures)
+    argv = ["--format", "dot", "graph", "veblen", "--graph", "c4.json", "--validate"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("graph G {")
+    monkeypatch.setattr(cli, "is_cycle", lambda p: False)
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
 
 
 def test_graph_subcommands(fixtures):
