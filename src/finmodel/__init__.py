@@ -21,9 +21,12 @@ from .formula import (
     substitute,
 )
 from .structure import (
+    Budget,
     BudgetExceededError,
+    CompiledFormula,
     EvalError,
     FinStructure,
+    compile_formula,
     eval_formula,
     eval_relativized,
     induced_substructure,

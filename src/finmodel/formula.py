@@ -435,14 +435,14 @@ def quantifier_depth(phi: Formula) -> int:
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
     """Preorder stream of all subformulas, the formula itself first."""
-    yield phi
-    if isinstance(phi, Negation):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, Disjunction):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, (Exists, BoundedExists)):
-        yield from subformulas(phi.body)
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        yield f
+        if isinstance(f, Disjunction):
+            stack += (f.right, f.left)
+        elif not isinstance(f, _ATOMS):
+            stack.append(f.body)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +490,16 @@ def term_to_json(t: Term) -> dict:
     return {"const": t.ident}
 
 
+def _name_from_json(name) -> str:
+    """A variable name read from JSON, which must be one the parser reads."""
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name) or name in _RESERVED:
+        raise ValueError(f"not a variable name: {name!r}")
+    return name
+
+
 def term_from_json(obj: dict) -> Term:
     if "var" in obj:
-        return Var(obj["var"])
+        return Var(_name_from_json(obj["var"]))
     if "const" in obj:
         return Const(int(obj["const"]))
     raise ValueError(f"not a term: {obj!r}")
@@ -528,7 +535,7 @@ def formula_from_json(obj: dict) -> Formula:
     if node is None:
         raise ValueError(f"unknown formula tag: {tag!r}")
     child = term_from_json if node in _ATOMS else formula_from_json
-    return node(*[obj[name] if name == "var" else child(obj[name]) for name in _FIELDS[node]])
+    return node(*[_name_from_json(obj[name]) if name == "var" else child(obj[name]) for name in _FIELDS[node]])
 
 
 def pack_to_json(pack: FormulaPack) -> dict:

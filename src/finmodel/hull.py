@@ -10,6 +10,7 @@ tests re-verify by brute enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -25,9 +26,9 @@ from .formula import (
 )
 from .structure import (
     DEFAULT_BUDGET,
+    Budget,
     FinStructure,
-    _Budget,
-    _compile,
+    compile_formula,
     is_sigma_elementary,
 )
 from .universe import Hierarchy, hf_encode
@@ -76,30 +77,39 @@ class _WitnessOracle:
     the host."""
 
     def __init__(self, N: FinStructure, pack: FormulaPack, budget: int):
-        self.size = N.size
-        self.budget = _Budget(budget)
-        self.bodies = {}
-        self.exists: list[Exists] = []
-        for phi in pack.formulas:
-            if isinstance(phi, Exists):
-                self.exists.append(phi)
-                self.bodies[phi] = (_compile(phi.body, N, None), free_vars(phi))
+        self.N = N
+        self.budget = Budget(budget)
+        self.exists = [phi for phi in pack.formulas if isinstance(phi, Exists)]
+        self.names = [free_vars(phi) for phi in self.exists]
+        # each body with the position its quantified variable takes among
+        # the body's free variables (None when the body does not use it)
+        self.bodies: list[tuple] = []
+        for phi in self.exists:
+            body = compile_formula(phi.body)
+            body.require_scope(None)
+            at = body.free_vars.index(phi.var) if phi.var in body.free_vars else None
+            self.bodies.append((body, at))
         self.cache: dict[tuple[int, tuple[int, ...]], int | None] = {}
 
     def witness(self, idx: int, values: tuple[int, ...]) -> int | None:
         key = (idx, values)
         if key in self.cache:
             return self.cache[key]
-        phi = self.exists[idx]
-        body, names = self.bodies[phi]
-        env = dict(zip(names, values))
+        body, at = self.bodies[idx]
+        N, budget = self.N, self.budget
         found = None
-        self.budget.spend(self.size)
-        for candidate in range(self.size):
-            env[phi.var] = candidate
-            if body(env, self.budget):
-                found = candidate
-                break
+        budget.spend(N.size)
+        if at is None:
+            for candidate in range(N.size):
+                if body(N, None, budget, *values):
+                    found = candidate
+                    break
+        else:
+            head, tail = values[:at], values[at:]
+            for candidate in range(N.size):
+                if body(N, None, budget, *head, candidate, *tail):
+                    found = candidate
+                    break
         self.cache[key] = found
         return found
 
@@ -120,8 +130,7 @@ def _close(
     changed = True
     while changed:
         changed = False
-        for idx, phi in enumerate(oracle.exists):
-            names = oracle.bodies[phi][1]
+        for idx, (phi, names) in enumerate(zip(oracle.exists, oracle.names)):
             ordered = sorted(current)
             for values in itertools.product(ordered, repeat=len(names)):
                 w = oracle.witness(idx, values)
@@ -280,16 +289,20 @@ def get_pack(names: str | Iterable[str]) -> FormulaPack:
     """Build a subformula-closed pack from shipped pack names.
 
     Accepts a single name, a comma-separated string, or an iterable of
-    names; formulas keep the order the names were given in.
+    names; formulas keep the order the names were given in.  Each list
+    of names is parsed and closed once; the frozen pack is shared.
     """
     if isinstance(names, str):
         names = [n.strip() for n in names.split(",") if n.strip()]
+    return _shipped_pack(tuple(names))
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_pack(names: tuple[str, ...]) -> FormulaPack:
     formulas = []
-    label_parts = []
     for name in names:
         if name not in PACKS:
             raise KeyError(f"unknown pack {name!r}; available: {sorted(PACKS)}")
-        label_parts.append(name)
         formulas.extend(parse(text) for text in PACKS[name])
-    pack = FormulaPack("+".join(label_parts) or "empty", tuple(formulas))
+    pack = FormulaPack("+".join(names) or "empty", tuple(formulas))
     return subformula_closure(pack)

@@ -49,7 +49,7 @@ from finmodel.oracles import (
     max_sunflower_by_kernels,
 )
 from finmodel.serialize import canonical_dumps, graph_to_json, structure_to_json
-from finmodel.structure import _Budget, _compile, induced_substructure, is_sigma_elementary
+from finmodel.structure import Budget, compile_formula, induced_substructure, is_sigma_elementary
 from finmodel.universe import (
     HIERARCHY_SIZES,
     build_hierarchy,
@@ -121,27 +121,23 @@ def test_criterion_1_relativization_semantics():
     sizes = ([3] * 80) + ([4] * 80) + ([5] * 40)
     structures += [random_structure(n, rng, rng.uniform(0.1, 0.6)) for n in sizes]
 
+    # each formula is relativized and compiled once, for every structure
+    compiled = [(compile_formula(relativize(phi)), compile_formula(phi)) for phi in pack]
     mismatches = 0
     comparisons = 0
-    shared = _Budget(10**10)
+    shared = Budget(10**10)
     for N in structures:
         subs = []
         for M in _subset_family(N.size):
             members = sorted(M)
             sub, remap = induced_substructure(N, members)
             subs.append((members, sub, remap))
-        for phi in pack:
-            names = free_vars(phi)
-            box: list = []
-            host_fn = _compile(relativize(phi), N, box)
+        for host_fn, sub_fn in compiled:
+            arity = len(sub_fn.free_vars)
             for members, sub, remap in subs:
-                box[:] = members
-                sub_fn = _compile(phi, sub, None)
-                for combo in itertools.product(members, repeat=len(names)):
-                    left = host_fn(dict(zip(names, combo)), shared)
-                    right = sub_fn(
-                        {k: remap[v] for k, v in zip(names, combo)}, shared
-                    )
+                for combo in itertools.product(members, repeat=arity):
+                    left = host_fn(N, members, shared, *combo)
+                    right = sub_fn(sub, None, shared, *[remap[v] for v in combo])
                     comparisons += 1
                     if left != right:
                         mismatches += 1

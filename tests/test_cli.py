@@ -324,3 +324,17 @@ def test_probe_workers_deterministic(fixtures):
     assert solo.returncode == 0 and duo.returncode == 0
     assert is_fm_report(solo.stdout) and is_fm_report(duo.stdout)
     assert solo.stdout == duo.stdout
+
+
+@pytest.mark.parametrize("name", [5, "x y"])
+def test_pack_with_a_bad_variable_name_is_a_usage_error(fixtures, name):
+    atom = {"tag": "equality", "left": {"var": name}, "right": {"var": name}}
+    pack = {"name": "bad", "formulas": [{"tag": "exists", "var": name, "body": atom}]}
+    (fixtures / "s3.json").write_text(json.dumps({"size": 3, "pairs": [[0, 1]]}))
+    (fixtures / "bad.json").write_text(json.dumps(pack))
+    proc = run_fm(
+        ["hull", "--structure", "s3.json", "--pack", "bad.json", "--seed-elems", "1"], fixtures
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("fm: error: not a variable name")
+    assert proc.stdout == ""

@@ -218,3 +218,13 @@ def test_json_round_trip(phi):
 def test_closure_contains_all_subformulas(phi):
     closed = subformula_closure(FormulaPack("t", (phi,)))
     assert set(closed.formulas) == set(subformulas(phi))
+
+
+@pytest.mark.parametrize("name", [5, None, "x y", "X", "1x", "in", "x); y", ""])
+def test_json_readers_reject_names_the_parser_cannot_read(name):
+    with pytest.raises(ValueError, match="not a variable name"):
+        formula_from_json({"tag": "exists", "var": name, "body": {
+            "tag": "equality", "left": {"var": "x"}, "right": {"var": "x"}}})
+    with pytest.raises(ValueError, match="not a variable name"):
+        formula_from_json({"tag": "equality", "left": {"var": name}, "right": {"const": 0}})
+    assert formula_from_json({"tag": "equality", "left": {"var": "x_1"}, "right": {"var": "y"}})

@@ -190,3 +190,13 @@ def test_evaluation_pack_drives_function_application():
     # the value 1 = g(0) must be pulled into the carrier
     assert index[1] in h.carrier
     assert is_sigma_elementary(h.carrier, N, pack).ok
+
+
+def test_get_pack_builds_each_name_list_once():
+    pack = get_pack("pairing, members")
+    assert get_pack(["pairing", "members"]) is pack
+    assert get_pack(("pairing", "members")) is pack
+    assert get_pack("members,pairing") is not pack
+    assert pack.name == "pairing+members" and pack.closed_under_subformulas
+    with pytest.raises(KeyError):
+        get_pack("pairing,nosuch")

@@ -1,13 +1,26 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
 from finmodel.corpus import random_formula, random_structure
-from finmodel.formula import parse, relativize
+from finmodel.formula import (
+    Disjunction,
+    Equality,
+    Exists,
+    Membership,
+    Negation,
+    Var,
+    parse,
+    relativize,
+)
 from finmodel.structure import (
+    Budget,
     BudgetExceededError,
     EvalError,
     FinStructure,
+    compile_formula,
     eval_formula,
     eval_relativized,
     induced_substructure,
@@ -180,3 +193,140 @@ def test_is_absolute_remaps_constants():
     assert check.ok == (eval_formula(V3, phi) == direct)
     with pytest.raises(EvalError):
         is_absolute([0], V3, phi)  # constant outside the subset
+
+
+# ---------------------------------------------------------------------------
+# deep and odd formulas: every shape the closure evaluator took must
+# still evaluate, with the same answer and the same step charge
+
+
+def _nested_exists(depth, atom):
+    phi = atom
+    for i in reversed(range(depth)):
+        phi = Exists(f"v{i}", phi)
+    return phi
+
+
+def _chain(depth, make):
+    phi = Membership(Var("x"), Var("y"))
+    for i in range(depth):
+        phi = make(i, phi)
+    return phi
+
+
+def _costs(N, phi, steps, valuation=None):
+    """Does evaluating *phi* take exactly *steps* budget steps?"""
+    try:
+        eval_formula(N, phi, valuation, budget=steps - 1)
+    except BudgetExceededError:
+        return eval_formula(N, phi, valuation, budget=steps) in (True, False)
+    return False
+
+
+def test_quantifier_depth_40_evaluates():
+    phi = _nested_exists(40, Membership(Var("v0"), Var("v39")))
+    point = FinStructure(1, frozenset())
+    edge = FinStructure(2, frozenset({(0, 1)}))
+    assert eval_formula(point, phi) is False
+    assert eval_formula(edge, phi) is True
+    # one step per quantifier per element scanned, one per atom
+    assert _costs(point, phi, 40 + 1)
+    assert _costs(edge, phi, 40 * 2 + 2)
+    forall = Negation(_nested_exists(40, Negation(Equality(Var("v0"), Var("v0")))))
+    assert eval_formula(point, forall) is True
+    assert _costs(point, forall, 40 + 1)
+    relativized = relativize(phi)
+    assert eval_relativized(edge, [0, 1], relativized) is True
+    assert eval_relativized(edge, [1], relativized) is False
+    assert eval_relativized(edge, [], relativized) is False
+    with pytest.raises(BudgetExceededError):
+        eval_relativized(edge, [], relativized, budget=0)
+
+
+def test_deep_disjunction_and_negation_chains_evaluate():
+    edge = FinStructure(2, frozenset({(0, 1)}))
+    valuation = {"x": 0, "y": 1}
+    # right-nested: the true atom is reached only after 400 false ones
+    right = _chain(400, lambda i, phi: Disjunction(Equality(Var("x"), Var("y")), phi))
+    assert eval_formula(edge, right, valuation) is True
+    assert _costs(edge, right, 401, valuation)
+    left = _chain(400, lambda i, phi: Disjunction(phi, Equality(Var("x"), Var("y"))))
+    assert eval_formula(edge, left, valuation) is True
+    assert _costs(edge, left, 1, valuation)
+    negations = _chain(400, lambda i, phi: Negation(phi))
+    assert eval_formula(edge, negations, valuation) is True
+    assert eval_formula(edge, Negation(negations), valuation) is False
+    mixed = _chain(400, lambda i, phi: Negation(Disjunction(Equality(Var("x"), Var("y")), phi)))
+    assert eval_formula(edge, mixed, valuation) is True
+    assert _costs(edge, mixed, 401, valuation)
+    quantified = _chain(
+        400, lambda i, phi: Disjunction(Exists("z", Membership(Var("z"), Var("x"))), phi)
+    )
+    assert eval_formula(edge, quantified, valuation) is True
+    assert _costs(edge, quantified, 400 * 4 + 1, valuation)
+    assert eval_relativized(edge, [0, 1], relativize(quantified), valuation) is True
+
+
+def test_chains_as_deep_as_the_closure_evaluator_took_evaluate():
+    # each shape nearly as deep as the closure evaluator went under
+    # Python's default recursion limit
+    point = FinStructure(1, frozenset())
+    same = Equality(Var("x"), Var("x"))
+    shapes = {
+        "exists": (800, lambda i, phi: Exists(f"v{i % 3}", phi)),
+        "right |": (800, lambda i, phi: Disjunction(Negation(same), phi)),
+        "left |": (800, lambda i, phi: Disjunction(phi, Negation(same))),
+        "~~": (300, lambda i, phi: Negation(Negation(phi))),
+        "~(|)": (200, lambda i, phi: Negation(Disjunction(Negation(same), Negation(phi)))),
+    }
+    for name, (depth, make) in shapes.items():
+        phi = same
+        for i in range(depth):
+            phi = make(i, phi)
+        assert eval_formula(point, phi, {"x": 0}) is True, name
+        assert eval_formula(point, Negation(phi), {"x": 0}) is False, name
+
+
+def test_names_outside_the_grammar_evaluate():
+    N = FinStructure(3, frozenset({(0, 1), (1, 2)}))
+    phi = Exists("a b", Membership(Var("a b"), Var("x); y")))
+    assert eval_formula(N, phi, {"x); y": 1}) is True
+    assert eval_formula(N, phi, {"x); y": 0}) is False
+    shadow = Disjunction(Equality(Var("a b"), Var("a b")), Negation(phi))
+    assert eval_formula(N, shadow, {"a b": 2, "x); y": 0}) is True
+    with pytest.raises(EvalError):
+        eval_formula(N, phi)
+    assert is_absolute([0, 1], N, phi).ok is True
+    assert is_absolute([1, 2], N, phi).counterexample == {"x); y": 1}
+
+
+def test_compiled_formula_api_and_step_charges():
+    phi = parse("Ex (x in y)")
+    cf = compile_formula(phi)
+    assert compile_formula(phi) is cf
+    assert (cf.free_vars, cf.constants, cf.relativized) == (["y"], (), False)
+    budget = Budget(100)
+    # V2 is {0, 1} with 0 in 1: a scan of 2 elements, then one atom
+    assert cf(V2, None, budget, 1) is True and budget.left == 97
+    rel = compile_formula(relativize(phi))
+    assert rel.relativized
+    with pytest.raises(EvalError):
+        rel.require_scope(None)
+    assert rel(V2, (1,), budget, 1) is False and budget.left == 95
+    assert rel(V2, (), budget, 1) is False and budget.left == 94  # an empty scope costs 1
+    constant = compile_formula(parse("Ex (x in #1)"))
+    assert constant.constants == (1,)
+    assert constant(V2, None, budget) is True
+    assert constant.with_constants([0])(V2, None, budget) is False
+    with pytest.raises(BudgetExceededError):
+        cf(V2, None, Budget(2), 1)
+
+
+def test_compiled_formula_lives_as_long_as_its_formula():
+    phi = parse("Ex Ey (x in y)")
+    ref = weakref.ref(compile_formula(phi))
+    gc.collect()
+    assert ref() is not None
+    del phi
+    gc.collect()
+    assert ref() is None
