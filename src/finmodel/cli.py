@@ -112,23 +112,34 @@ def _read_text(path: str) -> str:
         raise InputError(f"no such file: {path}")
 
 
-def _load_json(path: str):
+def _converted(source: str, obj, convert):
+    """``convert(obj)`` for JSON read from source.  A TypeError,
+    AttributeError or IndexError there means the JSON has the wrong
+    shape: an input error naming source, not a traceback."""
     try:
-        return json.loads(_read_text(path))
+        return convert(obj)
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise InputError(f"wrong JSON shape in {source}: {exc}") from None
+
+
+def _load_json(path: str, convert):
+    try:
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON in {path}: {exc}")
+    return _converted(path, obj, convert)
 
 
 def _load_structure(path: str):
     if path.endswith(".txt"):
         return structure_from_matrix(_read_text(path))
-    return structure_from_json(_load_json(path))
+    return _load_json(path, structure_from_json)
 
 
 def _load_graph(path: str):
     if path.endswith(".txt"):
         return graph_from_edge_list(_read_text(path))
-    return graph_from_json(_load_json(path))
+    return _load_json(path, graph_from_json)
 
 
 def _load_pack(spec: str):
@@ -136,7 +147,7 @@ def _load_pack(spec: str):
     names = [n.strip() for n in spec.split(",") if n.strip()]
     if names and all(n in PACKS for n in names):
         return get_pack(names)
-    pack = pack_from_json(_load_json(spec))
+    pack = _load_json(spec, pack_from_json)
     if not pack.closed_under_subformulas:
         pack = subformula_closure(pack)
     return pack
@@ -151,8 +162,10 @@ def _ints(text: str) -> list[int]:
 def _valuation(text: str | None) -> dict[str, int]:
     if not text:
         return {}
-    obj = json.loads(text)
-    return {str(k): int(v) for k, v in obj.items()}
+    return _converted(
+        "--valuation", json.loads(text),
+        lambda obj: {str(k): int(v) for k, v in obj.items()},
+    )
 
 
 def _edges_json(edges) -> list[list[int]]:
@@ -259,7 +272,7 @@ def cmd_chain(args):
 
 def cmd_slice(args):
     G = _load_graph(args.graph)
-    stages = [set(map(int, stage)) for stage in _load_json(args.stages)]
+    stages = _load_json(args.stages, lambda obj: [set(map(int, s)) for s in obj])
     sliced = chain_slices(G, stages)
     partition = slice_partition_check(sliced)
     result = {
@@ -278,7 +291,7 @@ def cmd_slice(args):
 
 def cmd_probe(args):
     if args.corpus:
-        graphs = generate_corpus(_load_json(args.corpus))
+        graphs = _load_json(args.corpus, generate_corpus)
     else:
         graphs = [_load_graph(args.graph)]
     pack = _load_pack(args.pack)
@@ -393,7 +406,7 @@ def cmd_graph_dcc(args):
 
 def cmd_bondfaithful_check(args):
     G = _load_graph(args.graph)
-    parts = [graph_from_json(p) for p in _load_json(args.parts)]
+    parts = _load_json(args.parts, lambda obj: [graph_from_json(p) for p in obj])
     report = check_bond_faithful(G, parts, args.kappa)
     result = _bond_report_json(report)
     if args.validate:
@@ -443,12 +456,8 @@ def cmd_bondfaithful_search(args):
     return EXIT_VIOLATION, result
 
 
-def _load_family(path: str):
-    return make_family(_load_json(path))
-
-
 def cmd_sunflower(args):
-    family = _load_family(args.family)
+    family = _load_json(args.family, make_family)
     if args.action == "find":
         kernel = is_delta_system(family)
         return EXIT_OK, {
@@ -464,10 +473,7 @@ def cmd_sunflower(args):
             other = max_sunflower_by_kernels(family)
             result["validated"] = other.indices == system.indices
         return EXIT_OK, result
-    m_obj = _load_json(args.m) if args.m else {"elements": [], "members": []}
-    mset: set = set(int(x) for x in m_obj.get("elements", []))
-    for idx in m_obj.get("members", []):
-        mset.add(family.sets[int(idx)])
+    mset = _load_json(args.m, lambda obj: _kernel_set(family, obj)) if args.m else set()
     system = trace_kernel_sunflower(family, mset)
     result = _system_json(system)
     if args.validate:
@@ -475,6 +481,16 @@ def cmd_sunflower(args):
         ok = ok and is_maximal_for_kernel(family, system)
         result["validated"] = ok
     return EXIT_OK, result
+
+
+def _kernel_set(family, obj) -> set:
+    """The --m file's elements, and the family members it names by index."""
+    mset = {int(x) for x in obj.get("elements", [])}
+    for idx in obj.get("members", []):
+        if not 0 <= int(idx) < len(family.sets):
+            raise IndexError(f"no member {idx} in a family of {len(family.sets)} sets")
+        mset.add(family.sets[int(idx)])
+    return mset
 
 
 def _system_json(system):
@@ -487,7 +503,9 @@ def _system_json(system):
 
 
 def cmd_freeset(args):
-    mapping = {int(k): [int(x) for x in v] for k, v in _load_json(args.map).items()}
+    mapping = _load_json(
+        args.map, lambda obj: {int(k): [int(x) for x in v] for k, v in obj.items()}
+    )
     ground = _ints(args.ground) if args.ground else sorted(mapping)
     report = free_set(ground, {k: frozenset(v) for k, v in mapping.items()})
     result = {
@@ -504,7 +522,7 @@ def cmd_freeset(args):
 
 def cmd_corpus_gen(args):
     if args.spec:
-        spec = _load_json(args.spec)
+        spec, graphs = _load_json(args.spec, lambda spec: (spec, generate_corpus(spec)))
     else:
         generator = {"model": args.model, "n": args.n, "count": args.count}
         if args.p is not None:
@@ -514,7 +532,7 @@ def cmd_corpus_gen(args):
         if args.cycles is not None:
             generator["cycles"] = args.cycles
         spec = {"generator": generator, "seed": args.seed}
-    graphs = generate_corpus(spec)
+        graphs = generate_corpus(spec)
     return EXIT_OK, {"spec": spec, "graphs": [graph_to_json(g) for g in graphs]}
 
 

@@ -429,7 +429,7 @@ def _edge_partitions(edges: list[Edge]):
         yield sub + [[first]]
 
 
-def _slice_candidate(G: Graph, kappa: int) -> list[Graph] | None:
+def _slice_candidate(G: Graph) -> list[Graph] | None:
     """Chain-slice a connected graph over its membership structure;
     None when slicing makes no progress."""
     coded, codes = recode_graph(G)
@@ -495,7 +495,7 @@ def search_bond_faithful(
         status = "sampled" if report.sampled else "found"
         return BondFaithfulSearch(status, Decomposition(tuple(parts)), report)
 
-    candidate = _search_candidate(G, kappa, budget)
+    candidate = _search_candidate(G, kappa)
     outcome = verdict([_subgraph_of(G, m) for m in candidate if m])
     if outcome:
         return outcome
@@ -512,7 +512,7 @@ def search_bond_faithful(
     return BondFaithfulSearch("proven-absent")
 
 
-def _search_candidate(G: Graph, kappa: int, budget: int) -> list[frozenset[Edge]]:
+def _search_candidate(G: Graph, kappa: int) -> list[frozenset[Edge]]:
     if not G.edges:
         return []
     if len(G.edges) <= kappa:
@@ -523,9 +523,9 @@ def _search_candidate(G: Graph, kappa: int, budget: int) -> list[frozenset[Edge]
         for comp in comps:
             piece = restrict(G, comp)
             if piece.edges:
-                out.extend(_search_candidate(piece, kappa, budget))
+                out.extend(_search_candidate(piece, kappa))
         return _repair(G, out, kappa)
-    pieces = _slice_candidate(G, kappa)
+    pieces = _slice_candidate(G)
     if pieces is None:
         # fall back to greedy buckets and let the repair pass regroup
         ordered = sorted(G.edges)
@@ -536,7 +536,7 @@ def _search_candidate(G: Graph, kappa: int, budget: int) -> list[frozenset[Edge]
     out = []
     for piece in pieces:
         if len(piece.edges) < len(G.edges):
-            out.extend(_search_candidate(piece, kappa, budget))
+            out.extend(_search_candidate(piece, kappa))
         else:  # pragma: no cover - slicing guaranteed progress above
             out.append(frozenset(piece.edges))
     return _repair(G, out, kappa)

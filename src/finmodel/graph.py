@@ -9,6 +9,7 @@ set, so "this edge belongs to M" is a meaningful membership question.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -38,15 +39,31 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def neighbors(self, v: int) -> set[int]:
-        return {u + w - v for u, w in self.edges if v in (u, w)}
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
         return adj
+
+    @functools.cached_property
+    def _view(self) -> tuple[list[int], dict[int, int], list[int]]:
+        """The sorted vertices, each one's bit position and each one's
+        neighbour mask, built once per graph object.  Bits stand for
+        positions, not for vertex ids: hereditarily-finite runs label
+        vertices with set codes such as 1, 2, 4, 8, ..."""
+        order = sorted(self.vertices)
+        index = dict(zip(order, range(len(order))))
+        adj = [0] * len(order)
+        for u, v in self.edges:
+            i, j = index[u], index[v]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return order, index, adj
+
+    def __getstate__(self) -> dict:
+        # pickles and copies carry the fields only, never the view
+        return {"vertices": self.vertices, "edges": self.edges}
 
 
 def make_graph(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> Graph:
@@ -65,28 +82,54 @@ def complete_graph(n: int) -> Graph:
 
 
 def components(G: Graph) -> list[frozenset[int]]:
-    """Connected components, each sorted internally, ordered by minimum."""
-    adj = G.adjacency()
-    seen: set[int] = set()
-    out = []
-    for start in sorted(G.vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+    """Connected components, ordered by minimum vertex."""
+    order, _, adj = G._view
+    return [_members(order, comp) for comp in _components(adj)]
 
 
 def is_connected(G: Graph) -> bool:
     return len(components(G)) <= 1
+
+
+def _components(adj: list[int]) -> Iterator[int]:
+    """The component masks of the mask graph ``adj``, lowest bit first."""
+    left = (1 << len(adj)) - 1
+    while left:
+        comp = _reach(adj, left & -left, left)
+        left ^= comp
+        yield comp
+
+
+def _members(order: list[int], mask: int) -> frozenset[int]:
+    return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+
+
+def _reach(adj: list[int], start: int, within: int) -> int:
+    """The mask of vertices in ``within`` reachable from the mask
+    ``start`` (itself inside ``within``) along edges inside ``within``;
+    ``within`` of -1 stands for every vertex."""
+    seen = frontier = start
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _masks_without(G: Graph, fset: frozenset[Edge]) -> tuple[dict[int, int], list[int]]:
+    """G's bit positions, and its neighbour masks with the bits of the
+    edges of fset (all in G) cleared: G minus F, with no new graph."""
+    _, index, adj = G._view
+    adj = adj.copy()
+    for u, v in fset:
+        i, j = index[u], index[v]
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+    return index, adj
 
 
 # ---------------------------------------------------------------------------
@@ -154,74 +197,32 @@ def cut_of(G: Graph, A: Iterable[int]) -> CutWitness:
 def is_cut(G: Graph, F: Iterable[Edge]) -> bool:
     """Is F of the form ``E ∩ [A, A-complement]`` for some vertex set A?
 
-    Characterization used: every F-edge must join two different
-    components of G minus F, and the component multigraph drawn by the
-    F-edges must be two-colorable.
+    One parity 2-colouring of G: F-edges must join different colours and
+    all other edges equal ones.
     """
     fset = frozenset(edge(u, v) for u, v in F)
     if not fset <= G.edges:
         return False
-    if not fset:
-        return True
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(components(delete_edges(G, fset))):
-        for v in comp:
-            comp_of[v] = i
-    links: dict[int, set[int]] = {}
-    for u, v in fset:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu == cv:
+    _, keep = _masks_without(G, fset)
+    adj = G._view[2]
+    full = (1 << len(adj)) - 1
+    seen = ones = todo = 0
+    while todo or seen != full:
+        if not todo:  # the next component starts at its lowest vertex, colour 0
+            todo = ~seen & (seen + 1)
+            seen |= todo
+        low = todo & -todo
+        todo ^= low
+        i = low.bit_length() - 1
+        # the neighbours of i that take colour 1
+        want = keep[i] if ones & low else adj[i] ^ keep[i]
+        if (ones ^ want) & adj[i] & seen:
             return False
-        links.setdefault(cu, set()).add(cv)
-        links.setdefault(cv, set()).add(cu)
-    color: dict[int, int] = {}
-    for start in links:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            for d in links[c]:
-                if d not in color:
-                    color[d] = 1 - color[c]
-                    stack.append(d)
-                elif color[d] == color[c]:
-                    return False
+        fresh = adj[i] & ~seen
+        ones |= want & fresh
+        seen |= fresh
+        todo |= fresh
     return True
-
-
-def _bit_adjacency(
-    vertices: Iterable[int], edges: Iterable[Edge]
-) -> tuple[dict[int, int], list[int]]:
-    """One-bit masks for the sorted vertices, and each one's neighbour mask.
-
-    Bits stand for positions in sorted order, not for vertex ids:
-    hereditarily-finite runs label vertices with set codes such as 1, 2,
-    4, 8, ...
-    """
-    index = {v: i for i, v in enumerate(sorted(vertices))}
-    adj = [0] * len(index)
-    for u, v in edges:
-        i, j = index[u], index[v]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return {v: 1 << i for v, i in index.items()}, adj
-
-
-def _reach(adj: list[int], start: int, within: int) -> int:
-    """The mask of vertices in ``within`` reachable from the mask
-    ``start`` (itself inside ``within``) along edges inside ``within``."""
-    seen = frontier = start
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & within & ~seen
-        seen |= frontier
-    return seen
 
 
 def is_bond(G: Graph, F: Iterable[Edge]) -> bool:
@@ -234,15 +235,14 @@ def is_bond(G: Graph, F: Iterable[Edge]) -> bool:
     fset = frozenset(edge(u, v) for u, v in F)
     if not fset or not fset <= G.edges:
         return False
-    bit, adj = _bit_adjacency(G.vertices, G.edges - fset)
-    everything = (1 << len(adj)) - 1
+    index, adj = _masks_without(G, fset)
     u, v = next(iter(fset))
-    one = _reach(adj, bit[u], everything)
-    if one & bit[v]:
+    one = _reach(adj, 1 << index[u], -1)
+    if one >> index[v] & 1:
         return False
-    other = _reach(adj, bit[v], everything)
+    other = _reach(adj, 1 << index[v], -1)
     return all(
-        bit[a] & one and bit[b] & other or bit[b] & one and bit[a] & other
+        (one >> index[a] & other >> index[b] | one >> index[b] & other >> index[a]) & 1
         for a, b in fset
     )
 
@@ -312,14 +312,11 @@ def enumerate_bonds(
     Ariyoshi, JACM 1980).  Connected sides are grown as bitmasks per
     component; components larger than the cap raise.
     """
-    bit, adj = _bit_adjacency(G.vertices, G.edges)
-    ends = [(e, bit[e[0]] | bit[e[1]]) for e in G.edges]
+    _, index, adj = G._view
+    ends = [(e, 1 << index[e[0]] | 1 << index[e[1]]) for e in G.edges]
     out: list[frozenset[Edge]] = []
-    left = (1 << len(adj)) - 1
-    while left:
-        anchor = left & -left
-        comp = _reach(adj, anchor, left)
-        left ^= comp
+    for comp in _components(adj):
+        anchor = comp & -comp
         size = comp.bit_count()
         if size > component_cap:
             raise ValueError(
@@ -357,12 +354,14 @@ def check_bond_inheritance(G: Graph, H: Graph, F: Iterable[Edge]) -> BondInherit
         raise ValueError("F is not a bond of the subgraph")
     if is_bond(G, fset):
         return BondInheritance("bond-in-host")
-    comps = components(delete_edges(G, fset))
-    endpoints = {v for e in fset for v in e}
-    for comp in comps:
-        if endpoints <= comp:
-            return BondInheritance("confined", comp)
-    return BondInheritance("violation")
+    index, adj = _masks_without(G, fset)
+    ends = 0
+    for u, v in fset:
+        ends |= 1 << index[u] | 1 << index[v]
+    comp = _reach(adj, ends & -ends, -1)
+    if ends & ~comp:
+        return BondInheritance("violation")
+    return BondInheritance("confined", _members(G._view[0], comp))
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +507,10 @@ def is_decomposition(G: Graph, parts: Sequence[Graph]) -> bool:
 
 def is_cycle(G: Graph) -> bool:
     active = [v for v in G.vertices if G.degree(v) > 0]
-    if not active or G.edges == frozenset():
+    if not active or any(G.degree(v) != 2 for v in active):
         return False
-    if any(G.degree(v) != 2 for v in active):
-        return False
-    sub = restrict(G, active)
-    return is_connected(sub) and len(sub.edges) == len(active)
+    # every degree is 0 or 2, so the edges form disjoint cycles: one is wanted
+    return sum(len(comp) > 1 for comp in components(G)) == 1
 
 
 @dataclass(frozen=True)
@@ -537,10 +534,7 @@ def veblen_decomposition(G: Graph) -> CycleDecompositionResult:
     odd = odd_vertices(G)
     if odd:
         return CycleDecompositionResult(None, odd[0])
-    remaining: dict[int, set[int]] = {v: set() for v in G.vertices}
-    for u, v in G.edges:
-        remaining[u].add(v)
-        remaining[v].add(u)
+    remaining = G.adjacency()
     cycles = []
     while True:
         start = min((v for v in remaining if remaining[v]), default=None)

@@ -338,3 +338,43 @@ def test_pack_with_a_bad_variable_name_is_a_usage_error(fixtures, name):
     assert proc.returncode == 2
     assert proc.stderr.startswith("fm: error: not a variable name")
     assert proc.stdout == ""
+
+
+# input files (and one --valuation) of the wrong JSON shape; each used to
+# end in a traceback with exit 1, or, for a negative member index, pass
+_WRONG_SHAPES = [
+    pytest.param(["freeset", "--map", "list.json"], "list.json", id="freeset-map-list"),
+    pytest.param(["slice", "--graph", "c3.json", "--stages", "number.json"], "number.json",
+                 id="slice-stages-number"),
+    pytest.param(["bondfaithful", "check", "--graph", "c4.json", "--parts", "number.json",
+                  "--kappa", "1"], "number.json", id="bondfaithful-parts-number"),
+    pytest.param(["corpus", "gen", "--spec", "list.json"], "list.json", id="corpus-spec-list"),
+    pytest.param(["probe", "--corpus", "list.json", "--pack", "pairing", "--property", "nw"],
+                 "list.json", id="probe-corpus-list"),
+    pytest.param(["graph", "bonds", "--graph", "list.json"], "list.json", id="bonds-graph-list"),
+    pytest.param(["eval", "--structure", "number.json", "--formula", "x = x"], "number.json",
+                 id="eval-structure-number"),
+    pytest.param(["hull", "--structure", "number.json", "--pack", "pairing"], "number.json",
+                 id="hull-structure-number"),
+    pytest.param(["eval", "--structure", "v3.json", "--formula", "x = x", "--valuation", "[0]"],
+                 "--valuation", id="eval-valuation-list"),
+    pytest.param(["sunflower", "trace", "--family", "family.json", "--m", "number.json"],
+                 "number.json", id="sunflower-m-number"),
+    pytest.param(["sunflower", "trace", "--family", "family.json", "--m", "member9.json"],
+                 "member9.json", id="sunflower-m-index-9"),
+    pytest.param(["sunflower", "trace", "--family", "family.json", "--m", "member-1.json"],
+                 "member-1.json", id="sunflower-m-index-minus-1"),
+]
+
+
+@pytest.mark.parametrize("argv, source", _WRONG_SHAPES)
+def test_input_of_the_wrong_json_shape_is_a_usage_error(fixtures, monkeypatch, capsys, argv, source):
+    (fixtures / "list.json").write_text("[1, 2]")
+    (fixtures / "number.json").write_text("2")
+    (fixtures / "member9.json").write_text(json.dumps({"members": [9]}))
+    (fixtures / "member-1.json").write_text(json.dumps({"members": [-1]}))
+    monkeypatch.chdir(fixtures)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"fm: error: wrong JSON shape in {source}: ")

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import pickle
 
 import pytest
 
@@ -19,6 +21,7 @@ from finmodel.graph import (
     enumerate_bonds,
     enumerate_cycles,
     is_bond,
+    is_connected,
     is_cut,
     is_cycle,
     is_decomposition,
@@ -43,6 +46,17 @@ from conftest import bowtie, edge_slot_count, random_bitmask_graph, seeded
 
 C4 = cycle_graph(4)
 K4 = complete_graph(4)
+
+
+def _every_graph_on(labels):
+    slots = list(itertools.combinations(labels, 2))
+    for mask in range(1 << len(slots)):
+        yield make_graph(labels, [slots[i] for i in range(len(slots)) if mask >> i & 1])
+
+
+def _edge_subsets(edges):
+    for mask in range(1 << len(edges)):
+        yield [edges[i] for i in range(len(edges)) if mask >> i & 1]
 
 
 def _random_graphs(count, max_n, seed, min_n=2):
@@ -142,11 +156,55 @@ def test_cut_to_bonds_rejects_non_cuts():
 
 
 def test_is_cut_matches_bipartition_oracle():
+    # every graph on up to 4 vertices and every edge set F, also with an
+    # edge outside G added; then random graphs on up to 5 vertices
+    for n in range(5):
+        for G in _every_graph_on(list(range(n))):
+            cuts = all_cuts(G)
+            outside = [e for e in itertools.combinations(range(n), 2) if e not in G.edges]
+            for F in _edge_subsets(sorted(G.edges)):
+                assert is_cut(G, F) == (frozenset(F) in cuts)
+                if outside:
+                    assert not is_cut(G, F + outside[:1])
     for G in _random_graphs(60, 5, 23):
         cuts = all_cuts(G)
         for size in range(min(4, len(G.edges)) + 1):
             for F in itertools.combinations(sorted(G.edges), size):
                 assert is_cut(G, F) == (frozenset(F) in cuts)
+
+
+# SHA-256 of the answers below, recorded from the code that answered each
+# connectivity question on a fresh copy of G minus F
+CONNECTIVITY_DIGEST = "290fb5213ee79f8ee939557cc31640decd44f57f0327ca01eae6067e1fd62984"
+INHERITANCE_DIGEST = "1d449fbbf6ad6b658f586e74ea8093c1b1c6ed5522583d08df08932144849a8d"
+
+
+def test_connectivity_answers_match_recorded_digests():
+    # every graph on up to 5 vertices, labelled with the set codes 1, 2, 4,
+    # 8, 16 so that labels differ from bit positions, and every edge set F;
+    # each G minus F is itself one of the graphs
+    digest = hashlib.sha256()
+    for n in range(6):
+        for G in _every_graph_on([1 << i for i in range(n)]):
+            comps = [sorted(c) for c in components(G)]
+            digest.update(repr((comps, is_connected(G))).encode())
+            for F in _edge_subsets(sorted(G.edges)):
+                digest.update(repr((is_cut(G, F), is_bond(G, F))).encode())
+    assert digest.hexdigest() == CONNECTIVITY_DIGEST
+    # every (host, subgraph, bond) triple on up to 4 vertices
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for G in _every_graph_on(list(range(n))):
+            for k in range(n + 1):
+                for vh in itertools.combinations(range(n), k):
+                    avail = [e for e in sorted(G.edges) if e[0] in vh and e[1] in vh]
+                    for eh in _edge_subsets(avail):
+                        H = make_graph(vh, eh)
+                        for F in enumerate_bonds(H):
+                            found = check_bond_inheritance(G, H, F)
+                            comp = None if found.component is None else sorted(found.component)
+                            digest.update(repr((found.kind, comp)).encode())
+    assert digest.hexdigest() == INHERITANCE_DIGEST
 
 
 def test_edge_connectivity_known_cases():
@@ -254,6 +312,20 @@ def test_bond_inheritance_known_cases():
     verdict = check_bond_inheritance(chorded, C4, F)
     assert verdict.kind == "confined"
     assert verdict.component == frozenset(range(4))
+
+
+def test_mask_view_is_built_once_and_never_pickled():
+    G = bowtie()
+    view = G._view
+    assert is_bond(G, [(2, 3), (2, 4)]) and not is_cut(G, [(0, 1)])
+    assert check_bond_inheritance(G, G, [(0, 1), (0, 2)]).kind == "bond-in-host"
+    assert len(components(G)) == 1 and len(enumerate_bonds(G)) == 6
+    assert G._view is view
+    twin = make_graph(G.vertices, G.edges)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(G, protocol) == pickle.dumps(twin, protocol)
+    copy = pickle.loads(pickle.dumps(G))
+    assert copy == G and hash(copy) == hash(G) and "_view" not in vars(copy)
 
 
 def test_bond_inheritance_errors():
