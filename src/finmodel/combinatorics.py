@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 MAX_EXHAUSTIVE_FAMILY = 20
+# free_set also computes the true maximum on grounds up to this size
+_BRUTE_FORCE_LIMIT = 18
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,6 @@ def is_free(chosen: Iterable[int], F: Mapping[int, frozenset[int]] | Callable[[i
 def free_set(
     ground: Iterable[int],
     F: Mapping[int, Iterable[int]] | Callable[[int], Iterable[int]],
-    brute_force_limit: int = 18,
 ) -> FreeSetReport:
     """Greedy maximal free set for a set mapping, ascending scan.
 
@@ -186,7 +187,7 @@ def free_set(
     chosen = frozenset(kept)
     assert is_free(chosen, images)
     maximum = None
-    if len(members) <= brute_force_limit:
+    if len(members) <= _BRUTE_FORCE_LIMIT:
         maximum = 0
         for size in range(len(members), 0, -1):
             if any(

@@ -23,6 +23,9 @@ from .formula import (
 from .graph import Graph, make_graph
 from .structure import FinStructure
 
+# sampling tries per random regular or union-of-cycles graph
+_ATTEMPTS = 200
+
 
 def gnp_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [
@@ -31,11 +34,11 @@ def gnp_graph(n: int, p: float, rng: random.Random) -> Graph:
     return make_graph(range(n), edges)
 
 
-def regular_graph(n: int, d: int, rng: random.Random, attempts: int = 200) -> Graph:
+def regular_graph(n: int, d: int, rng: random.Random) -> Graph:
     """Random d-regular graph by pairing-model retries."""
     if n * d % 2 != 0 or d >= n:
         raise ValueError(f"no {d}-regular graph on {n} vertices")
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges = set()
@@ -51,13 +54,11 @@ def regular_graph(n: int, d: int, rng: random.Random, attempts: int = 200) -> Gr
     raise RuntimeError("failed to sample a regular graph within the attempt limit")
 
 
-def union_of_cycles_graph(
-    n: int, cycles: int, rng: random.Random, attempts: int = 200
-) -> Graph:
+def union_of_cycles_graph(n: int, cycles: int, rng: random.Random) -> Graph:
     """Edge-disjoint union of random cycles; every degree stays even."""
     edges: set[tuple[int, int]] = set()
     placed = 0
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         if placed == cycles:
             break
         length = rng.randint(3, max(3, n))

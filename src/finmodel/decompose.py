@@ -1,11 +1,14 @@
 """Chain-based graph slicing, reflection probes over graph corpora, and
 bond-faithful decomposition checking and search.
 
-Slicing follows the scheme: with stages M_0 c M_1 c ... the alpha-th
-slice is (G minus M_alpha's edge objects) restricted to M_{alpha+1}.
-An implicit empty stage is prepended so that edges inside the first
-given stage are not lost; with coherent stages whose last member covers
-all vertex and edge objects, the slices partition the edge set.
+Slicing owns the set objects of a code-labelled graph: a vertex is its
+own code and the edge {u, v} is the object ``hf_pair(u, v)``, that is
+2**u + 2**v.  With stages M_0 c M_1 c ... the alpha-th slice keeps the
+vertices in M_{alpha+1} and the edges whose object lies in M_{alpha+1}
+but not in M_alpha, with both ends in M_{alpha+1}.  An implicit empty
+stage is prepended so that edges inside the first given stage are not
+lost; with coherent stages whose last member covers all vertex and edge
+objects, the slices partition the edge set.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .graph import (
     bridges,
     components,
     cut_of,
-    delete_edges,
     enumerate_bonds,
     is_bond,
     is_decomposition,
@@ -33,7 +35,7 @@ from .graph import (
 from .hull import Chain, chain, get_pack
 from .formula import FormulaPack
 from .structure import DEFAULT_BUDGET, FinStructure
-from .universe import build_hierarchy, membership_structure, recode_graph
+from .universe import build_hierarchy, hf_pair, membership_structure, recode_graph
 
 BOND_COMPONENT_CAP = 20
 
@@ -55,14 +57,22 @@ class SliceSet:
         return all(self.stage_coherent)
 
 
-def _edge_code(e: Edge) -> int:
-    return (1 << e[0]) | (1 << e[1])
+def _slice(G: Graph, below: frozenset[int], upto: frozenset[int]) -> Graph:
+    """The slice of the code-labelled G between two stages: the vertices
+    in ``upto``, and the edges whose object lies in ``upto`` but not in
+    ``below``, with both ends in ``upto``."""
+    es = frozenset(
+        e for e in G.edges
+        if e[0] in upto and e[1] in upto
+        and (code := hf_pair(*e)) in upto and code not in below
+    )
+    return Graph(G.vertices & upto, es)
 
 
 def _stage_coherent(G: Graph, stage: frozenset[int]) -> bool:
     # an edge object sits in the stage exactly when both endpoints do
     return all(
-        (_edge_code(e) in stage) == (e[0] in stage and e[1] in stage)
+        (hf_pair(*e) in stage) == (e[0] in stage and e[1] in stage)
         for e in G.edges
     )
 
@@ -81,11 +91,8 @@ def chain_slices(G: Graph, stages: Sequence[Iterable[int]]) -> SliceSet:
         raise ValueError("need at least one stage")
     if frozen[0]:
         frozen.insert(0, frozenset())
-    slices = tuple(
-        restrict(delete_edges(G, frozen[i]), frozen[i + 1], edge_aware=True)
-        for i in range(len(frozen) - 1)
-    )
-    everything = set(G.vertices) | {_edge_code(e) for e in G.edges}
+    slices = tuple(_slice(G, below, upto) for below, upto in zip(frozen, frozen[1:]))
+    everything = G.vertices | {hf_pair(*e) for e in G.edges}
     return SliceSet(
         host=G,
         stages=tuple(frozen),
@@ -227,24 +234,19 @@ def probe_one(
     if codes.rank > max_rank:
         return ProbeInstance(index, "skipped-rank", rank=codes.rank)
     hierarchy = build_hierarchy(codes.rank, allow_rank5=allow_rank5)
-    cover = set(coded.vertices) | {_edge_code(e) for e in coded.edges}
-    ch = chain(hierarchy, pack, frozenset(), frozenset(cover), budget)
+    objects = frozenset(codes.all_codes())
+    ch = chain(hierarchy, pack, frozenset(), objects, budget)
     counterexamples: list[ProbeCounterexample] = []
     tested = 0
-    everything = frozenset(cover)
     for subset in _candidate_subsets(ch):
-        pieces = [
-            ("restrict", restrict(coded, subset)),
-            ("delete", delete_edges(coded, subset)),
-        ]
+        deleted = _slice(coded, subset, objects)
+        pieces = [("restrict", restrict(coded, subset)), ("delete", deleted)]
         if subset:
-            # the two-stage slicing this subset induces: up to the
-            # subset, then the rest of the graph
-            stages = [frozenset(), frozenset(subset)]
-            if not everything <= subset:
-                stages.append(frozenset(subset) | everything)
-            two_stage = chain_slices(coded, stages)
-            pieces += [(f"slice:{i}", s) for i, s in enumerate(two_stage.slices)]
+            # the two-stage slicing this subset induces: up to the subset,
+            # then the rest of the graph, which is the deletion
+            pieces.append(("slice:0", _slice(coded, frozenset(), subset)))
+            if not objects <= subset:
+                pieces.append(("slice:1", deleted))
         for name, piece in pieces:
             tested += 1
             ok, witness = prop(piece)
@@ -321,11 +323,12 @@ class BondFaithfulReport:
         return self.size_ok and self.containment_ok and self.bond_preservation_ok
 
 
-def _host_bonds_upto(G: Graph, max_size: int, cap: int) -> tuple[list[frozenset[Edge]], bool]:
+def _host_bonds_upto(G: Graph, max_size: int) -> tuple[list[frozenset[Edge]], bool]:
     """Bonds of G with at most max_size edges; falls back to sampling
     vertex-star and two-set cuts when a component exceeds the cap."""
     try:
-        return enumerate_bonds(G, max_size=max_size, component_cap=cap), False
+        bonds = enumerate_bonds(G, max_size=max_size, component_cap=BOND_COMPONENT_CAP)
+        return bonds, False
     except ValueError:
         sampled: dict[frozenset[Edge], None] = {}
         singles = [{v} for v in sorted(G.vertices)]
@@ -338,10 +341,7 @@ def _host_bonds_upto(G: Graph, max_size: int, cap: int) -> tuple[list[frozenset[
 
 
 def check_bond_faithful(
-    G: Graph,
-    parts: Decomposition | Sequence[Graph],
-    kappa: int,
-    component_cap: int = BOND_COMPONENT_CAP,
+    G: Graph, parts: Decomposition | Sequence[Graph], kappa: int
 ) -> BondFaithfulReport:
     """Check the three clauses of bond-faithfulness with witnesses.
 
@@ -351,18 +351,18 @@ def check_bond_faithful(
     a bond of the host.
     """
     members = tuple(parts.parts) if isinstance(parts, Decomposition) else tuple(parts)
-    return _bond_faithful_checker(G, kappa, component_cap)(members)
+    return _bond_faithful_checker(G, kappa)(members)
 
 
 def _bond_faithful_checker(
-    G: Graph, kappa: int, component_cap: int
+    G: Graph, kappa: int
 ) -> Callable[[Sequence[Graph]], BondFaithfulReport]:
     """The check of :func:`check_bond_faithful` against one host, for
     any number of decompositions: the host's bonds are enumerated once,
     and each member edge set's foreign bonds are kept for its next use."""
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    host_bonds, sampled = _host_bonds_upto(G, kappa, component_cap)
+    host_bonds, sampled = _host_bonds_upto(G, kappa)
     foreign_of: dict[frozenset[Edge], list[frozenset[Edge]]] = {}
 
     def check(members: Sequence[Graph]) -> BondFaithfulReport:
@@ -381,7 +381,7 @@ def _bond_faithful_checker(
                 foreign_of[part.edges] = [
                     F
                     for F in enumerate_bonds(
-                        part, max_size=kappa - 1, component_cap=component_cap
+                        part, max_size=kappa - 1, component_cap=BOND_COMPONENT_CAP
                     )
                     if not is_bond(G, F)
                 ]
@@ -433,14 +433,11 @@ def _slice_candidate(G: Graph) -> list[Graph] | None:
     """Chain-slice a connected graph over its membership structure;
     None when slicing makes no progress."""
     coded, codes = recode_graph(G)
-    ambient = membership_structure(
-        list(codes.vertex_code.values()) + list(codes.edge_code.values())
-    )
-    pack = get_pack("pairing,members")
-    cover_codes = set(coded.vertices) | {_edge_code(e) for e in coded.edges}
+    objects = codes.all_codes()
+    ambient = membership_structure(objects)
     index = {c: i for i, c in enumerate(ambient.codes)}
-    cover_ids = frozenset(index[c] for c in cover_codes)
-    ch = chain(ambient, pack, frozenset(), cover_ids)
+    cover_ids = frozenset(index[c] for c in objects)
+    ch = chain(ambient, get_pack("pairing,members"), frozenset(), cover_ids)
     sliced = slices_from_chain(coded, ambient, ch)
     if not (sliced.all_coherent and slice_partition_check(sliced)):
         return None
@@ -459,7 +456,7 @@ def _slice_candidate(G: Graph) -> list[Graph] | None:
 
 def _repair(G: Graph, members: list[frozenset[Edge]], kappa: int) -> list[frozenset[Edge]]:
     """Merge members until no small host bond is split across members."""
-    bonds, _ = _host_bonds_upto(G, kappa, BOND_COMPONENT_CAP)
+    bonds, _ = _host_bonds_upto(G, kappa)
     current = [set(m) for m in members if m]
     changed = True
     while changed:
@@ -486,7 +483,7 @@ def search_bond_faithful(
     candidate that passes only against sampled host bonds, because a
     component exceeds the enumeration cap, comes back as ``sampled``,
     not ``found``."""
-    check = _bond_faithful_checker(G, kappa, BOND_COMPONENT_CAP)
+    check = _bond_faithful_checker(G, kappa)
 
     def verdict(parts: list[Graph]) -> BondFaithfulSearch | None:
         report = check(parts)

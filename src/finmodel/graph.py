@@ -1,10 +1,9 @@
 """Finite simple graphs with edge-set identity, and the cut/bond/cycle
 machinery built on them.
 
-Edges are canonical ordered tuples ``(min, max)`` and are treated as
-first-class objects: in hereditarily-finite runs a vertex identifier is
-its set code and an edge's object code is the code of the two-element
-set, so "this edge belongs to M" is a meaningful membership question.
+Edges are canonical ordered tuples ``(min, max)``.  Graphs here are
+plain: what a vertex or an edge stands for as a set object is left to
+the slicing code in :mod:`finmodel.decompose`.
 """
 
 from __future__ import annotations
@@ -16,6 +15,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
+
+# the largest component that bond enumeration and the exhaustive odd-cut
+# scan take on, and the most edges the cycle double cover search takes on
+_COMPONENT_CAP = 20
+_DOUBLE_COVER_EDGE_GATE = 14
 
 
 def edge(u: int, v: int) -> Edge:
@@ -136,45 +140,17 @@ def _masks_without(G: Graph, fset: frozenset[Edge]) -> tuple[dict[int, int], lis
 # restriction and deletion
 
 
-def restrict(G: Graph, M: Iterable[int], edge_aware: bool = False) -> Graph:
-    """The restriction to M: vertices in M, edges inside M.
-
-    In edge-aware mode (hereditarily-finite runs, where M may contain
-    edges as set objects) an edge additionally survives only if its own
-    object code ``2**u + 2**v`` lies in M.
-    """
+def restrict(G: Graph, M: Iterable[int]) -> Graph:
+    """The restriction to M: vertices in M, edges inside M."""
     mset = set(M)
-    vs = G.vertices & mset
-    if edge_aware:
-        es = {
-            e for e in G.edges
-            if e[0] in mset and e[1] in mset and (1 << e[0]) | (1 << e[1]) in mset
-        }
-    else:
-        es = {e for e in G.edges if e[0] in mset and e[1] in mset}
-    return Graph(frozenset(vs), frozenset(es))
+    es = frozenset(e for e in G.edges if e[0] in mset and e[1] in mset)
+    return Graph(G.vertices & mset, es)
 
 
-def delete_edges(G: Graph, M: Iterable) -> Graph:
-    """Remove the edges that belong to M, keeping every vertex.
-
-    M may mix edge tuples with integer object codes; an integer removes
-    the edge whose two-element-set code it is.  Everything else in M is
-    ignored, matching removal of edge objects only.
-    """
-    doomed: set[Edge] = set()
-    codes: set[int] = set()
-    for item in M:
-        if isinstance(item, int):
-            codes.add(item)
-        else:
-            u, v = item
-            doomed.add(edge(u, v))
-    es = {
-        e for e in G.edges
-        if e not in doomed and ((1 << e[0]) | (1 << e[1])) not in codes
-    }
-    return Graph(G.vertices, frozenset(es))
+def delete_edges(G: Graph, F: Iterable[Sequence[int]]) -> Graph:
+    """Remove the edges in F, keeping every vertex; edges of F outside G
+    are ignored."""
+    return Graph(G.vertices, G.edges - {edge(u, v) for u, v in F})
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +277,7 @@ def _connected_sides(adj: list[int], anchor: int) -> Iterator[int]:
 
 
 def enumerate_bonds(
-    G: Graph, max_size: int | None = None, component_cap: int = 20
+    G: Graph, max_size: int | None = None, component_cap: int = _COMPONENT_CAP
 ) -> list[frozenset[Edge]]:
     """All bonds (optionally only those up to max_size), deterministic.
 
@@ -456,9 +432,7 @@ def odd_vertices(G: Graph) -> list[int]:
     return sorted(v for v in G.vertices if G.degree(v) % 2 == 1)
 
 
-def odd_cut_witness(
-    G: Graph, mode: str = "fast", component_cap: int = 20
-) -> CutWitness | None:
+def odd_cut_witness(G: Graph, mode: str = "fast") -> CutWitness | None:
     """A cut with an odd number of edges, or None.
 
     Fast mode returns the star of the smallest odd-degree vertex.
@@ -475,7 +449,7 @@ def odd_cut_witness(
         raise ValueError(f"unknown mode {mode!r}")
     for comp in components(G):
         members = sorted(comp)
-        if len(members) > component_cap:
+        if len(members) > _COMPONENT_CAP:
             raise ValueError(
                 f"component with {len(members)} vertices exceeds the exhaustive cap"
             )
@@ -638,16 +612,14 @@ class DoubleCoverResult:
     cycles: tuple[frozenset[Edge], ...] | None = None
 
 
-def cycle_double_cover_search(
-    G: Graph, budget: int = 200_000, max_edges: int = 14
-) -> DoubleCoverResult:
+def cycle_double_cover_search(G: Graph, budget: int = 200_000) -> DoubleCoverResult:
     """Backtracking search for a family of cycles covering each edge
     exactly twice.  Bridged input is rejected outright (a bridge lies on
     no cycle, so no cover can exist)."""
     if bridges(G):
         raise ValueError("graph has a bridge; no cycle can cover it")
-    if len(G.edges) > max_edges:
-        raise ValueError(f"graph exceeds the {max_edges}-edge search gate")
+    if len(G.edges) > _DOUBLE_COVER_EDGE_GATE:
+        raise ValueError(f"graph exceeds the {_DOUBLE_COVER_EDGE_GATE}-edge search gate")
     if not G.edges:
         return DoubleCoverResult("found", ())
     cycles = enumerate_cycles(G)

@@ -97,31 +97,34 @@ def bond_faithful_by_definition(
     return True
 
 
+def _forms_cycle(edges: frozenset[Edge]) -> bool:
+    """Do the (canonical) edges form a cycle: nonempty, every vertex they
+    touch of degree two in them, and connected?"""
+    degree: dict[int, int] = {}
+    for u, v in edges:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    return bool(edges) and all(d == 2 for d in degree.values()) and len(
+        components(Graph(frozenset(degree), edges))
+    ) == 1
+
+
 def cycles_by_subsets(G: Graph) -> list[frozenset[Edge]]:
-    """Edge subsets that form a cycle: every vertex they touch has degree
-    two in them, and they are connected.  Found by scanning all subsets."""
+    """Edge subsets that form a cycle, found by scanning all subsets."""
     edges = sorted(G.edges)
     if len(edges) > DOUBLE_COVER_GATE:
         raise ValueError(f"{len(edges)} edges exceed the double-cover gate")
-    cycles = []
-    for mask in range(1, 1 << len(edges)):
-        subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        degree: dict[int, int] = {}
-        for u, v in subset:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        if all(d == 2 for d in degree.values()) and len(
-            components(Graph(frozenset(degree), frozenset(subset)))
-        ) == 1:
-            cycles.append(frozenset(subset))
-    return cycles
+    subsets = (
+        frozenset(edges[i] for i in range(len(edges)) if mask >> i & 1)
+        for mask in range(1, 1 << len(edges))
+    )
+    return [subset for subset in subsets if _forms_cycle(subset)]
 
 
 def is_double_cover(G: Graph, family: Iterable[frozenset[Edge]]) -> bool:
     """Is every member a cycle of G, and every edge in exactly two members?"""
-    cycles = set(cycles_by_subsets(G))
-    members = list(family)
-    return all(c in cycles for c in members) and all(
+    members = [frozenset(c) for c in family]
+    return all(c <= G.edges and _forms_cycle(c) for c in members) and all(
         sum(e in c for c in members) == 2 for e in G.edges
     )
 

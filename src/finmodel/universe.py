@@ -221,13 +221,8 @@ def graph_vertex_codes(count: int) -> list[int]:
     the popcount-!=-2 pool keeps vertex and edge objects disjoint by
     construction.
     """
-    out = []
-    for c in itertools.count():
-        if bin(c).count("1") != 2:
-            out.append(c)
-            if len(out) == count:
-                break
-    return out
+    pool = (c for c in itertools.count() if c.bit_count() != 2)
+    return list(itertools.islice(pool, count))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,7 @@ from finmodel.decompose import (
     slices_from_chain,
     well_reflecting_probe,
 )
-from finmodel.graph import (
-    Decomposition,
-    cycle_graph,
-    delete_edges,
-    is_decomposition,
-    make_graph,
-    restrict,
-)
+from finmodel.graph import Decomposition, cycle_graph, is_decomposition, make_graph
 from finmodel.hull import chain, get_pack
 from finmodel.oracles import bond_faithful_by_definition
 from finmodel.universe import membership_structure, recode_graph
@@ -93,13 +86,17 @@ def test_restriction_and_deletion_decompose_under_coherence():
         coded, codes = _coded_random_graph(rng)
         vs = sorted(coded.vertices)
         picked = {v for v in vs if rng.random() < 0.5}
-        m = set(picked) | {
+        m = frozenset(picked) | {
             (1 << u) | (1 << v) for u, v in coded.edges if u in picked and v in picked
         }
-        kept = restrict(coded, m)
-        removed = delete_edges(coded, m)
-        assert kept.edges | removed.edges == coded.edges
-        assert not (kept.edges & removed.edges)
+        # the slice up to m keeps, the slice above it holds what m removes
+        everything = frozenset(codes.all_codes())
+        S = chain_slices(coded, [m] if everything <= m else [m, m | everything])
+        kept = S.slices[0].edges if m else frozenset()
+        removed = S.slices[-1].edges if not everything <= m else frozenset()
+        assert kept == {e for e in coded.edges if set(e) <= picked}
+        assert kept | removed == coded.edges
+        assert not (kept & removed)
 
 
 def test_probe_triangle_finds_slice_counterexample():
@@ -135,6 +132,63 @@ def test_probe_skips_precondition_failures():
 def test_probe_rejects_unknown_property():
     with pytest.raises(KeyError):
         well_reflecting_probe([C3], get_pack("pairing"), "no-such-property")
+
+
+# SHA-256 of the answers below, recorded from the code that built each
+# slice as a deletion of edge objects followed by an edge-aware restriction,
+# and each probe piece from one two-stage chain_slices call per subset
+SLICING_DIGEST = "3ab0cad95cc313be6af9dda2e79721800a639fb82b72c0ad0ff732a165de38c6"
+PROBE_DIGEST = "9c3b5dd388213f964365db20c80d5de5d65f04ae9369d031e9e78c9953fb9da7"
+
+
+def _stage_chains(objects, rng, count=4):
+    """Strictly increasing prefixes of shuffled objects, the empty prefix
+    among them or not; a prefix may hold an edge object without both of
+    its ends, or both ends without the edge."""
+    for _ in range(count):
+        order = rng.sample(objects, len(objects))
+        picks = rng.randint(1, len(order) + 1)
+        yield [order[:cut] for cut in sorted(rng.sample(range(len(order) + 1), picks))]
+
+
+def test_chain_slices_match_recorded_digest():
+    # every labelled graph on 1 to 4 vertices, recoded so that vertex ids
+    # are set codes, over seeded stage chains drawn from its objects
+    rng = seeded(808)
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for mask in range(1 << edge_slot_count(n)):
+            coded, codes = recode_graph(random_bitmask_graph(n, mask))
+            for stages in _stage_chains(codes.all_codes(), rng):
+                S = chain_slices(coded, stages)
+                record = [
+                    [sorted(s) for s in S.stages],
+                    [[sorted(p.vertices), sorted(p.edges)] for p in S.slices],
+                    list(S.stage_coherent),
+                    S.covers_host,
+                    slice_partition_check(S),
+                ]
+                digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == SLICING_DIGEST
+
+
+def test_probe_matches_recorded_digest():
+    # the 11 labelled graphs on 1 to 3 vertices, every property, three packs
+    digest = hashlib.sha256()
+    for n in range(1, 4):
+        for mask in range(1 << edge_slot_count(n)):
+            G = random_bitmask_graph(n, mask)
+            for prop in sorted(PROPERTIES):
+                for pack in ("pairing", "pairing,members", "path-existence"):
+                    inst = well_reflecting_probe([G], get_pack(pack), prop).instances[0]
+                    record = [
+                        inst.status,
+                        inst.rank,
+                        inst.candidates_tested,
+                        [[list(c.subset), c.piece, c.witness] for c in inst.counterexamples],
+                    ]
+                    digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == PROBE_DIGEST
 
 
 def test_probe_properties_cover_bridgeless_and_components():

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from finmodel.decompose import chain_slices
 from finmodel.graph import (
     CutWitness,
     bridges,
@@ -75,10 +76,11 @@ def test_restrict_known_cases():
 
 
 def test_restrict_edge_aware():
+    # a slice keeps an edge only when its object code lies in the stage
     c3 = cycle_graph(3)  # edge objects 3, 5, 6
-    kept = restrict(c3, {0, 1, 3}, edge_aware=True)
+    kept = chain_slices(c3, [{0, 1, 3}]).slices[0]
     assert sorted(kept.edges) == [(0, 1)]
-    dropped = restrict(c3, {0, 1}, edge_aware=True)
+    dropped = chain_slices(c3, [{0, 1}]).slices[0]
     assert sorted(dropped.edges) == []
 
 
@@ -87,8 +89,12 @@ def test_delete_edges_known_cases():
     c3 = cycle_graph(3)
     assert sorted(delete_edges(c3, {(0, 1)}).edges) == [(0, 2), (1, 2)]
     assert delete_edges(C4, C4.edges).edges == frozenset()
-    # integer object codes remove the matching edges
-    assert sorted(delete_edges(c3, {3}).edges) == [(0, 2), (1, 2)]
+    # the object code 3 in a stage removes (0, 1) from the slice above it
+    above = chain_slices(c3, [{3}, {0, 1, 2, 3, 5, 6}]).slices[-1]
+    assert sorted(above.edges) == [(0, 2), (1, 2)]
+    # delete_edges takes edges only
+    with pytest.raises(TypeError):
+        delete_edges(c3, {3})
 
 
 def test_cut_of_known_cases():
@@ -457,6 +463,40 @@ def test_double_cover_every_bridgeless_graph_upto_5_vertices():
             oracle = double_cover_by_multisets(G)
             assert oracle is not None and is_double_cover(G, oracle)
     assert swept == 328
+
+
+def test_double_cover_every_bridgeless_graph_on_6_vertices():
+    # K6's 15 edges exceed the search gate; a verified cover proves that a
+    # cover exists, so the multiset oracle need not run
+    swept = 0
+    for mask in range((1 << edge_slot_count(6)) - 1):
+        G = random_bitmask_graph(6, mask)
+        if bridges(G):
+            continue
+        swept += 1
+        out = cycle_double_cover_search(G)
+        assert out.status == "found", sorted(G.edges)
+        assert is_double_cover(G, out.cycles)
+    assert swept == 13_666
+
+
+def test_is_double_cover_rejects_non_covers():
+    triangles = [frozenset(c) for c in enumerate_cycles(K4) if len(c) == 3]
+    assert is_double_cover(K4, triangles)
+    assert is_double_cover(make_graph([0], []), [])
+    # K4's triangles cover the diamond's edges twice, but two use (1, 3)
+    diamond = make_graph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    assert not is_double_cover(diamond, triangles)
+    # two paths that together cover C4 twice
+    paths = [C4.edges, {(0, 1), (1, 2)}, {(2, 3), (0, 3)}]
+    assert not is_double_cover(C4, paths)
+    # two disjoint triangles given as one member, twice
+    two = make_graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not is_double_cover(two, [two.edges, two.edges])
+    # an edge covered once, or three times
+    assert not is_double_cover(K4, triangles[1:])
+    c3 = cycle_graph(3)
+    assert not is_double_cover(c3, [c3.edges] * 3)
 
 
 def test_double_cover_budget_is_distinct():

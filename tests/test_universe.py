@@ -187,6 +187,10 @@ def test_graph_vertex_codes_avoid_pair_codes():
     codes = graph_vertex_codes(10)
     assert codes == [0, 1, 2, 4, 7, 8, 11, 13, 14, 15]
     assert all(bin(c).count("1") != 2 for c in codes)
+    # the empty graph needs no code
+    assert graph_vertex_codes(0) == []
+    coded, codes = recode_graph(make_graph([], []))
+    assert coded == make_graph([], []) and codes.all_codes() == []
 
 
 def test_graph_object_codes_triangle():
