@@ -4,7 +4,9 @@ One binary, many subcommands; every run writes a JSON report to stdout
 (sorted keys, no timestamps) so identical invocations produce identical
 bytes.  Exit codes: 0 success, 1 a property violation or counterexample
 was found, 2 usage or input error, 3 a work budget ran out or a
-bond-faithful pass rests on sampled host bonds only.
+bond-faithful pass rests on sampled host bonds only.  An input error is
+an :class:`~finmodel.errors.InputError`, raised where the input is read
+or checked; any other exception is a fault and ends in a traceback.
 
 The evaluation budget can be overridden with the ``FM_EVAL_BUDGET``
 environment variable or, per run, the ``--budget`` flag.
@@ -28,6 +30,7 @@ from .combinatorics import (
     trace_kernel_sunflower,
 )
 from .corpus import generate_corpus
+from .errors import InputError
 from .decompose import (
     PROPERTIES,
     chain_slices,
@@ -58,7 +61,6 @@ from .oracles import (
     max_sunflower_by_kernels,
 )
 from .formula import (
-    ParseError,
     formula_to_json,
     free_vars,
     pack_from_json,
@@ -79,7 +81,6 @@ from .serialize import (
 from .structure import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    EvalError,
     eval_formula,
     eval_relativized,
     is_sigma_elementary,
@@ -94,15 +95,11 @@ EXIT_BUDGET = 3
 SCHEMA = "fm-report/1"
 
 
-class InputError(Exception):
-    pass
-
-
 def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         return int(args.budget)
     env = os.environ.get("FM_EVAL_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    return _read(int, env) if env else DEFAULT_BUDGET
 
 
 def _read_text(path: str) -> str:
@@ -112,12 +109,21 @@ def _read_text(path: str) -> str:
         raise InputError(f"no such file: {path}")
 
 
+def _read(convert, obj):
+    """``convert(obj)`` for input *obj*; a ValueError or KeyError there
+    is an input error, with the same message."""
+    try:
+        return convert(obj)
+    except (ValueError, KeyError) as exc:
+        raise InputError(str(exc)) from None
+
+
 def _converted(source: str, obj, convert):
     """``convert(obj)`` for JSON read from source.  A TypeError,
     AttributeError or IndexError there means the JSON has the wrong
     shape: an input error naming source, not a traceback."""
     try:
-        return convert(obj)
+        return _read(convert, obj)
     except (TypeError, AttributeError, IndexError) as exc:
         raise InputError(f"wrong JSON shape in {source}: {exc}") from None
 
@@ -132,13 +138,13 @@ def _load_json(path: str, convert):
 
 def _load_structure(path: str):
     if path.endswith(".txt"):
-        return structure_from_matrix(_read_text(path))
+        return _read(structure_from_matrix, _read_text(path))
     return _load_json(path, structure_from_json)
 
 
 def _load_graph(path: str):
     if path.endswith(".txt"):
-        return graph_from_edge_list(_read_text(path))
+        return _read(graph_from_edge_list, _read_text(path))
     return _load_json(path, graph_from_json)
 
 
@@ -156,14 +162,14 @@ def _load_pack(spec: str):
 def _ints(text: str) -> list[int]:
     if not text:
         return []
-    return [int(part) for part in text.split(",") if part != ""]
+    return [_read(int, part) for part in text.split(",") if part != ""]
 
 
 def _valuation(text: str | None) -> dict[str, int]:
     if not text:
         return {}
     return _converted(
-        "--valuation", json.loads(text),
+        "--valuation", _read(json.loads, text),
         lambda obj: {str(k): int(v) for k, v in obj.items()},
     )
 
@@ -506,6 +512,9 @@ def cmd_freeset(args):
         args.map, lambda obj: {int(k): [int(x) for x in v] for k, v in obj.items()}
     )
     ground = _ints(args.ground) if args.ground else sorted(mapping)
+    for x in ground:
+        if x not in mapping:
+            raise InputError(str(x))
     report = free_set(ground, {k: frozenset(v) for k, v in mapping.items()})
     result = {
         "chosen": sorted(report.chosen),
@@ -696,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"fm: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, ParseError, EvalError, ValueError, KeyError) as exc:
+    except InputError as exc:  # ParseError and EvalError among them
         print(f"fm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(result, str):

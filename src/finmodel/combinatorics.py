@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .errors import InputError
+
 MAX_EXHAUSTIVE_FAMILY = 20
 # free_set also computes the true maximum on grounds up to this size
 _BRUTE_FORCE_LIMIT = 18
@@ -79,7 +81,7 @@ def trace_kernel_sunflower(family: SetFamily, M: Iterable) -> DeltaSystem:
         (i for i, s in enumerate(family.sets) if s not in mset), None
     )
     if anchor_idx is None:
-        raise ValueError("every family member already belongs to M")
+        raise InputError("every family member already belongs to M")
     anchor = family.sets[anchor_idx]
     kernel = frozenset(anchor & ground_part)
     indices = [anchor_idx]
@@ -105,7 +107,7 @@ def max_sunflower(family: SetFamily, petals_required: int | None = None) -> Delt
     """
     n = len(family.sets)
     if n > MAX_EXHAUSTIVE_FAMILY:
-        raise ValueError(f"family of {n} sets exceeds the exhaustive scan gate")
+        raise InputError(f"family of {n} sets exceeds the exhaustive scan gate")
     best: tuple[int, tuple[int, ...]] | None = None
     for size in range(n, 0, -1):
         if best is not None:

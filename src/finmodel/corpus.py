@@ -10,6 +10,7 @@ import itertools
 import random
 from typing import Iterator
 
+from .errors import InputError
 from .formula import (
     Const,
     Disjunction,
@@ -37,7 +38,7 @@ def gnp_graph(n: int, p: float, rng: random.Random) -> Graph:
 def regular_graph(n: int, d: int, rng: random.Random) -> Graph:
     """Random d-regular graph by pairing-model retries."""
     if n * d % 2 != 0 or d >= n:
-        raise ValueError(f"no {d}-regular graph on {n} vertices")
+        raise InputError(f"no {d}-regular graph on {n} vertices")
     for _ in range(_ATTEMPTS):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
@@ -83,7 +84,7 @@ def random_graph(model: str, n: int, rng: random.Random, **params) -> Graph:
         return regular_graph(n, int(params.get("d", 2)), rng)
     if model == "union-of-cycles":
         return union_of_cycles_graph(n, int(params.get("cycles", 2)), rng)
-    raise ValueError(f"unknown graph model {model!r}")
+    raise InputError(f"unknown graph model {model!r}")
 
 
 def generate_corpus(spec: dict) -> list[Graph]:

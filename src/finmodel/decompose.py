@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .errors import InputError
 from .graph import (
     Decomposition,
     Edge,
@@ -86,9 +87,9 @@ def chain_slices(G: Graph, stages: Sequence[Iterable[int]]) -> SliceSet:
     frozen = [frozenset(s) for s in stages]
     for a, b in zip(frozen, frozen[1:]):
         if not (a < b):
-            raise ValueError("stages must be strictly increasing")
+            raise InputError("stages must be strictly increasing")
     if not frozen:
-        raise ValueError("need at least one stage")
+        raise InputError("need at least one stage")
     if frozen[0]:
         frozen.insert(0, frozenset())
     slices = tuple(_slice(G, below, upto) for below, upto in zip(frozen, frozen[1:]))
@@ -239,17 +240,18 @@ def probe_one(
     counterexamples: list[ProbeCounterexample] = []
     tested = 0
     for subset in _candidate_subsets(ch):
-        deleted = _slice(coded, subset, objects)
-        pieces = [("restrict", restrict(coded, subset)), ("delete", deleted)]
+        verdicts = [("restrict", prop(restrict(coded, subset)))]
+        deletion = prop(_slice(coded, subset, objects))
+        verdicts.append(("delete", deletion))
         if subset:
             # the two-stage slicing this subset induces: up to the subset,
-            # then the rest of the graph, which is the deletion
-            pieces.append(("slice:0", _slice(coded, frozenset(), subset)))
+            # then the rest of the graph, which is the deletion, so its
+            # verdict is the deletion's
+            verdicts.append(("slice:0", prop(_slice(coded, frozenset(), subset))))
             if not objects <= subset:
-                pieces.append(("slice:1", deleted))
-        for name, piece in pieces:
+                verdicts.append(("slice:1", deletion))
+        for name, (ok, witness) in verdicts:
             tested += 1
-            ok, witness = prop(piece)
             if not ok:
                 counterexamples.append(
                     ProbeCounterexample(tuple(sorted(subset)), name, witness)
@@ -361,13 +363,13 @@ def _bond_faithful_checker(
     any number of decompositions: the host's bonds are enumerated once,
     and each member edge set's foreign bonds are kept for its next use."""
     if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+        raise InputError("kappa must be at least 1")
     host_bonds, sampled = _host_bonds_upto(G, kappa)
     foreign_of: dict[frozenset[Edge], list[frozenset[Edge]]] = {}
 
     def check(members: Sequence[Graph]) -> BondFaithfulReport:
         if not is_decomposition(G, members):
-            raise ValueError("parts do not form a decomposition of the host")
+            raise InputError("parts do not form a decomposition of the host")
         oversized = tuple(
             i for i, part in enumerate(members) if len(part.edges) > kappa
         )

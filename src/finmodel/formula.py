@@ -19,8 +19,10 @@ import re
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Mapping, Union
 
+from .errors import InputError
 
-class ParseError(ValueError):
+
+class ParseError(InputError):
     """Syntax error, carrying the offending position in the input."""
 
     def __init__(self, message: str, position: int):

@@ -14,6 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .errors import InputError
+
 Edge = tuple[int, int]
 
 # the largest component that bond enumeration and the exhaustive odd-cut
@@ -295,7 +297,7 @@ def enumerate_bonds(
         anchor = comp & -comp
         size = comp.bit_count()
         if size > component_cap:
-            raise ValueError(
+            raise InputError(
                 f"component with {size} vertices exceeds the enumeration cap"
             )
         for side in _connected_sides(adj, anchor):
@@ -348,7 +350,7 @@ def edge_connectivity(G: Graph, x: int, y: int) -> int:
     """Minimum number of edges separating x from y (max-flow with unit
     capacities on both orientations of every edge)."""
     if x == y:
-        raise ValueError("endpoints must differ")
+        raise InputError("endpoints must differ")
     flow = _max_unit_flow(G, x, y)
     return flow[0]
 
@@ -356,10 +358,10 @@ def edge_connectivity(G: Graph, x: int, y: int) -> int:
 def edge_disjoint_paths(G: Graph, x: int, y: int, k: int) -> list[list[int]]:
     """k pairwise edge-disjoint x-y paths extracted from a maximum flow."""
     if x == y:
-        raise ValueError("endpoints must differ")
+        raise InputError("endpoints must differ")
     value, used = _max_unit_flow(G, x, y)
     if k > value:
-        raise ValueError(f"asked for {k} paths but connectivity is {value}")
+        raise InputError(f"asked for {k} paths but connectivity is {value}")
     paths = []
     for _ in range(k):
         walk = [x]
@@ -388,7 +390,7 @@ def edge_disjoint_paths(G: Graph, x: int, y: int, k: int) -> list[list[int]]:
 
 def _max_unit_flow(G: Graph, x: int, y: int) -> tuple[int, dict[int, set[int]]]:
     if x not in G.vertices or y not in G.vertices:
-        raise ValueError("endpoints must be vertices")
+        raise InputError("endpoints must be vertices")
     # residual[u][v] == 1 means one more unit can travel u -> v
     residual: dict[int, dict[int, int]] = {v: {} for v in G.vertices}
     for u, v in G.edges:
@@ -450,7 +452,7 @@ def odd_cut_witness(G: Graph, mode: str = "fast") -> CutWitness | None:
     for comp in components(G):
         members = sorted(comp)
         if len(members) > _COMPONENT_CAP:
-            raise ValueError(
+            raise InputError(
                 f"component with {len(members)} vertices exceeds the exhaustive cap"
             )
         for k in range(1, len(members) + 1):
@@ -617,9 +619,9 @@ def cycle_double_cover_search(G: Graph, budget: int = 200_000) -> DoubleCoverRes
     exactly twice.  Bridged input is rejected outright (a bridge lies on
     no cycle, so no cover can exist)."""
     if bridges(G):
-        raise ValueError("graph has a bridge; no cycle can cover it")
+        raise InputError("graph has a bridge; no cycle can cover it")
     if len(G.edges) > _DOUBLE_COVER_EDGE_GATE:
-        raise ValueError(f"graph exceeds the {_DOUBLE_COVER_EDGE_GATE}-edge search gate")
+        raise InputError(f"graph exceeds the {_DOUBLE_COVER_EDGE_GATE}-edge search gate")
     if not G.edges:
         return DoubleCoverResult("found", ())
     cycles = enumerate_cycles(G)

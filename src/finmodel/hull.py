@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .errors import InputError
 from .formula import (
     Exists,
     Formula,
@@ -116,7 +117,7 @@ class _WitnessOracle:
 
 def _require_closed(pack: FormulaPack) -> None:
     if not pack.closed_under_subformulas or not is_subformula_closed(pack):
-        raise ValueError(
+        raise InputError(
             "pack must be closed under subformulas; call subformula_closure first"
         )
 
@@ -159,7 +160,7 @@ def hull(
     seed_set = frozenset(seed)
     for s in seed_set:
         if not (0 <= s < structure.size):
-            raise ValueError(f"seed element {s} outside the universe")
+            raise InputError(f"seed element {s} outside the universe")
     oracle = _WitnessOracle(structure, pack, budget)
     trace: list[TraceStep] = []
     carrier = _close(seed_set, oracle, trace)
@@ -204,7 +205,7 @@ def chain(
     cover_set = frozenset(cover)
     for c in cover_set:
         if not (0 <= c < structure.size):
-            raise ValueError(f"cover element {c} outside the universe")
+            raise InputError(f"cover element {c} outside the universe")
     oracle = _WitnessOracle(structure, pack, budget)
     seed_set = frozenset(seed)
     trace: list[TraceStep] = []

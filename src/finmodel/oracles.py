@@ -13,6 +13,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from .combinatorics import DeltaSystem, SetFamily, is_delta_system
+from .errors import InputError
 from .graph import Edge, Graph, components, delete_edges, edge
 
 BIPARTITION_GATE = 16
@@ -23,7 +24,7 @@ def all_cuts(G: Graph) -> set[frozenset[Edge]]:
     """Every edge set of the form E intersected with [A, complement]."""
     vertices = sorted(G.vertices)
     if len(vertices) > BIPARTITION_GATE:
-        raise ValueError(f"{len(vertices)} vertices exceed the bipartition gate")
+        raise InputError(f"{len(vertices)} vertices exceed the bipartition gate")
     cuts: set[frozenset[Edge]] = set()
     for k in range(len(vertices) + 1):
         for side in itertools.combinations(vertices, k):
@@ -113,7 +114,7 @@ def cycles_by_subsets(G: Graph) -> list[frozenset[Edge]]:
     """Edge subsets that form a cycle, found by scanning all subsets."""
     edges = sorted(G.edges)
     if len(edges) > DOUBLE_COVER_GATE:
-        raise ValueError(f"{len(edges)} edges exceed the double-cover gate")
+        raise InputError(f"{len(edges)} edges exceed the double-cover gate")
     subsets = (
         frozenset(edges[i] for i in range(len(edges)) if mask >> i & 1)
         for mask in range(1, 1 << len(edges))

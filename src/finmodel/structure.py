@@ -12,6 +12,14 @@ values are arguments of each call, so one compiled formula serves every
 structure.  Nothing from the formula is pasted into the source:
 variables become generated identifiers and constants call arguments.
 
+:func:`is_absolute` runs a second kind of generated function, the
+formula's *sweep*, also made once per formula object: one ``for`` loop
+over the valuations into M in lexicographic order, whose body is the
+formula's code twice, first over N and then over the substructure M
+induces, with the first valuation on which they differ returned.  Both
+copies spend from one step count, so the charges fall in the order two
+compiled-formula calls per valuation would make them.
+
 Evaluation is exponential in quantifier depth, so every call spends a
 :class:`Budget` (by default ``10**8`` steps) and fails with
 :class:`BudgetExceededError` instead of hanging.  The charge is exact:
@@ -31,6 +39,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NoReturn
 
+from .errors import InputError
 from .formula import (
     BoundedExists,
     Const,
@@ -49,7 +58,7 @@ from .formula import (
 DEFAULT_BUDGET = 10**8
 
 
-class EvalError(ValueError):
+class EvalError(InputError):
     """Unbound variable, dangling constant, or a relativized node where
     none is allowed."""
 
@@ -113,65 +122,124 @@ _SPLIT_DEPTH = 12
 
 
 class _Generator:
-    """Python source for one formula: the entry function ``_f0`` and the
-    functions that deep subformulas were split into."""
+    """Python source for one formula: an entry function ``_f0`` and the
+    functions that deep subformulas were split into.
+
+    Besides its variables, the code reads a *context*: names for the
+    structure's ``pairs``, ``size`` and ``universe``, for the relativized
+    scope and for each constant.  :meth:`emit` takes the context as an
+    argument, so the sweep emits the body once over N and once over the
+    substructure, and a split function is handed the context it was
+    split from."""
 
     def __init__(self, phi: Formula, constants: tuple[int, ...]):
-        kinds = {type(f) for f in subformulas(phi)}
-        self.relativized = BoundedExists in kinds
+        self.kinds = {type(f) for f in subformulas(phi)}
+        self.relativized = BoundedExists in self.kinds
+        self.constants = constants
         self.fresh = itertools.count()
         self.splits = itertools.count(1)
-        self.pending: list[tuple[list[str], Formula, dict[str, str]]] = []
-        self.constants = {c: f"k{i}" for i, c in enumerate(constants)}
-        # the names the code reads besides its variables, set up once per
-        # call and handed to every split function
-        self.context = ["budget"]
-        self.prologue = []
-        if Membership in kinds:
-            self.context.append("pairs")
-            self.prologue.append("pairs = N.pairs")
-        if Exists in kinds:
-            self.context += ["size", "universe"]
-            self.prologue += ["size = N.size", "universe = range(size)"]
-        if self.relativized:
-            self.context += ["scope", "nscope"]
-            self.prologue.append("nscope = len(scope) or 1")
-        if constants:
-            self.context += self.constants.values()
-            self.prologue.append(f"{', '.join(self.constants.values())}, = consts")
+        self.pending: list[tuple[list[str], Formula, dict[str, str], dict]] = []
 
-    def source(self, phi: Formula, names: list[str]) -> str:
+    def context(self, prefix: str, structure: str, consts: str) -> tuple[dict, list[str]]:
+        """The context for one structure, keyed by ``"pairs"``,
+        ``"size"``, ``"universe"``, ``"scope"``, ``"nscope"`` and each
+        constant's identifier, as far as the formula uses them, and the
+        statements that set it from the expressions *structure* and
+        *consts* (the elements the constants denote).  Each name but the
+        scope's, which is one for every structure, starts with *prefix*."""
+        ctx, setup = {}, []
+        if Membership in self.kinds:
+            ctx["pairs"] = f"{prefix}pairs"
+            setup.append(f"{prefix}pairs = {structure}.pairs")
+        if Exists in self.kinds:
+            ctx["size"], ctx["universe"] = f"{prefix}size", f"{prefix}universe"
+            setup += [f"{prefix}size = {structure}.size", f"{prefix}universe = range({prefix}size)"]
+        if self.relativized:
+            ctx["scope"], ctx["nscope"] = "scope", "nscope"
+            setup.append("nscope = len(scope) or 1")
+        if self.constants:
+            names = [f"{prefix}k{i}" for i in range(len(self.constants))]
+            ctx.update(zip(self.constants, names))
+            setup.append(f"{', '.join(names)}, = {consts}")
+        return ctx, setup
+
+    def evaluator(self, phi: Formula, names: list[str]) -> Callable:
+        """``f(consts, N, scope, budget, *values)``, phi's truth value in
+        N with its free variables *names* at *values*."""
+        ctx, setup = self.context("", "N", "consts")
         env = {name: self.variable() for name in names}
-        entry = [f"def _f0({', '.join(['consts', 'N', 'scope', 'budget', *env.values()])}):"]
-        entry += [f"    {line}" for line in self.prologue]
-        # split functions are written after the one they were split from,
-        # so the depth of the Python stack here stays within one function
-        self.pending.append((entry, phi, env))
-        functions = []
+        lines = [f"def _f0({', '.join(['consts', 'N', 'scope', 'budget', *env.values()])}):"]
+        lines += [f"    {line}" for line in setup]
+        lines.append("    left = budget.left")
+        self.emit(phi, env, ctx, lines, 1)
+        lines += ["    budget.left = left", "    return r"]
+        return self.finish(lines)
+
+    def sweep(self, phi: Formula, names: list[str]) -> Callable:
+        """``f(members, N, S, hconsts, sconsts, budget)``, the first tuple
+        of values for *names* from *members*, in lexicographic order, on
+        which phi's truth value in N differs from its value in S, the
+        substructure that numbers *members* 0, 1, ... in order; None if
+        there is none.  Each tuple evaluates N's side, then S's, from one
+        step count."""
+        host, host_setup = self.context("", "N", "hconsts")
+        sub, sub_setup = self.context("s", "S", "sconsts")
+        hvals = {name: self.variable() for name in names}
+        svals = {name: self.variable() for name in names}
+        # one loop whatever the arity, each position an (S, N) value pair
+        target = ", ".join(f"({svals[n]}, {hvals[n]})" for n in names) + "," if names else "_"
+        lines = ["def _f0(members, N, S, hconsts, sconsts, budget):"]
+        lines += [f"    {line}" for line in host_setup + sub_setup]
+        lines += [
+            "    left = budget.left",
+            f"    for {target} in product(enumerate(members), repeat={len(names)}):",
+        ]
+        self.emit(phi, hvals, host, lines, 2)
+        lines.append("        h = r")
+        self.emit(phi, svals, sub, lines, 2)
+        lines += [
+            "        if r != h:",
+            "            budget.left = left",
+            f"            return ({''.join(f'{v}, ' for v in hvals.values())})",
+            "    budget.left = left",
+            "    return None",
+        ]
+        return self.finish(lines)
+
+    def finish(self, entry: list[str]) -> Callable:
+        """Compile the entry function *entry* (the lines of ``_f0``)
+        with the functions split from it, and return it.
+
+        Split functions are written after the one they were split from,
+        so the depth of the Python stack here stays within one function."""
+        functions = ["\n".join(entry)]
         while self.pending:
-            lines, phi, env = self.pending.pop()
+            lines, phi, env, ctx = self.pending.pop()
             lines.append("    left = budget.left")
-            self.emit(phi, env, lines, 1)
+            self.emit(phi, env, ctx, lines, 1)
             lines += ["    budget.left = left", "    return r"]
             functions.append("\n".join(lines))
-        return "\n".join(functions) + "\n"
+        namespace = {"_exhausted": _exhausted, "product": itertools.product}
+        exec(compile("\n".join(functions) + "\n", "<formula>", "exec"), namespace)
+        return namespace["_f0"]
 
     def variable(self) -> str:
         return f"v{next(self.fresh)}"
 
-    def split(self, phi: Formula, env: dict[str, str]) -> str:
+    def split(self, phi: Formula, env: dict[str, str], ctx: dict) -> str:
         """Move *phi* to a function of its own; return the call."""
         name = f"_f{next(self.splits)}"
-        params = ", ".join([*self.context, *env.values()])
-        self.pending.append(([f"def {name}({params}):"], phi, env))
+        params = ", ".join(["budget", *ctx.values(), *env.values()])
+        self.pending.append(([f"def {name}({params}):"], phi, env, ctx))
         return f"{name}({params})"
 
-    def term(self, t, env: dict[str, str]) -> str:
-        return self.constants[t.ident] if isinstance(t, Const) else env[t.name]
+    def term(self, t, env: dict[str, str], ctx: dict) -> str:
+        return ctx[t.ident] if isinstance(t, Const) else env[t.name]
 
-    def emit(self, phi: Formula, env: dict[str, str], lines: list[str], depth: int) -> None:
+    def emit(self, phi: Formula, env: dict[str, str], ctx: dict, lines: list[str], depth: int) -> None:
         """Statements, indented *depth* levels, that leave phi's truth
-        value in ``r`` and spend its steps from ``left``.
+        value in ``r`` and spend its steps from ``left``, reading the
+        variables in *env* and the context names in *ctx*.
 
         Chains of ``~`` and right-nested ``|`` are followed in a loop, not
         by recursion, so a long chain costs no Python stack."""
@@ -182,17 +250,17 @@ class _Generator:
                 negations.append(f"{pad}r = not r")
                 phi = phi.body
             elif isinstance(phi, Disjunction) and depth <= _SPLIT_DEPTH:
-                self.emit(phi.left, env, lines, depth)
+                self.emit(phi.left, env, ctx, lines, depth)
                 lines.append(f"{pad}if not r:")
                 phi, depth = phi.right, depth + 1
             else:
                 break
         if isinstance(phi, (Membership, Equality)):
-            left, right = self.term(phi.left, env), self.term(phi.right, env)
-            test = f"({left}, {right}) in pairs" if isinstance(phi, Membership) else f"{left} == {right}"
+            left, right = self.term(phi.left, env, ctx), self.term(phi.right, env, ctx)
+            test = f"({left}, {right}) in {ctx['pairs']}" if isinstance(phi, Membership) else f"{left} == {right}"
             lines += [f"{pad}left -= 1", f"{pad}if left < 0: _exhausted(budget, left)", f"{pad}r = {test}"]
         elif depth > _SPLIT_DEPTH:
-            call = self.split(phi, env)
+            call = self.split(phi, env, ctx)
             lines += [f"{pad}budget.left = left", f"{pad}r = {call}", f"{pad}left = budget.left"]
         elif isinstance(phi, (Exists, BoundedExists)):
             # a plain quantifier is charged its scan of N; a bounded one
@@ -200,17 +268,20 @@ class _Generator:
             charge, scan = ("size", "universe") if isinstance(phi, Exists) else ("nscope", "scope")
             var = self.variable()
             lines += [
-                f"{pad}left -= {charge}",
+                f"{pad}left -= {ctx[charge]}",
                 f"{pad}if left < 0: _exhausted(budget, left)",
                 f"{pad}r = False",
-                f"{pad}for {var} in {scan}:",
+                f"{pad}for {var} in {ctx[scan]}:",
             ]
-            self.emit(phi.body, {**env, phi.var: var}, lines, depth + 1)
+            self.emit(phi.body, {**env, phi.var: var}, ctx, lines, depth + 1)
             lines.append(f"{pad}    if r: break")
         else:
             raise EvalError(f"cannot evaluate node {type(phi).__name__}")
         # each negation applies where its operand ends, innermost first
         lines += reversed(negations)
+
+
+_NO_SCOPE = "relativized quantifier encountered in plain evaluation"
 
 
 class CompiledFormula(functools.partial):
@@ -221,10 +292,9 @@ class CompiledFormula(functools.partial):
     :attr:`free_vars`.  A relativized quantifier scans *scope*, a sized
     iterable of elements, which is None for plain evaluation (see
     :meth:`require_scope`); a :class:`Budget` pays for the steps.  The
-    constants denote the elements in :attr:`constants`;
-    :meth:`with_constants` gives the same test with other elements in
-    their places.  Arguments are not validated: the entry points below
-    check valuations and constants against the structure first.
+    constants denote the elements in :attr:`constants`.  Arguments are
+    not validated: the entry points below check valuations and constants
+    against the structure first.
 
     The call is the generated function itself, with the constants bound
     as its first argument, so it costs no Python frame of its own.
@@ -233,40 +303,52 @@ class CompiledFormula(functools.partial):
     def __new__(cls, phi: Formula) -> "CompiledFormula":
         names, consts = free_vars(phi), tuple(constants(phi))
         gen = _Generator(phi, consts)
-        namespace = {"_exhausted": _exhausted}
-        exec(compile(gen.source(phi, names), "<formula>", "exec"), namespace)
-        self = super().__new__(cls, namespace["_f0"], consts)
+        self = super().__new__(cls, gen.evaluator(phi, names), consts)
         self.free_vars = names
         self.constants = consts
         self.relativized = gen.relativized
         return self
 
-    def with_constants(self, elements: Iterable[int]) -> Callable[..., bool]:
-        """The same test with the constants denoting *elements*, position
-        by position."""
-        return functools.partial(self.func, tuple(elements))
-
     def require_scope(self, scope) -> None:
         """Raise :class:`EvalError` if a relativized formula gets no scope."""
         if scope is None and self.relativized:
-            raise EvalError("relativized quantifier encountered in plain evaluation")
+            raise EvalError(_NO_SCOPE)
 
 
-# Compiled code lives exactly as long as its formula object does.  The
-# cache goes by identity: hashing a formula walks the whole tree, on
+class _Sweep:
+    """:func:`is_absolute`'s generated check for one formula: ``run`` is
+    the entry of :meth:`_Generator.sweep`, or None for a relativized
+    formula, which has no value in a substructure."""
+
+    __slots__ = ("free_vars", "constants", "run")
+
+    def __init__(self, phi: Formula):
+        self.free_vars, self.constants = free_vars(phi), tuple(constants(phi))
+        gen = _Generator(phi, self.constants)
+        self.run = None if gen.relativized else gen.sweep(phi, self.free_vars)
+
+
+# Generated code lives exactly as long as its formula object does.  The
+# caches go by identity: hashing a formula walks the whole tree, on
 # every lookup, and runs out of stack on deep trees that evaluate fine.
 _COMPILED: dict[int, tuple[weakref.ref, CompiledFormula]] = {}
+_SWEEPS: dict[int, tuple[weakref.ref, _Sweep]] = {}
+
+
+def _per_formula(cache: dict, phi: Formula, make: Callable):
+    """``make(phi)``, made once per formula object and kept in *cache*."""
+    key = id(phi)
+    entry = cache.get(key)
+    if entry is not None and entry[0]() is phi:
+        return entry[1]
+    made = make(phi)
+    cache[key] = (weakref.ref(phi, lambda _, key=key: cache.pop(key, None)), made)
+    return made
 
 
 def compile_formula(phi: Formula) -> CompiledFormula:
     """The compiled form of *phi*, made once per formula object."""
-    key = id(phi)
-    entry = _COMPILED.get(key)
-    if entry is not None and entry[0]() is phi:
-        return entry[1]
-    compiled = CompiledFormula(phi)
-    _COMPILED[key] = (weakref.ref(phi, lambda _, key=key: _COMPILED.pop(key, None)), compiled)
-    return compiled
+    return _per_formula(_COMPILED, phi, CompiledFormula)
 
 
 def _evaluate(
@@ -370,6 +452,18 @@ class ElementarityCheck:
         return self.ok
 
 
+class _Carrier(tuple):
+    """The elements of M in ascending order, with the substructure they
+    induce in *host* and the renumbering, built once for all the
+    formulas one carrier is checked against."""
+
+    def __new__(cls, M: Iterable[int], host: FinStructure) -> "_Carrier":
+        self = super().__new__(cls, sorted(set(M)))
+        self.host = host
+        self.sub, self.remap = induced_substructure(host, self)
+        return self
+
+
 def is_absolute(
     M: Iterable[int],
     N: FinStructure,
@@ -383,26 +477,26 @@ def is_absolute(
     first mismatch is reported (identifiers are N's, not the
     substructure's).  Constants of phi must lie in M, otherwise the
     substructure side is undefined and evaluation errors out.
+
+    The valuations run in phi's sweep, one generated function made once
+    per formula object: a single loop over the valuations that evaluates
+    phi's body inline over N and then over the substructure.  The steps
+    are charged to one budget in that order, valuation by valuation, as
+    two compiled-formula calls per valuation would charge them, and the
+    sweep stops at the first valuation on which the two sides differ.
     """
-    members = sorted(set(M))
-    sub, remap = induced_substructure(N, members)
-    compiled = compile_formula(phi)
-    for c in compiled.constants:
-        if c not in remap:
+    carrier = M if isinstance(M, _Carrier) and M.host is N else _Carrier(M, N)
+    sweep = _per_formula(_SWEEPS, phi, _Sweep)
+    for c in sweep.constants:
+        if c not in carrier.remap:
             raise EvalError(f"constant #{c} lies outside M")
-    compiled.require_scope(None)
-    sub_test = compiled.with_constants(remap[c] for c in compiled.constants)
-    shared = Budget(budget)
-    arity = len(compiled.free_vars)
-    # the substructure numbers M in ascending order, so the two products
-    # list the same valuations side by side
-    for values, sub_values in zip(
-        itertools.product(members, repeat=arity),
-        itertools.product(range(len(members)), repeat=arity),
-    ):
-        if compiled(N, None, shared, *values) != sub_test(sub, None, shared, *sub_values):
-            return AbsoluteCheck(False, dict(zip(compiled.free_vars, values)))
-    return AbsoluteCheck(True)
+    if sweep.run is None:
+        raise EvalError(_NO_SCOPE)
+    sub_constants = tuple(carrier.remap[c] for c in sweep.constants)
+    found = sweep.run(carrier, N, carrier.sub, sweep.constants, sub_constants, Budget(budget))
+    if found is None:
+        return AbsoluteCheck(True)
+    return AbsoluteCheck(False, dict(zip(sweep.free_vars, found)))
 
 
 def is_sigma_elementary(
@@ -412,9 +506,11 @@ def is_sigma_elementary(
     budget: int = DEFAULT_BUDGET,
 ) -> ElementarityCheck:
     """Absoluteness of every pack member, first failure reported."""
-    members = sorted(set(M))
+    if not pack.formulas:  # holds without looking at M
+        return ElementarityCheck(True)
+    carrier = _Carrier(M, N)
     for phi in pack.formulas:
-        check = is_absolute(members, N, phi, budget)
+        check = is_absolute(carrier, N, phi, budget)
         if not check.ok:
             return ElementarityCheck(False, phi, check.counterexample)
     return ElementarityCheck(True)

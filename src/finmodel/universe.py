@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import InputError
 from .graph import Graph, make_graph
 from .structure import FinStructure
 
@@ -20,7 +21,7 @@ HIERARCHY_SIZES = (0, 1, 2, 4, 16, 65536)
 MAX_RANK = 5
 
 
-class RankOverflowError(ValueError):
+class RankOverflowError(InputError):
     """An encoded object does not fit under the requested rank."""
 
 

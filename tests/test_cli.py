@@ -1,4 +1,5 @@
 import json
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -378,3 +379,89 @@ def test_input_of_the_wrong_json_shape_is_a_usage_error(fixtures, monkeypatch, c
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"fm: error: wrong JSON shape in {source}: ")
+
+
+# input that fails a check made where it is read or checked, outside the
+# JSON readers above; each message is the one fm printed before these
+# checks raised InputError
+_CHECKED_INPUTS = [
+    (["hull", "--structure", "v4.json", "--pack", "pairing", "--seed-elems", "99"],
+     "seed element 99 outside the universe"),
+    (["hull", "--structure", "v4.json", "--pack", "pairing", "--seed-elems", "a"],
+     "invalid literal for int() with base 10: 'a'"),
+    (["hull", "--structure", "v4.json", "--pack", "closed.json", "--seed-elems", "1"],
+     "pack must be closed under subformulas; call subformula_closure first"),
+    (["chain", "--structure", "v4.json", "--pack", "pairing", "--cover-elems", "99"],
+     "cover element 99 outside the universe"),
+    (["eval", "--structure", "bad.txt", "--formula", "x = x"], "row 1 is not 2 characters of 0/1"),
+    (["universe", "dump", "--rank", "6"], "rank must be between 0 and 5"),
+    (["slice", "--graph", "c3.json", "--stages", "decreasing.json"],
+     "stages must be strictly increasing"),
+    (["graph", "gamma", "--graph", "c4.json", "--x", "0", "--y", "9"], "endpoints must be vertices"),
+    (["graph", "gamma", "--graph", "c4.json", "--x", "0", "--y", "2", "--paths", "5"],
+     "asked for 5 paths but connectivity is 2"),
+    (["graph", "nw", "--graph", "c24.json", "--mode", "exhaustive"],
+     "component with 24 vertices exceeds the exhaustive cap"),
+    (["graph", "bonds", "--graph", "c24.json"], "component with 24 vertices exceeds the enumeration cap"),
+    (["graph", "bonds", "--graph", "c18.json", "--validate"], "18 vertices exceed the bipartition gate"),
+    (["bondfaithful", "search", "--graph", "c4.json", "--kappa", "0"], "kappa must be at least 1"),
+    (["bondfaithful", "check", "--graph", "c4.json", "--parts", "c3list.json", "--kappa", "2"],
+     "parts do not form a decomposition of the host"),
+    (["sunflower", "trace", "--family", "family.json", "--m", "all.json"],
+     "every family member already belongs to M"),
+    (["sunflower", "max", "--family", "family40.json"], "family of 40 sets exceeds the exhaustive scan gate"),
+    (["freeset", "--map", "map.json", "--ground", "1,7"], "7"),
+    (["corpus", "gen", "--model", "regular", "--n", "5", "--d", "3"], "no 3-regular graph on 5 vertices"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _CHECKED_INPUTS, ids=[" ".join(a[:2]) for a, _ in _CHECKED_INPUTS])
+def test_checked_input_is_a_usage_error(fixtures, monkeypatch, capsys, argv, message):
+    (fixtures / "closed.json").write_text(json.dumps(
+        {"name": "c", "formulas": ["Ex Ay ~(y in x)"], "closed_under_subformulas": True}
+    ))
+    (fixtures / "bad.txt").write_text("01\n0\n")
+    (fixtures / "decreasing.json").write_text("[[0, 1, 3], [0]]")
+    for n in (18, 24):
+        (fixtures / f"c{n}.json").write_text(json.dumps(graph_to_json(cycle_graph(n))))
+    (fixtures / "c3list.json").write_text(json.dumps([graph_to_json(cycle_graph(3))]))
+    (fixtures / "all.json").write_text(json.dumps({"members": [0, 1, 2]}))
+    (fixtures / "family40.json").write_text(json.dumps([[i, i + 1] for i in range(40)]))
+    monkeypatch.chdir(fixtures)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"fm: error: {message}\n")
+
+
+def test_a_bad_budget_in_the_environment_is_a_usage_error(fixtures):
+    proc = run_fm(["eval", "--structure", "v3.json", "--formula", "x = x", "--valuation", '{"x": 0}'],
+                  fixtures, {"FM_EVAL_BUDGET": "lots"})
+    assert proc.returncode == 2
+    assert proc.stderr == "fm: error: invalid literal for int() with base 10: 'lots'\n"
+
+
+def _raise(exc):
+    def fault(*args, **kwargs):
+        raise exc
+    return fault
+
+
+# a ValueError or KeyError from inside a search is a fault in the
+# program, not a usage error: fm must not exit 2 on it
+_FAULTS = [
+    (["bondfaithful", "search", "--graph", "c4.json", "--kappa", "2"],
+     "decompose", "_search_candidate", ValueError("injected")),
+    (["graph", "dcc", "--graph", "c4.json"], "graph", "enumerate_cycles", KeyError("injected")),
+    (["hull", "--structure", "v4.json", "--pack", "pairing", "--seed-elems", "0,1"],
+     "hull", "_close", KeyError("injected")),
+    (["chain", "--structure", "v4.json", "--pack", "pairing", "--validate"],
+     "structure", "induced_substructure", ValueError("injected")),
+]
+
+
+@pytest.mark.parametrize("argv, module, name, exc", _FAULTS, ids=[f"{m}.{n}" for _, m, n, _ in _FAULTS])
+def test_a_fault_inside_a_search_is_not_a_usage_error(fixtures, monkeypatch, argv, module, name, exc):
+    monkeypatch.chdir(fixtures)
+    monkeypatch.setattr(sys.modules[f"finmodel.{module}"], name, _raise(exc))
+    with pytest.raises(type(exc), match="injected"):
+        cli.main(argv)

@@ -317,7 +317,6 @@ def test_compiled_formula_api_and_step_charges():
     constant = compile_formula(parse("Ex (x in #1)"))
     assert constant.constants == (1,)
     assert constant(V2, None, budget) is True
-    assert constant.with_constants([0])(V2, None, budget) is False
     with pytest.raises(BudgetExceededError):
         cf(V2, None, Budget(2), 1)
 
@@ -330,3 +329,29 @@ def test_compiled_formula_lives_as_long_as_its_formula():
     del phi
     gc.collect()
     assert ref() is None
+
+
+def test_is_absolute_compiles_one_sweep_per_formula(monkeypatch):
+    from finmodel import structure
+
+    compiled = []
+
+    def counting_compile(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(structure, "compile", counting_compile, raising=False)
+    phi = parse("Ey (y in x)")
+    assert not is_absolute([1], V2, phi).ok
+    assert len(compiled) == 1  # the sweep alone, not a compiled formula too
+    assert is_absolute(range(V2.size), V2, phi).ok
+    assert len(compiled) == 1  # kept for the formula object
+    is_absolute([1], V2, parse("Ey (y in x)"))
+    assert len(compiled) == 2  # an equal formula is another object
+    # a formula of arity 25 is one loop, not 25 nested ones
+    xs = [Var(f"x{i}") for i in range(25)]
+    wide = Membership(xs[0], xs[1])
+    for a, b in zip(xs[1:], xs[2:]):
+        wide = Disjunction(wide, Membership(a, b))
+    assert is_absolute([1], V2, wide).ok
+    assert compiled[-1].count("for ") == 1
