@@ -32,7 +32,13 @@ class SetFamily:
 
 
 def make_family(sets: Iterable[Iterable[int]]) -> SetFamily:
-    return SetFamily(tuple(frozenset(s) for s in sets))
+    """The family of *sets*, whose elements must be integers."""
+    members = [tuple(s) for s in sets]
+    for i, member in enumerate(members):
+        for x in member:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise InputError(f"family member {i} holds {x!r}, which is not an integer")
+    return SetFamily(tuple(frozenset(s) for s in members))
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,37 @@ with parameters from the current set, the smallest witness joins the
 set.  For a subformula-closed pack this certifies elementarity of the
 carrier for every pack member (the Tarski-Vaught argument), which the
 tests re-verify by brute enumeration.
+
+The closure is semi-naive (Bancilhon and Ramakrishnan, "An Amateur's
+Introduction to Recursive Query Processing Strategies", SIGMOD 1986).
+Each round sweeps the pack's existentials in order, each over the
+valuations of its free variables into the current set in lexicographic
+order, and a sweep enumerates only the valuations that touch an element
+added since the existential's previous sweep, in the order a full sweep
+would reach them.  That is exact: every valuation it skips was searched
+in an earlier sweep, against the same host, and its witness joined the
+set then, so a full sweep would add nothing there.  The trace, the
+carrier and the steps charged are those of a closure that sweeps every
+valuation each round and searches each one only the first time.  The
+memory of the sweeps lasts a whole chain, whose every stage starts from
+a superset of the previous one, so each (formula, valuation) pair is
+searched at most once per hull or chain.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import InputError
 from .formula import (
     Exists,
     Formula,
     FormulaPack,
+    constants,
     free_vars,
     is_subformula_closed,
     parse,
@@ -28,9 +45,10 @@ from .formula import (
 from .structure import (
     DEFAULT_BUDGET,
     Budget,
+    EvalError,
     FinStructure,
-    compile_formula,
     is_sigma_elementary,
+    witness_search,
 )
 from .universe import Hierarchy, hf_encode
 
@@ -73,53 +91,56 @@ def _ambient(N: Union[FinStructure, Hierarchy]) -> FinStructure:
 
 
 class _WitnessOracle:
-    """Finds, for an existential formula and a valuation, the smallest
-    witness in the host; results are cached since they depend only on
-    the host."""
+    """The pack's existentials over one host: each one's witness search
+    and the sorted elements its last sweep drew valuations from (None
+    before its first sweep).  That memory makes :func:`_close`
+    semi-naive; a chain shares one oracle between its stages."""
 
     def __init__(self, N: FinStructure, pack: FormulaPack, budget: int):
         self.N = N
         self.budget = Budget(budget)
         self.exists = [phi for phi in pack.formulas if isinstance(phi, Exists)]
         self.names = [free_vars(phi) for phi in self.exists]
-        # each body with the position its quantified variable takes among
-        # the body's free variables (None when the body does not use it)
-        self.bodies: list[tuple] = []
+        self.searches = [witness_search(phi) for phi in self.exists]
         for phi in self.exists:
-            body = compile_formula(phi.body)
-            body.require_scope(None)
-            at = body.free_vars.index(phi.var) if phi.var in body.free_vars else None
-            self.bodies.append((body, at))
-        self.cache: dict[tuple[int, tuple[int, ...]], int | None] = {}
+            for c in constants(phi):
+                if not (0 <= c < N.size):
+                    raise EvalError(f"dangling constant #{c}")
+        self.swept: list[list[int] | None] = [None] * len(self.exists)
 
-    def witness(self, idx: int, values: tuple[int, ...]) -> int | None:
-        key = (idx, values)
-        if key in self.cache:
-            return self.cache[key]
-        body, at = self.bodies[idx]
-        N, budget = self.N, self.budget
-        found = None
-        budget.spend(N.size)
-        if at is None:
-            for candidate in range(N.size):
-                if body(N, None, budget, *values):
-                    found = candidate
-                    break
-        else:
-            head, tail = values[:at], values[at:]
-            for candidate in range(N.size):
-                if body(N, None, budget, *head, candidate, *tail):
-                    found = candidate
-                    break
-        self.cache[key] = found
-        return found
+
+# The packs found closed, by identity: a pack is immutable, and the check
+# hashes every subformula, which on a large pack costs more than a small
+# hull, so each pack object is checked once.
+_CLOSED: dict[int, weakref.ref] = {}
 
 
 def _require_closed(pack: FormulaPack) -> None:
+    key = id(pack)
+    known = _CLOSED.get(key)
+    if known is not None and known() is pack:
+        return
     if not pack.closed_under_subformulas or not is_subformula_closed(pack):
         raise InputError(
             "pack must be closed under subformulas; call subformula_closure first"
         )
+    _CLOSED[key] = weakref.ref(pack, lambda _, key=key: _CLOSED.pop(key, None))
+
+
+def _fresh_valuations(ordered: list[int], new: set[int], k: int) -> Iterator[tuple[int, ...]]:
+    """The k-tuples over *ordered* that hold an element of *new*, in the
+    order ``itertools.product(ordered, repeat=k)`` yields them: after an
+    old first element the rest must hold a new one, after a new one the
+    rest is free."""
+    if k == 0:
+        return
+    if k == 1:
+        yield from ((a,) for a in ordered if a in new)
+        return
+    for a in ordered:
+        rests = itertools.product(ordered, repeat=k - 1) if a in new else _fresh_valuations(ordered, new, k - 1)
+        for rest in rests:
+            yield (a, *rest)
 
 
 def _close(
@@ -128,13 +149,23 @@ def _close(
     trace: list[TraceStep] | None,
 ) -> frozenset[int]:
     current = set(seed)
+    N, budget = oracle.N, oracle.budget
     changed = True
     while changed:
         changed = False
-        for idx, (phi, names) in enumerate(zip(oracle.exists, oracle.names)):
+        for idx, (phi, names, search) in enumerate(zip(oracle.exists, oracle.names, oracle.searches)):
             ordered = sorted(current)
-            for values in itertools.product(ordered, repeat=len(names)):
-                w = oracle.witness(idx, values)
+            swept = oracle.swept[idx]
+            if swept is None:
+                valuations = itertools.product(ordered, repeat=len(names))
+            else:
+                new = current.difference(swept)
+                if not new:
+                    continue
+                valuations = _fresh_valuations(ordered, new, len(names))
+            oracle.swept[idx] = ordered
+            for values in valuations:
+                w = search(N, budget, *values)
                 if w is not None and w not in current:
                     current.add(w)
                     if trace is not None:

@@ -5,12 +5,14 @@ elementarity for a fixed formula family.
 Every evaluation runs generated code.  :func:`compile_formula` turns a
 core formula, once per formula object, into one straight-line Python
 function, a :class:`CompiledFormula`: each quantifier is a ``for`` loop,
-each atom an inline ``(a, b) in pairs`` or ``a == b`` test, and ``|`` and
-``~`` short-circuit as Python's ``or`` and ``not`` do.  The structure, the
-scope of the relativized quantifiers, the budget and the free-variable
-values are arguments of each call, so one compiled formula serves every
-structure.  Nothing from the formula is pasted into the source:
-variables become generated identifiers and constants call arguments.
+each atom an inline ``members[b] >> a & 1`` bit test on the structure's
+member masks (:attr:`FinStructure.members`) or an ``a == b`` test, and
+``|`` and ``~`` short-circuit as Python's ``or`` and ``not`` do.  The
+structure, the scope of the relativized quantifiers, the budget and the
+free-variable values are arguments of each call, so one compiled formula
+serves every structure.  Nothing from the formula is pasted into the
+source: variables become generated identifiers and constants call
+arguments.
 
 :func:`is_absolute` runs a second kind of generated function, the
 formula's *sweep*, also made once per formula object: one ``for`` loop
@@ -19,6 +21,12 @@ formula's code twice, first over N and then over the substructure M
 induces, with the first valuation on which they differ returned.  Both
 copies spend from one step count, so the charges fall in the order two
 compiled-formula calls per valuation would make them.
+
+The third kind, :func:`witness_search`, serves the hulls: for an
+existential ``Ex phi`` it is one ``for`` loop over N whose body is phi's
+code, returning the first (smallest) x that satisfies phi.  It charges
+what the quantifier's own scan would: ``size`` steps once, then phi's
+steps candidate by candidate.
 
 Evaluation is exponential in quantifier depth, so every call spends a
 :class:`Budget` (by default ``10**8`` steps) and fails with
@@ -82,11 +90,22 @@ class FinStructure:
     codes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.size < 0:
+            raise ValueError(f"structure size {self.size} is negative")
         for a, b in self.pairs:
             if not (0 <= a < self.size and 0 <= b < self.size):
                 raise ValueError(f"relation pair {(a, b)} outside universe 0..{self.size - 1}")
         if self.codes is not None and len(self.codes) != self.size:
             raise ValueError("codes must list one code per element")
+
+    @functools.cached_property
+    def members(self) -> tuple[int, ...]:
+        """Per element b, the mask whose bit a is set when (a, b) is a
+        pair: the members of b.  Generated atoms test these bits."""
+        masks = [0] * self.size
+        for a, b in self.pairs:
+            masks[b] |= 1 << a
+        return tuple(masks)
 
     def related(self, a: int, b: int) -> bool:
         return (a, b) in self.pairs
@@ -126,7 +145,7 @@ class _Generator:
     functions that deep subformulas were split into.
 
     Besides its variables, the code reads a *context*: names for the
-    structure's ``pairs``, ``size`` and ``universe``, for the relativized
+    structure's ``members``, ``size`` and ``universe``, for the relativized
     scope and for each constant.  :meth:`emit` takes the context as an
     argument, so the sweep emits the body once over N and once over the
     substructure, and a split function is handed the context it was
@@ -141,7 +160,7 @@ class _Generator:
         self.pending: list[tuple[list[str], Formula, dict[str, str], dict]] = []
 
     def context(self, prefix: str, structure: str, consts: str) -> tuple[dict, list[str]]:
-        """The context for one structure, keyed by ``"pairs"``,
+        """The context for one structure, keyed by ``"members"``,
         ``"size"``, ``"universe"``, ``"scope"``, ``"nscope"`` and each
         constant's identifier, as far as the formula uses them, and the
         statements that set it from the expressions *structure* and
@@ -149,8 +168,8 @@ class _Generator:
         scope's, which is one for every structure, starts with *prefix*."""
         ctx, setup = {}, []
         if Membership in self.kinds:
-            ctx["pairs"] = f"{prefix}pairs"
-            setup.append(f"{prefix}pairs = {structure}.pairs")
+            ctx["members"] = f"{prefix}members"
+            setup.append(f"{prefix}members = {structure}.members")
         if Exists in self.kinds:
             ctx["size"], ctx["universe"] = f"{prefix}size", f"{prefix}universe"
             setup += [f"{prefix}size = {structure}.size", f"{prefix}universe = range({prefix}size)"]
@@ -172,14 +191,14 @@ class _Generator:
         lines += [f"    {line}" for line in setup]
         lines.append("    left = budget.left")
         self.emit(phi, env, ctx, lines, 1)
-        lines += ["    budget.left = left", "    return r"]
+        lines += ["    budget.left = left", "    return bool(r)"]
         return self.finish(lines)
 
     def sweep(self, phi: Formula, names: list[str]) -> Callable:
-        """``f(members, N, S, hconsts, sconsts, budget)``, the first tuple
-        of values for *names* from *members*, in lexicographic order, on
+        """``f(elements, N, S, hconsts, sconsts, budget)``, the first tuple
+        of values for *names* from *elements*, in lexicographic order, on
         which phi's truth value in N differs from its value in S, the
-        substructure that numbers *members* 0, 1, ... in order; None if
+        substructure that numbers *elements* 0, 1, ... in order; None if
         there is none.  Each tuple evaluates N's side, then S's, from one
         step count."""
         host, host_setup = self.context("", "N", "hconsts")
@@ -188,11 +207,11 @@ class _Generator:
         svals = {name: self.variable() for name in names}
         # one loop whatever the arity, each position an (S, N) value pair
         target = ", ".join(f"({svals[n]}, {hvals[n]})" for n in names) + "," if names else "_"
-        lines = ["def _f0(members, N, S, hconsts, sconsts, budget):"]
+        lines = ["def _f0(elements, N, S, hconsts, sconsts, budget):"]
         lines += [f"    {line}" for line in host_setup + sub_setup]
         lines += [
             "    left = budget.left",
-            f"    for {target} in product(enumerate(members), repeat={len(names)}):",
+            f"    for {target} in product(enumerate(elements), repeat={len(names)}):",
         ]
         self.emit(phi, hvals, host, lines, 2)
         lines.append("        h = r")
@@ -201,6 +220,31 @@ class _Generator:
             "        if r != h:",
             "            budget.left = left",
             f"            return ({''.join(f'{v}, ' for v in hvals.values())})",
+            "    budget.left = left",
+            "    return None",
+        ]
+        return self.finish(lines)
+
+    def witness(self, phi: Exists, names: list[str]) -> Callable:
+        """``f(consts, N, budget, *values)``, the smallest element of N
+        that satisfies phi's body, with phi's free variables *names* at
+        *values*; None if there is none.  It spends ``size`` steps, then
+        the body's steps candidate by candidate, as phi's own scan does."""
+        ctx, setup = self.context("", "N", "consts")
+        env = {name: self.variable() for name in names}
+        var = self.variable()
+        lines = [f"def _f0({', '.join(['consts', 'N', 'budget', *env.values()])}):"]
+        lines += [f"    {line}" for line in setup]
+        lines += [
+            f"    left = budget.left - {ctx['size']}",
+            "    if left < 0: _exhausted(budget, left)",
+            f"    for {var} in {ctx['universe']}:",
+        ]
+        self.emit(phi.body, {**env, phi.var: var}, ctx, lines, 2)
+        lines += [
+            "        if r:",
+            "            budget.left = left",
+            f"            return {var}",
             "    budget.left = left",
             "    return None",
         ]
@@ -257,7 +301,7 @@ class _Generator:
                 break
         if isinstance(phi, (Membership, Equality)):
             left, right = self.term(phi.left, env, ctx), self.term(phi.right, env, ctx)
-            test = f"({left}, {right}) in {ctx['pairs']}" if isinstance(phi, Membership) else f"{left} == {right}"
+            test = f"{ctx['members']}[{right}] >> {left} & 1" if isinstance(phi, Membership) else f"{left} == {right}"
             lines += [f"{pad}left -= 1", f"{pad}if left < 0: _exhausted(budget, left)", f"{pad}r = {test}"]
         elif depth > _SPLIT_DEPTH:
             call = self.split(phi, env, ctx)
@@ -333,6 +377,7 @@ class _Sweep:
 # every lookup, and runs out of stack on deep trees that evaluate fine.
 _COMPILED: dict[int, tuple[weakref.ref, CompiledFormula]] = {}
 _SWEEPS: dict[int, tuple[weakref.ref, _Sweep]] = {}
+_WITNESSES: dict[int, tuple[weakref.ref, Callable | None]] = {}
 
 
 def _per_formula(cache: dict, phi: Formula, make: Callable):
@@ -349,6 +394,28 @@ def _per_formula(cache: dict, phi: Formula, make: Callable):
 def compile_formula(phi: Formula) -> CompiledFormula:
     """The compiled form of *phi*, made once per formula object."""
     return _per_formula(_COMPILED, phi, CompiledFormula)
+
+
+def _make_witness_search(phi: Exists) -> Callable | None:
+    consts = tuple(constants(phi))
+    gen = _Generator(phi, consts)
+    if gen.relativized:
+        return None
+    return functools.partial(gen.witness(phi, free_vars(phi)), consts)
+
+
+def witness_search(phi: Exists) -> Callable:
+    """``search(N, budget, *values)``: the smallest witness in N for the
+    existential *phi*, with its free variables taking *values* in the
+    order of ``free_vars(phi)``, or None if phi fails there.  Made once
+    per formula object; a search spends exactly the steps that evaluating
+    phi would.  Arguments are not validated: phi's constants must name
+    elements of N.  A relativized phi has no search and raises
+    :class:`EvalError`."""
+    search = _per_formula(_WITNESSES, phi, _make_witness_search)
+    if search is None:
+        raise EvalError(_NO_SCOPE)
+    return search
 
 
 def _evaluate(

@@ -411,6 +411,10 @@ _CHECKED_INPUTS = [
      "every family member already belongs to M"),
     (["sunflower", "max", "--family", "family40.json"], "family of 40 sets exceeds the exhaustive scan gate"),
     (["freeset", "--map", "map.json", "--ground", "1,7"], "7"),
+    (["sunflower", "find", "--family", "mixed.json"], "family member 1 holds 'a', which is not an integer"),
+    (["eval", "--formula", "Ex (x = x)", "--structure", "negative.json"], "structure size -2 is negative"),
+    (["hull", "--pack", "pairing", "--structure", "negative.json"], "structure size -2 is negative"),
+    (["chain", "--pack", "pairing", "--structure", "negative.json"], "structure size -2 is negative"),
     (["corpus", "gen", "--model", "regular", "--n", "5", "--d", "3"], "no 3-regular graph on 5 vertices"),
 ]
 
@@ -427,6 +431,8 @@ def test_checked_input_is_a_usage_error(fixtures, monkeypatch, capsys, argv, mes
     (fixtures / "c3list.json").write_text(json.dumps([graph_to_json(cycle_graph(3))]))
     (fixtures / "all.json").write_text(json.dumps({"members": [0, 1, 2]}))
     (fixtures / "family40.json").write_text(json.dumps([[i, i + 1] for i in range(40)]))
+    (fixtures / "mixed.json").write_text(json.dumps([[1], [1, "a"]]))
+    (fixtures / "negative.json").write_text(json.dumps({"size": -2, "pairs": []}))
     monkeypatch.chdir(fixtures)
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
 from finmodel.corpus import random_formula, random_structure
 from finmodel.formula import FormulaPack, parse, subformula_closure
-from finmodel.hull import PACKS, Hull, chain, get_pack, hull, verify_hull
-from finmodel.structure import FinStructure, is_sigma_elementary
+from finmodel.hull import PACKS, Hull, _fresh_valuations, chain, get_pack, hull, verify_hull
+from finmodel.structure import EvalError, FinStructure, is_sigma_elementary
 from finmodel.universe import build_hierarchy, hf_encode
 
 from conftest import seeded
@@ -47,6 +49,22 @@ def test_hull_requires_closed_pack():
 def test_hull_rejects_bad_seed():
     with pytest.raises(ValueError):
         hull(V3, EMPTY_PACK, {99})
+
+
+def test_hull_rejects_a_dangling_constant():
+    pack = subformula_closure(FormulaPack("far", (parse("Ex (x in #99)"),)))
+    with pytest.raises(EvalError, match="dangling constant #99"):
+        hull(V3, pack, set())
+
+
+def test_fresh_valuations_are_the_product_tuples_touching_a_new_element():
+    rng = seeded(1986)
+    for k in range(4):
+        for _ in range(25):
+            ordered = sorted(rng.sample(range(10), rng.randint(0, 5)))
+            for new in ({a for a in ordered if rng.random() < 0.4}, set(), set(ordered)):
+                want = [t for t in itertools.product(ordered, repeat=k) if new.intersection(t)]
+                assert list(_fresh_valuations(ordered, new, k)) == want
 
 
 def test_hull_soundness_random():
