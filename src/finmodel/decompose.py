@@ -38,8 +38,6 @@ from .formula import FormulaPack
 from .structure import DEFAULT_BUDGET, FinStructure
 from .universe import build_hierarchy, hf_pair, membership_structure, recode_graph
 
-BOND_COMPONENT_CAP = 20
-
 
 # ---------------------------------------------------------------------------
 # slicing
@@ -329,7 +327,7 @@ def _host_bonds_upto(G: Graph, max_size: int) -> tuple[list[frozenset[Edge]], bo
     """Bonds of G with at most max_size edges; falls back to sampling
     vertex-star and two-set cuts when a component exceeds the cap."""
     try:
-        bonds = enumerate_bonds(G, max_size=max_size, component_cap=BOND_COMPONENT_CAP)
+        bonds = enumerate_bonds(G, max_size=max_size)
         return bonds, False
     except ValueError:
         sampled: dict[frozenset[Edge], None] = {}
@@ -382,9 +380,7 @@ def _bond_faithful_checker(
             if part.edges not in foreign_of:
                 foreign_of[part.edges] = [
                     F
-                    for F in enumerate_bonds(
-                        part, max_size=kappa - 1, component_cap=BOND_COMPONENT_CAP
-                    )
+                    for F in enumerate_bonds(part, max_size=kappa - 1)
                     if not is_bond(G, F)
                 ]
             foreign.extend((i, F) for F in foreign_of[part.edges])

@@ -11,6 +11,12 @@ normalizes eagerly to the core connectives ``{~, |, E}``.
 ``BoundedExists`` is the one core node the parser never produces: its
 quantifier ranges over a distinguished subset of the evaluation
 structure and it only enters a tree through :func:`relativize`.
+
+Trees are walked one way only, by ``_walk``: a preorder walk from an
+explicit stack.  Subformulas, terms, quantifier depth, the term
+rewrites, rendering and node equality all run on it, and each node
+stores its hash when it is built, so formulas of any depth hash,
+compare, transform and render.
 """
 
 from __future__ import annotations
@@ -49,37 +55,78 @@ class Const:
 Term = Union[Var, Const]
 
 
-@dataclass(frozen=True)
-class Membership:
+class _Node:
+    """Hash and equality for formula nodes that never recurse.
+
+    Each node stores its hash when it is built, from its own parts and
+    its children's stored hashes.  Equality walks both trees side by side
+    and compares each position's node type, hash and parts other than
+    subformulas: the preorder sequence of node types fixes the shape of a
+    tree.  Pickling rebuilds through the constructor, because string
+    hashes differ between interpreters."""
+
+    def __post_init__(self) -> None:
+        kind = type(self)
+        if kind is Negation:
+            key = (kind, self.body._hash)
+        elif kind is Disjunction:
+            key = (kind, self.left._hash, self.right._hash)
+        elif kind in _QUANTIFIERS:
+            key = (kind, self.var, self.body._hash)
+        else:
+            key = (kind, self.left, self.right)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        for (f, _), (g, _) in zip(_walk(self), _walk(other)):
+            if type(f) is not type(g) or f._hash != g._hash:
+                return False
+            if isinstance(f, _ATOMS) and (f.left, f.right) != (g.left, g.right):
+                return False
+            if isinstance(f, _QUANTIFIERS) and f.var != g.var:
+                return False
+        return True
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in _FIELDS[type(self)])
+
+
+@dataclass(frozen=True, eq=False)
+class Membership(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Equality:
+@dataclass(frozen=True, eq=False)
+class Equality(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Negation:
+@dataclass(frozen=True, eq=False)
+class Negation(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Disjunction:
+@dataclass(frozen=True, eq=False)
+class Disjunction(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False)
+class Exists(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class BoundedExists:
+@dataclass(frozen=True, eq=False)
+class BoundedExists(_Node):
     """Existential quantifier relativized to the distinguished subset."""
 
     var: str
@@ -89,6 +136,7 @@ class BoundedExists:
 Formula = Union[Membership, Equality, Negation, Disjunction, Exists, BoundedExists]
 
 _ATOMS = (Membership, Equality)
+_QUANTIFIERS = (Exists, BoundedExists)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +315,11 @@ def _and(left: Formula, right: Formula) -> Formula:
 
 
 def _all_names(phi: Formula) -> set[str]:
-    # every quantifier sits above at least one atom, so the bound sets
-    # of the terms name every quantified variable
+    # every quantifier sits above at least one atom, so the variables
+    # bound above the terms are every quantified variable
     names: set[str] = set()
     for t, bound in _terms(phi):
-        names |= bound
+        names.update(bound)
         if isinstance(t, Var):
             names.add(t.name)
     return names
@@ -288,7 +336,7 @@ def _fresh_var(base: str, phi: Formula) -> str:
 def _rename_free(phi: Formula, old: str, new: str) -> Formula:
     """Rename free occurrences of *old* to *new* (new must be fresh)."""
 
-    def sub(t: Term, bound: frozenset[str]) -> Term:
+    def sub(t: Term, bound: tuple[str, ...]) -> Term:
         if isinstance(t, Var) and t.name == old and old not in bound:
             return Var(new)
         return t
@@ -311,75 +359,78 @@ def render(phi: Formula) -> str:
     ``parse(render(phi)) == phi`` for every parseable core AST.  A
     relativized quantifier renders as ``Ex:M ...`` which the parser
     deliberately rejects: relativized trees travel as JSON, not text.
+    The walk is read backwards, as in :func:`_map_terms`.
     """
-    if isinstance(phi, Membership):
-        return f"{phi.left} in {phi.right}"
-    if isinstance(phi, Equality):
-        return f"{phi.left} = {phi.right}"
-    if isinstance(phi, Negation):
-        return "~" + _wrap(phi.body)
-    if isinstance(phi, Disjunction):
-        return f"({render(phi.left)} | {render(phi.right)})"
-    if isinstance(phi, Exists):
-        return f"E{phi.var} {_wrap(phi.body)}"
-    return f"E{phi.var}:M {_wrap(phi.body)}"
-
-
-def _wrap(phi: Formula) -> str:
-    text = render(phi)
-    if isinstance(phi, _ATOMS):
-        return f"({text})"
-    return text
+    done: list[str] = []
+    for f, _ in reversed(list(_walk(phi))):
+        kind = type(f)
+        if kind is Membership:
+            done.append(f"{f.left} in {f.right}")
+        elif kind is Equality:
+            done.append(f"{f.left} = {f.right}")
+        elif kind is Disjunction:
+            done.append(f"({done.pop()} | {done.pop()})")
+        else:
+            body = f"({done.pop()})" if isinstance(f.body, _ATOMS) else done.pop()
+            prefix = "~" if kind is Negation else f"E{f.var} " if kind is Exists else f"E{f.var}:M "
+            done.append(prefix + body)
+    return done.pop()
 
 
 # ---------------------------------------------------------------------------
 # structural operations
 #
-# Every transformation below is a fold over the term occurrences of the
-# tree.  The two helpers stay private: a public recursive helper would be
-# traced once per node it visits.
+# Every traversal below runs on :func:`_walk`, one explicit-stack preorder
+# walk, so none of them recurses and each takes trees of any depth.  The
+# helpers stay private: a public helper would be traced once per call.
 
 
-def _terms(phi: Formula) -> Iterator[tuple[Term, frozenset[str]]]:
-    """Every term occurrence, left to right, with the variables bound above it."""
-    stack: list[tuple[Formula, frozenset[str]]] = [(phi, frozenset())]
+def _walk(phi: Formula) -> Iterator[tuple[Formula, tuple[str, ...]]]:
+    """Every subformula in preorder, the formula itself first, with the
+    variables quantified above it, outermost first."""
+    stack: list[tuple[Formula, tuple[str, ...]]] = [(phi, ())]
     while stack:
         f, bound = stack.pop()
+        yield f, bound
+        kind = type(f)
+        if kind is Disjunction:
+            stack += ((f.right, bound), (f.left, bound))
+        elif kind is Negation:
+            stack.append((f.body, bound))
+        elif kind in _QUANTIFIERS:
+            stack.append((f.body, (*bound, f.var)))
+
+
+def _terms(phi: Formula) -> Iterator[tuple[Term, tuple[str, ...]]]:
+    """Every term occurrence, left to right, with the variables bound above it."""
+    for f, bound in _walk(phi):
         if isinstance(f, _ATOMS):
             yield f.left, bound
             yield f.right, bound
-        elif isinstance(f, Negation):
-            stack.append((f.body, bound))
-        elif isinstance(f, Disjunction):
-            stack.append((f.right, bound))
-            stack.append((f.left, bound))
-        else:
-            stack.append((f.body, bound | {f.var}))
 
 
 def _map_terms(
     phi: Formula,
-    fn: Callable[[Term, frozenset[str]], Term],
+    fn: Callable[[Term, tuple[str, ...]], Term],
     quantifier: type | None = None,
-    bound: frozenset[str] = frozenset(),
 ) -> Formula:
     """Rebuild *phi* with each term replaced by ``fn(term, bound)`` and, when
     *quantifier* is given, each quantifier node rebuilt as one.  An atom
-    whose terms come back unchanged is kept, not copied."""
-    if isinstance(phi, _ATOMS):
-        left, right = fn(phi.left, bound), fn(phi.right, bound)
-        if left is phi.left and right is phi.right:
-            return phi
-        return type(phi)(left, right)
-    if isinstance(phi, Negation):
-        return Negation(_map_terms(phi.body, fn, quantifier, bound))
-    if isinstance(phi, Disjunction):
-        return Disjunction(
-            _map_terms(phi.left, fn, quantifier, bound),
-            _map_terms(phi.right, fn, quantifier, bound),
-        )
-    body = _map_terms(phi.body, fn, quantifier, bound | {phi.var})
-    return (quantifier or type(phi))(phi.var, body)
+    whose terms come back unchanged is kept, not copied.  The walk is read
+    backwards, so each node meets its children rebuilt on the stack."""
+    done: list[Formula] = []
+    for f, bound in reversed(list(_walk(phi))):
+        kind = type(f)
+        if kind is Negation:
+            done.append(Negation(done.pop()))
+        elif kind is Disjunction:
+            done.append(Disjunction(done.pop(), done.pop()))
+        elif kind in _QUANTIFIERS:
+            done.append((quantifier or kind)(f.var, done.pop()))
+        else:
+            left, right = fn(f.left, bound), fn(f.right, bound)
+            done.append(f if left is f.left and right is f.right else kind(left, right))
+    return done.pop()
 
 
 def free_vars(phi: Formula) -> list[str]:
@@ -403,7 +454,7 @@ def substitute(phi: Formula, binding: Mapping[str, int]) -> Formula:
         if name not in free:
             raise ValueError(f"variable {name!r} is not free in the formula")
 
-    def sub(t: Term, bound: frozenset[str]) -> Term:
+    def sub(t: Term, bound: tuple[str, ...]) -> Term:
         if isinstance(t, Var) and t.name in binding and t.name not in bound:
             return Const(binding[t.name])
         return t
@@ -414,7 +465,7 @@ def substitute(phi: Formula, binding: Mapping[str, int]) -> Formula:
 def remap_constants(phi: Formula, remap: Mapping[int, int]) -> Formula:
     """Replace each constant ``#c`` with ``#remap[c]``."""
 
-    def sub(t: Term, bound: frozenset[str]) -> Term:
+    def sub(t: Term, bound: tuple[str, ...]) -> Term:
         return Const(remap[t.ident]) if isinstance(t, Const) else t
 
     return _map_terms(phi, sub)
@@ -426,25 +477,14 @@ def relativize(phi: Formula) -> Formula:
 
 
 def quantifier_depth(phi: Formula) -> int:
-    if isinstance(phi, _ATOMS):
-        return 0
-    if isinstance(phi, Negation):
-        return quantifier_depth(phi.body)
-    if isinstance(phi, Disjunction):
-        return max(quantifier_depth(phi.left), quantifier_depth(phi.right))
-    return 1 + quantifier_depth(phi.body)
+    """The most quantifiers any atom sits under."""
+    return max(len(bound) for f, bound in _walk(phi) if isinstance(f, _ATOMS))
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
     """Preorder stream of all subformulas, the formula itself first."""
-    stack = [phi]
-    while stack:
-        f = stack.pop()
+    for f, _ in _walk(phi):
         yield f
-        if isinstance(f, Disjunction):
-            stack += (f.right, f.left)
-        elif not isinstance(f, _ATOMS):
-            stack.append(f.body)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +518,15 @@ def subformula_closure(pack: FormulaPack) -> FormulaPack:
 
 
 def is_subformula_closed(pack: FormulaPack) -> bool:
+    # by induction on depth, every subformula of a member is a member once
+    # every member's immediate subformulas are
     members = set(pack.formulas)
-    return all(s in members for f in pack.formulas for s in subformulas(f))
+    return all(
+        child in members
+        for f in pack.formulas
+        if not isinstance(f, _ATOMS)
+        for child in ((f.left, f.right) if isinstance(f, Disjunction) else (f.body,))
+    )
 
 
 # ---------------------------------------------------------------------------

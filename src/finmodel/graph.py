@@ -278,9 +278,7 @@ def _connected_sides(adj: list[int], anchor: int) -> Iterator[int]:
             barred |= low
 
 
-def enumerate_bonds(
-    G: Graph, max_size: int | None = None, component_cap: int = _COMPONENT_CAP
-) -> list[frozenset[Edge]]:
+def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edge]]:
     """All bonds (optionally only those up to max_size), deterministic.
 
     A bond always lives inside one connected component, and the bonds of
@@ -296,7 +294,7 @@ def enumerate_bonds(
     for comp in _components(adj):
         anchor = comp & -comp
         size = comp.bit_count()
-        if size > component_cap:
+        if size > _COMPONENT_CAP:
             raise InputError(
                 f"component with {size} vertices exceeds the enumeration cap"
             )

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -109,22 +108,11 @@ class _WitnessOracle:
         self.swept: list[list[int] | None] = [None] * len(self.exists)
 
 
-# The packs found closed, by identity: a pack is immutable, and the check
-# hashes every subformula, which on a large pack costs more than a small
-# hull, so each pack object is checked once.
-_CLOSED: dict[int, weakref.ref] = {}
-
-
 def _require_closed(pack: FormulaPack) -> None:
-    key = id(pack)
-    known = _CLOSED.get(key)
-    if known is not None and known() is pack:
-        return
     if not pack.closed_under_subformulas or not is_subformula_closed(pack):
         raise InputError(
             "pack must be closed under subformulas; call subformula_closure first"
         )
-    _CLOSED[key] = weakref.ref(pack, lambda _, key=key: _CLOSED.pop(key, None))
 
 
 def _fresh_valuations(ordered: list[int], new: set[int], k: int) -> Iterator[tuple[int, ...]]:
@@ -165,7 +153,7 @@ def _close(
                 valuations = _fresh_valuations(ordered, new, len(names))
             oracle.swept[idx] = ordered
             for values in valuations:
-                w = search(N, budget, *values)
+                w = search(N, None, budget, *values)
                 if w is not None and w not in current:
                     current.add(w)
                     if trace is not None:

@@ -14,19 +14,19 @@ serves every structure.  Nothing from the formula is pasted into the
 source: variables become generated identifiers and constants call
 arguments.
 
-:func:`is_absolute` runs a second kind of generated function, the
-formula's *sweep*, also made once per formula object: one ``for`` loop
-over the valuations into M in lexicographic order, whose body is the
-formula's code twice, first over N and then over the substructure M
-induces, with the first valuation on which they differ returned.  Both
-copies spend from one step count, so the charges fall in the order two
-compiled-formula calls per valuation would make them.
+:func:`is_absolute` runs the second generated kind, the formula's
+*sweep*, also made once per formula object: one ``for`` loop over the
+valuations into M in lexicographic order, whose body is the formula's
+code twice, first over N and then over the substructure M induces, with
+the first valuation on which they differ returned.  Both copies spend
+from one step count, so the charges fall in the order two
+compiled-formula calls per valuation would make them.  The substructure
+is M's carrier, which gathers its member masks from N's.
 
-The third kind, :func:`witness_search`, serves the hulls: for an
-existential ``Ex phi`` it is one ``for`` loop over N whose body is phi's
-code, returning the first (smallest) x that satisfies phi.  It charges
-what the quantifier's own scan would: ``size`` steps once, then phi's
-steps candidate by candidate.
+The hulls' witness search, :func:`witness_search`, is no kind of its
+own: it is an existential's evaluator whose last line returns the
+quantifier's loop variable, the smallest witness, instead of the truth
+value, so it charges exactly what evaluating the existential does.
 
 Evaluation is exponential in quantifier depth, so every call spends a
 :class:`Budget` (by default ``10**8`` steps) and fails with
@@ -107,12 +107,6 @@ class FinStructure:
             masks[b] |= 1 << a
         return tuple(masks)
 
-    def related(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
-    def elements(self) -> range:
-        return range(self.size)
-
 
 class Budget:
     """A count of evaluation steps, spent by every evaluation it is passed
@@ -122,11 +116,6 @@ class Budget:
 
     def __init__(self, steps: int):
         self.left = steps
-
-    def spend(self, n: int = 1) -> None:
-        self.left -= n
-        if self.left < 0:
-            raise BudgetExceededError("evaluation budget exceeded")
 
 
 def _exhausted(budget: Budget, left: int) -> NoReturn:
@@ -182,36 +171,38 @@ class _Generator:
             setup.append(f"{', '.join(names)}, = {consts}")
         return ctx, setup
 
-    def evaluator(self, phi: Formula, names: list[str]) -> Callable:
+    def evaluator(self, phi: Formula, names: list[str], witness: bool = False) -> Callable:
         """``f(consts, N, scope, budget, *values)``, phi's truth value in
-        N with its free variables *names* at *values*."""
+        N with its free variables *names* at *values*.  With *witness*,
+        phi is an existential and f returns the smallest x that satisfies
+        its body, or None, having spent what the truth value costs."""
         ctx, setup = self.context("", "N", "consts")
         env = {name: self.variable() for name in names}
         lines = [f"def _f0({', '.join(['consts', 'N', 'scope', 'budget', *env.values()])}):"]
         lines += [f"    {line}" for line in setup]
         lines.append("    left = budget.left")
-        self.emit(phi, env, ctx, lines, 1)
-        lines += ["    budget.left = left", "    return bool(r)"]
+        var = self.emit(phi, env, ctx, lines, 1)
+        lines += ["    budget.left = left", f"    return {var} if r else None" if witness else "    return bool(r)"]
         return self.finish(lines)
 
     def sweep(self, phi: Formula, names: list[str]) -> Callable:
-        """``f(elements, N, S, hconsts, sconsts, budget)``, the first tuple
-        of values for *names* from *elements*, in lexicographic order, on
+        """``f(S, N, hconsts, sconsts, budget)``, the first tuple of values
+        for *names* from the elements of S, in lexicographic order, on
         which phi's truth value in N differs from its value in S, the
-        substructure that numbers *elements* 0, 1, ... in order; None if
-        there is none.  Each tuple evaluates N's side, then S's, from one
-        step count."""
+        substructure they induce, numbered 0, 1, ... in order (a
+        :class:`_Carrier`); None if there is none.  Each tuple evaluates
+        N's side, then S's, from one step count."""
         host, host_setup = self.context("", "N", "hconsts")
         sub, sub_setup = self.context("s", "S", "sconsts")
         hvals = {name: self.variable() for name in names}
         svals = {name: self.variable() for name in names}
         # one loop whatever the arity, each position an (S, N) value pair
         target = ", ".join(f"({svals[n]}, {hvals[n]})" for n in names) + "," if names else "_"
-        lines = ["def _f0(elements, N, S, hconsts, sconsts, budget):"]
+        lines = ["def _f0(S, N, hconsts, sconsts, budget):"]
         lines += [f"    {line}" for line in host_setup + sub_setup]
         lines += [
             "    left = budget.left",
-            f"    for {target} in product(enumerate(elements), repeat={len(names)}):",
+            f"    for {target} in product(enumerate(S), repeat={len(names)}):",
         ]
         self.emit(phi, hvals, host, lines, 2)
         lines.append("        h = r")
@@ -220,31 +211,6 @@ class _Generator:
             "        if r != h:",
             "            budget.left = left",
             f"            return ({''.join(f'{v}, ' for v in hvals.values())})",
-            "    budget.left = left",
-            "    return None",
-        ]
-        return self.finish(lines)
-
-    def witness(self, phi: Exists, names: list[str]) -> Callable:
-        """``f(consts, N, budget, *values)``, the smallest element of N
-        that satisfies phi's body, with phi's free variables *names* at
-        *values*; None if there is none.  It spends ``size`` steps, then
-        the body's steps candidate by candidate, as phi's own scan does."""
-        ctx, setup = self.context("", "N", "consts")
-        env = {name: self.variable() for name in names}
-        var = self.variable()
-        lines = [f"def _f0({', '.join(['consts', 'N', 'budget', *env.values()])}):"]
-        lines += [f"    {line}" for line in setup]
-        lines += [
-            f"    left = budget.left - {ctx['size']}",
-            "    if left < 0: _exhausted(budget, left)",
-            f"    for {var} in {ctx['universe']}:",
-        ]
-        self.emit(phi.body, {**env, phi.var: var}, ctx, lines, 2)
-        lines += [
-            "        if r:",
-            "            budget.left = left",
-            f"            return {var}",
             "    budget.left = left",
             "    return None",
         ]
@@ -280,14 +246,16 @@ class _Generator:
     def term(self, t, env: dict[str, str], ctx: dict) -> str:
         return ctx[t.ident] if isinstance(t, Const) else env[t.name]
 
-    def emit(self, phi: Formula, env: dict[str, str], ctx: dict, lines: list[str], depth: int) -> None:
+    def emit(self, phi: Formula, env: dict[str, str], ctx: dict, lines: list[str], depth: int) -> str | None:
         """Statements, indented *depth* levels, that leave phi's truth
         value in ``r`` and spend its steps from ``left``, reading the
-        variables in *env* and the context names in *ctx*.
+        variables in *env* and the context names in *ctx*.  When phi is a
+        quantifier, return its loop variable, which holds the smallest
+        witness once ``r`` is true.
 
         Chains of ``~`` and right-nested ``|`` are followed in a loop, not
         by recursion, so a long chain costs no Python stack."""
-        negations = []
+        negations, var = [], None
         while True:
             pad = "    " * depth
             if isinstance(phi, Negation):
@@ -323,6 +291,7 @@ class _Generator:
             raise EvalError(f"cannot evaluate node {type(phi).__name__}")
         # each negation applies where its operand ends, innermost first
         lines += reversed(negations)
+        return var
 
 
 _NO_SCOPE = "relativized quantifier encountered in plain evaluation"
@@ -341,13 +310,15 @@ class CompiledFormula(functools.partial):
     against the structure first.
 
     The call is the generated function itself, with the constants bound
-    as its first argument, so it costs no Python frame of its own.
+    as its first argument, so it costs no Python frame of its own.  With
+    *witness*, phi is an existential and the call returns its smallest
+    witness, or None, instead of the truth value (:func:`witness_search`).
     """
 
-    def __new__(cls, phi: Formula) -> "CompiledFormula":
+    def __new__(cls, phi: Formula, witness: bool = False) -> "CompiledFormula":
         names, consts = free_vars(phi), tuple(constants(phi))
         gen = _Generator(phi, consts)
-        self = super().__new__(cls, gen.evaluator(phi, names), consts)
+        self = super().__new__(cls, gen.evaluator(phi, names, witness), consts)
         self.free_vars = names
         self.constants = consts
         self.relativized = gen.relativized
@@ -372,12 +343,11 @@ class _Sweep:
         self.run = None if gen.relativized else gen.sweep(phi, self.free_vars)
 
 
-# Generated code lives exactly as long as its formula object does.  The
-# caches go by identity: hashing a formula walks the whole tree, on
-# every lookup, and runs out of stack on deep trees that evaluate fine.
+# Generated code lives exactly as long as its formula object does: the
+# caches go by identity, so a lookup never compares two trees.
 _COMPILED: dict[int, tuple[weakref.ref, CompiledFormula]] = {}
 _SWEEPS: dict[int, tuple[weakref.ref, _Sweep]] = {}
-_WITNESSES: dict[int, tuple[weakref.ref, Callable | None]] = {}
+_WITNESSES: dict[int, tuple[weakref.ref, CompiledFormula]] = {}
 
 
 def _per_formula(cache: dict, phi: Formula, make: Callable):
@@ -396,25 +366,17 @@ def compile_formula(phi: Formula) -> CompiledFormula:
     return _per_formula(_COMPILED, phi, CompiledFormula)
 
 
-def _make_witness_search(phi: Exists) -> Callable | None:
-    consts = tuple(constants(phi))
-    gen = _Generator(phi, consts)
-    if gen.relativized:
-        return None
-    return functools.partial(gen.witness(phi, free_vars(phi)), consts)
-
-
-def witness_search(phi: Exists) -> Callable:
-    """``search(N, budget, *values)``: the smallest witness in N for the
-    existential *phi*, with its free variables taking *values* in the
-    order of ``free_vars(phi)``, or None if phi fails there.  Made once
-    per formula object; a search spends exactly the steps that evaluating
-    phi would.  Arguments are not validated: phi's constants must name
-    elements of N.  A relativized phi has no search and raises
+def witness_search(phi: Exists) -> CompiledFormula:
+    """``search(N, None, budget, *values)``: the smallest witness in N
+    for the existential *phi*, with its free variables taking *values* in
+    the order of ``free_vars(phi)``, or None if phi fails there.  It is
+    phi's compiled evaluator returning the loop variable of its
+    quantifier instead of the truth value, so it spends exactly the steps
+    that evaluating phi would.  Made once per formula object; arguments
+    are not validated.  A relativized phi has no search and raises
     :class:`EvalError`."""
-    search = _per_formula(_WITNESSES, phi, _make_witness_search)
-    if search is None:
-        raise EvalError(_NO_SCOPE)
+    search = _per_formula(_WITNESSES, phi, functools.partial(CompiledFormula, witness=True))
+    search.require_scope(None)
     return search
 
 
@@ -485,19 +447,11 @@ def induced_substructure(N: FinStructure, M: Iterable[int]) -> tuple[FinStructur
     returned mapping translates old identifiers to new ones so callers
     can translate valuations.
     """
-    members = sorted(set(M))
-    for m in members:
-        if not (0 <= m < N.size):
-            raise ValueError(f"element {m} outside universe 0..{N.size - 1}")
-    remap = {old: new for new, old in enumerate(members)}
-    pairs = frozenset(
-        (remap[a], remap[b]) for a, b in N.pairs if a in remap and b in remap
-    )
-    labels = None
-    if N.labels:
-        labels = {remap[k]: v for k, v in N.labels.items() if k in remap}
-    codes = tuple(N.codes[m] for m in members) if N.codes is not None else None
-    return FinStructure(len(members), pairs, labels, codes), remap
+    sub = _Carrier(M, N)
+    pairs = frozenset((a, b) for b, mask in enumerate(sub.members) for a in range(sub.size) if mask >> a & 1)
+    labels = {sub.remap[k]: v for k, v in N.labels.items() if k in sub.remap} if N.labels else None
+    codes = tuple(N.codes[m] for m in sub) if N.codes is not None else None
+    return FinStructure(sub.size, pairs, labels, codes), sub.remap
 
 
 @dataclass(frozen=True)
@@ -520,14 +474,27 @@ class ElementarityCheck:
 
 
 class _Carrier(tuple):
-    """The elements of M in ascending order, with the substructure they
-    induce in *host* and the renumbering, built once for all the
-    formulas one carrier is checked against."""
+    """The elements of M in ascending order, as the substructure they
+    induce in *host*, numbered 0, 1, ... in that order: its ``size``, its
+    member masks gathered from the host's, and the renumbering.  Built
+    once for all the formulas one carrier is checked against."""
 
     def __new__(cls, M: Iterable[int], host: FinStructure) -> "_Carrier":
         self = super().__new__(cls, sorted(set(M)))
-        self.host = host
-        self.sub, self.remap = induced_substructure(host, self)
+        for m in self:
+            if not (0 <= m < host.size):
+                raise ValueError(f"element {m} outside universe 0..{host.size - 1}")
+        self.host, self.size = host, len(self)
+        self.remap = {old: new for new, old in enumerate(self)}
+        inside, members = sum(1 << a for a in self), []
+        for b in self:
+            mask, bits = host.members[b] & inside, 0
+            while mask:
+                low = mask & -mask
+                bits |= 1 << self.remap[low.bit_length() - 1]
+                mask ^= low
+            members.append(bits)
+        self.members = tuple(members)
         return self
 
 
@@ -560,7 +527,7 @@ def is_absolute(
     if sweep.run is None:
         raise EvalError(_NO_SCOPE)
     sub_constants = tuple(carrier.remap[c] for c in sweep.constants)
-    found = sweep.run(carrier, N, carrier.sub, sweep.constants, sub_constants, Budget(budget))
+    found = sweep.run(carrier, N, sweep.constants, sub_constants, Budget(budget))
     if found is None:
         return AbsoluteCheck(True)
     return AbsoluteCheck(False, dict(zip(sweep.free_vars, found)))

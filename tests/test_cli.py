@@ -461,7 +461,7 @@ _FAULTS = [
     (["hull", "--structure", "v4.json", "--pack", "pairing", "--seed-elems", "0,1"],
      "hull", "_close", KeyError("injected")),
     (["chain", "--structure", "v4.json", "--pack", "pairing", "--validate"],
-     "structure", "induced_substructure", ValueError("injected")),
+     "structure", "is_absolute", ValueError("injected")),
 ]
 
 

@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +17,7 @@ from finmodel.formula import (
     Negation,
     ParseError,
     Var,
+    constants,
     formula_from_json,
     formula_to_json,
     free_vars,
@@ -19,11 +25,14 @@ from finmodel.formula import (
     parse,
     quantifier_depth,
     relativize,
+    remap_constants,
     render,
     subformula_closure,
     subformulas,
     substitute,
 )
+
+from conftest import FINMODEL_ROOT
 
 
 def test_parse_empty_set_statement():
@@ -228,3 +237,56 @@ def test_json_readers_reject_names_the_parser_cannot_read(name):
     with pytest.raises(ValueError, match="not a variable name"):
         formula_from_json({"tag": "equality", "left": {"var": name}, "right": {"const": 0}})
     assert formula_from_json({"tag": "equality", "left": {"var": "x_1"}, "right": {"var": "y"}})
+
+
+def _deep_chain(depth):
+    phi = Membership(Var("x"), Var("y"))
+    for i in range(depth):
+        phi = Disjunction(Equality(Var("y"), Const(i % 3)), Exists("x", Negation(phi)))
+    return phi
+
+
+def test_deep_formulas_hash_compare_and_transform():
+    # 3,000 levels of | over E and ~, far past the default recursion limit
+    phi, copy = _deep_chain(3000), _deep_chain(3000)
+    assert phi is not copy and hash(phi) == hash(copy) and phi == copy
+    assert phi != _deep_chain(2999) and phi != Negation(copy)
+    pack = subformula_closure(FormulaPack("deep", (phi,)))
+    assert len(pack) == 3 * 3000 + 1 + 3  # the chain's nodes, its atom, the 3 guards
+    assert is_subformula_closed(pack)
+    assert quantifier_depth(phi) == 3000
+    assert render(phi) == render(copy) and render(phi).count(" | ") == 3000
+    relativized = relativize(phi)
+    assert isinstance(relativized.right, BoundedExists) and relativized == relativize(copy)
+    substituted = substitute(phi, {"y": 4})
+    assert free_vars(substituted) == [] and constants(substituted) == {0, 1, 2, 4}
+    assert remap_constants(substituted, {0: 5, 1: 5, 2: 5, 4: 6}) == remap_constants(
+        substitute(copy, {"y": 4}), {0: 5, 1: 5, 2: 5, 4: 6}
+    )
+
+
+# pickles in one interpreter and looks the formula up in another, whose
+# string hashes differ
+_PICKLE = "import pickle, sys; from finmodel.formula import parse; sys.stdout.buffer.write(pickle.dumps(parse('Ex (x in y | ~(y = #2))')))"
+_LOOKUP = "import pickle, sys; from finmodel.formula import parse; phi = pickle.loads(sys.stdin.buffer.read()); print(phi in {parse('Ex (x in y | ~(y = #2))')})"
+
+
+def test_unpickling_rebuilds_the_hash_in_the_new_interpreter():
+    def run(code, seed, data=None):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": FINMODEL_ROOT}
+        return subprocess.run([sys.executable, "-c", code], input=data, capture_output=True, env=env, check=True).stdout
+
+    assert run(_LOOKUP, "2", run(_PICKLE, "1")) == b"True\n"
+    phi = parse("Ex (x in y | ~(y = #2))")
+    assert pickle.loads(pickle.dumps(phi)) == phi and "_hash" not in repr(phi)
+
+
+@given(_formulas(4), st.randoms(use_true_random=False))
+def test_closed_check_agrees_with_the_definition_on_sub_packs(phi, rng):
+    closed = subformula_closure(FormulaPack("t", (phi, relativize(phi))))
+    for _ in range(4):
+        kept = tuple(f for f in closed.formulas if rng.random() < 0.7)
+        sub = FormulaPack("s", kept, True)
+        members = set(kept)
+        by_definition = all(s in members for f in kept for s in subformulas(f))
+        assert is_subformula_closed(sub) == by_definition

@@ -405,8 +405,8 @@ def test_enumerate_bonds_component_cap():
     assert len(enumerate_bonds(_path(20))) == 19
     with pytest.raises(ValueError, match="21 vertices"):
         enumerate_bonds(_path(21))
-    with pytest.raises(ValueError):
-        enumerate_bonds(_path(5), component_cap=4)
+    with pytest.raises(ValueError, match="21 vertices"):
+        enumerate_bonds(make_graph(range(26), _path(5).edges | _path(21, 5).edges))
     # the cap is per component
     two = make_graph(range(40), _path(20).edges | _path(20, 20).edges)
     assert len(enumerate_bonds(two)) == 38

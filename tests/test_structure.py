@@ -12,6 +12,7 @@ from finmodel.formula import (
     Membership,
     Negation,
     Var,
+    free_vars,
     parse,
     relativize,
 )
@@ -26,8 +27,10 @@ from finmodel.structure import (
     induced_substructure,
     is_absolute,
     is_sigma_elementary,
+    witness_search,
 )
 from finmodel.formula import FormulaPack, subformula_closure
+from finmodel.hull import PACKS, get_pack
 from finmodel.universe import build_hierarchy
 
 from conftest import seeded
@@ -355,3 +358,51 @@ def test_is_absolute_compiles_one_sweep_per_formula(monkeypatch):
         wide = Disjunction(wide, Membership(a, b))
     assert is_absolute([1], V2, wide).ok
     assert compiled[-1].count("for ") == 1
+
+
+def _shipped_existentials():
+    found = {}
+    for name in PACKS:
+        for phi in get_pack(name):
+            if isinstance(phi, Exists):
+                found.setdefault(phi, None)
+    return list(found)
+
+
+def test_witness_search_is_the_least_witness_at_the_evaluator_cost():
+    rng = seeded(11)
+    structures = [V3, build_hierarchy(4).structure] + [random_structure(n, rng) for n in (2, 3, 5, 6)]
+    existentials = _shipped_existentials()
+    assert len(existentials) >= 10
+    for phi in existentials:
+        search, compiled = witness_search(phi), compile_formula(phi)
+        assert witness_search(phi) is search
+        names = free_vars(phi)
+        for N in structures:
+            for values in itertools.product(range(N.size), repeat=len(names)):
+                valuation = dict(zip(names, values))
+                least = next(
+                    (x for x in range(N.size) if eval_formula(N, phi.body, {**valuation, phi.var: x})),
+                    None,
+                )
+                plain, budget = Budget(10**6), Budget(10**6)
+                truth = compiled(N, None, plain, *values)
+                assert search(N, None, budget, *values) == least
+                assert truth == (least is not None)
+                assert budget.left == plain.left
+                spent = 10**6 - budget.left
+                # the same budgets run out, with the same overdraft
+                for steps in (spent - 1, spent // 2, 0):
+                    short, short_plain = Budget(steps), Budget(steps)
+                    with pytest.raises(BudgetExceededError):
+                        search(N, None, short, *values)
+                    with pytest.raises(BudgetExceededError):
+                        compiled(N, None, short_plain, *values)
+                    assert short.left == short_plain.left
+                assert search(N, None, Budget(spent), *values) == least
+
+
+def test_witness_search_refuses_a_relativized_formula():
+    phi = relativize(parse("Ex (x in y)"))
+    with pytest.raises(EvalError, match="relativized"):
+        witness_search(phi)

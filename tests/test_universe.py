@@ -55,7 +55,7 @@ def test_hierarchy_relation_matches_bit_membership():
     h = build_hierarchy(4)
     for b in h.elements():
         for a in h.elements():
-            assert h.structure.related(a, b) == hf_contains(b, a)
+            assert ((a, b) in h.structure.pairs) == hf_contains(b, a)
 
 
 def test_hierarchy_rank5_gate():
