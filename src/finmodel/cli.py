@@ -96,7 +96,7 @@ SCHEMA = "fm-report/1"
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return int(args.budget)
     env = os.environ.get("FM_EVAL_BUDGET")
     return _read(int, env) if env else DEFAULT_BUDGET
@@ -110,30 +110,33 @@ def _read_text(path: str) -> str:
 
 
 def _read(convert, obj):
-    """``convert(obj)`` for input *obj*; a ValueError or KeyError there
-    is an input error, with the same message."""
+    """``convert(obj)`` for input *obj*; a ValueError there is an input
+    error, with the same message."""
     try:
         return convert(obj)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from None
 
 
-def _converted(source: str, obj, convert):
-    """``convert(obj)`` for JSON read from source.  A TypeError,
-    AttributeError or IndexError there means the JSON has the wrong
-    shape: an input error naming source, not a traceback."""
+def _json_input(source: str, text: str, convert):
+    """``convert`` of the JSON *text* read from *source*, as by
+    :func:`_read`.  Text that is not JSON, and JSON of the wrong shape (a
+    KeyError, TypeError, AttributeError or IndexError in convert), are
+    input errors naming source, not tracebacks."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad JSON in {source}: {exc}") from None
     try:
         return _read(convert, obj)
+    except KeyError as exc:
+        raise InputError(f"wrong JSON shape in {source}: no key {exc}") from None
     except (TypeError, AttributeError, IndexError) as exc:
         raise InputError(f"wrong JSON shape in {source}: {exc}") from None
 
 
 def _load_json(path: str, convert):
-    try:
-        obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {path}: {exc}")
-    return _converted(path, obj, convert)
+    return _json_input(path, _read_text(path), convert)
 
 
 def _load_structure(path: str):
@@ -168,10 +171,7 @@ def _ints(text: str) -> list[int]:
 def _valuation(text: str | None) -> dict[str, int]:
     if not text:
         return {}
-    return _converted(
-        "--valuation", _read(json.loads, text),
-        lambda obj: {str(k): int(v) for k, v in obj.items()},
-    )
+    return _json_input("--valuation", text, lambda obj: {str(k): int(v) for k, v in obj.items()})
 
 
 def _edges_json(edges) -> list[list[int]]:
@@ -219,7 +219,7 @@ def cmd_universe_dump(args):
     return EXIT_OK, {"rank": args.rank, "size": h.size, "elements": rows}
 
 
-def _hull_json(N, pack, h):
+def _hull_json(h):
     return {
         "seed": sorted(h.seed),
         "carrier": sorted(h.carrier),
@@ -243,7 +243,7 @@ def cmd_hull(args):
     N = _load_structure(args.structure)
     pack = _load_pack(args.pack)
     h = build_hull(N, pack, _ints(args.seed_elems), _budget(args))
-    result = _hull_json(N, pack, h)
+    result = _hull_json(h)
     if args.validate:
         result["validated"] = verify_hull(N, pack, h, _budget(args))
     return EXIT_OK, result
@@ -509,22 +509,20 @@ def _system_json(system):
 
 def cmd_freeset(args):
     mapping = _load_json(
-        args.map, lambda obj: {int(k): [int(x) for x in v] for k, v in obj.items()}
+        args.map, lambda obj: {int(k): frozenset(int(x) for x in v) for k, v in obj.items()}
     )
     ground = _ints(args.ground) if args.ground else sorted(mapping)
     for x in ground:
         if x not in mapping:
-            raise InputError(str(x))
-    report = free_set(ground, {k: frozenset(v) for k, v in mapping.items()})
+            raise InputError(f"--ground element {x} is not a key of --map {args.map}")
+    report = free_set(ground, mapping)
     result = {
         "chosen": sorted(report.chosen),
         "size": len(report.chosen),
         "maximum_size": report.maximum_size,
     }
     if args.validate:
-        result["validated"] = is_free(
-            report.chosen, {k: frozenset(v) for k, v in mapping.items()}
-        )
+        result["validated"] = is_free(report.chosen, mapping)
     return EXIT_OK, result
 
 
@@ -714,7 +712,7 @@ def main(argv: list[str] | None = None) -> int:
     if not result.get("validated", True):
         code = EXIT_VIOLATION
     report = {"schema": SCHEMA, "command": args.command, "result": result}
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         sys.stdout.write(_to_text(report) + "\n")
     else:
         sys.stdout.write(canonical_dumps(report))

@@ -409,7 +409,7 @@ class BondFaithfulSearch:
     report: BondFaithfulReport | None = None
 
 
-def _subgraph_of(G: Graph, edges: Iterable[Edge]) -> Graph:
+def _subgraph_of(edges: Iterable[Edge]) -> Graph:
     es = frozenset(edges)
     vs = frozenset(v for e in es for v in e)
     return Graph(vs, es)
@@ -491,7 +491,7 @@ def search_bond_faithful(
         return BondFaithfulSearch(status, Decomposition(tuple(parts)), report)
 
     candidate = _search_candidate(G, kappa)
-    outcome = verdict([_subgraph_of(G, m) for m in candidate if m])
+    outcome = verdict([_subgraph_of(m) for m in candidate if m])
     if outcome:
         return outcome
     spent = 0
@@ -501,7 +501,7 @@ def search_bond_faithful(
             return BondFaithfulSearch("budget-exhausted")
         if any(len(block) > kappa for block in partition):
             continue
-        outcome = verdict([_subgraph_of(G, block) for block in partition])
+        outcome = verdict([_subgraph_of(block) for block in partition])
         if outcome:
             return outcome
     return BondFaithfulSearch("proven-absent")

@@ -12,11 +12,13 @@ normalizes eagerly to the core connectives ``{~, |, E}``.
 quantifier ranges over a distinguished subset of the evaluation
 structure and it only enters a tree through :func:`relativize`.
 
-Trees are walked one way only, by ``_walk``: a preorder walk from an
-explicit stack.  Subformulas, terms, quantifier depth, the term
-rewrites, rendering and node equality all run on it, and each node
-stores its hash when it is built, so formulas of any depth hash,
-compare, transform and render.
+Text is read by one loop, :func:`parse`, over the tokens of one regex,
+with an explicit stack of the prefixes still open.  Trees are walked one
+way only, by ``_walk``: a preorder walk from an explicit stack.
+Subformulas, terms, quantifier depth, the term rewrites, rendering and
+node equality all run on it, and each node stores its hash when it is
+built, so formulas of any depth parse, hash, compare, transform and
+render.
 """
 
 from __future__ import annotations
@@ -140,178 +142,154 @@ _QUANTIFIERS = (Exists, BoundedExists)
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# parser: one regex reads the tokens, one loop builds the tree and
+# normalizes it to the core on the way out
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
-_NUM_RE = re.compile(r"[0-9]+")
-
 _RESERVED = {"in"}
 
-
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    toks: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "EA":
-            kind = "EXISTS" if c == "E" else "FORALL"
-            j = i + 1
-            if c == "E" and j < n and text[j] == "!":
-                kind = "EXISTS_UNIQUE"
-                j += 1
-            m = _NAME_RE.match(text, j)
-            if not m:
-                raise ParseError("quantifier must be followed by a variable", i)
-            toks.append((kind, m.group(), i))
-            i = m.end()
-            continue
-        if c == "#":
-            m = _NUM_RE.match(text, i + 1)
-            if not m:
-                raise ParseError("constant marker '#' must be followed by digits", i)
-            toks.append(("CONST", int(m.group()), i))
-            i = m.end()
-            continue
-        if c == "-":
-            if text[i : i + 2] == "->":
-                toks.append(("IMPLIES", "->", i))
-                i += 2
-                continue
-            raise ParseError("unexpected character '-'", i)
-        if c in "()~|&=.:":
-            kind = {
-                "(": "LPAR",
-                ")": "RPAR",
-                "~": "NOT",
-                "|": "OR",
-                "&": "AND",
-                "=": "EQ",
-                ".": "DOT",
-                ":": "COLON",
-            }[c]
-            toks.append((kind, c, i))
-            i += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            name = m.group()
-            toks.append(("IN" if name in _RESERVED else "NAME", name, i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("EOF", None, n))
-    return toks
-
-
-# ---------------------------------------------------------------------------
-# parser (recursive descent, normalizing to the core on the way out)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.toks[self.pos]
-
-    def next(self) -> tuple[str, object, int]:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> tuple[str, object, int]:
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind}, found {t[0]}", t[2])
-        return t
-
-    def parse(self) -> Formula:
-        f = self.formula()
-        t = self.peek()
-        if t[0] != "EOF":
-            raise ParseError("trailing input", t[2])
-        return f
-
-    def formula(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind in ("EXISTS", "FORALL", "EXISTS_UNIQUE"):
-            self.next()
-            bound = None
-            if self.peek()[0] == "COLON":
-                self.next()
-                bound = self.term()
-            if self.peek()[0] == "DOT":
-                self.next()
-            body = self.formula()
-            return self._quantifier(kind, str(value), bound, body)
-        if kind == "NOT":
-            self.next()
-            return Negation(self.formula())
-        if kind == "LPAR":
-            self.next()
-            left = self.formula()
-            k, _, p = self.peek()
-            if k == "RPAR":
-                self.next()
-                return left
-            if k in ("OR", "AND", "IMPLIES"):
-                self.next()
-                right = self.formula()
-                self.expect("RPAR")
-                if k == "OR":
-                    return Disjunction(left, right)
-                if k == "AND":
-                    return _and(left, right)
-                return Disjunction(Negation(left), right)
-            raise ParseError("expected ')' or a binary connective", p)
-        if kind in ("NAME", "CONST"):
-            return self.atom()
-        raise ParseError(f"unexpected token {kind}", pos)
-
-    def atom(self) -> Formula:
-        left = self.term()
-        kind, _, pos = self.next()
-        if kind == "IN":
-            return Membership(left, self.term())
-        if kind == "EQ":
-            return Equality(left, self.term())
-        raise ParseError("expected 'in' or '=' in atom", pos)
-
-    def term(self) -> Term:
-        kind, value, pos = self.next()
-        if kind == "NAME":
-            return Var(str(value))
-        if kind == "CONST":
-            return Const(int(value))
-        raise ParseError("expected a variable or constant", pos)
-
-    def _quantifier(self, kind: str, var: str, bound: Term | None, body: Formula) -> Formula:
-        if bound is not None:
-            guard = Membership(Var(var), bound)
-            if kind == "EXISTS":
-                return Exists(var, _and(guard, body))
-            if kind == "FORALL":
-                return Negation(Exists(var, _and(guard, Negation(body))))
-            raise ParseError("E! does not take a bound", 0)
-        if kind == "EXISTS":
-            return Exists(var, body)
-        if kind == "FORALL":
-            return Negation(Exists(var, Negation(body)))
-        # E!x phi: some x satisfies phi and any y satisfying phi[x:=y] equals x
-        fresh = _fresh_var(var, body)
-        renamed = _rename_free(body, var, fresh)
-        unique = Negation(
-            Exists(fresh, Negation(Disjunction(Negation(renamed), Equality(Var(fresh), Var(var)))))
-        )
-        return Exists(var, _and(body, unique))
+# after any whitespace: a quantifier with its variable, a constant, ``->``,
+# a name or any one character; a lone E, A or # is a quantifier or
+# constant cut short, and a whitespace character is trailing whitespace
+_TOKEN_RE = re.compile(rf"\s*((?:E!?|A){_NAME_RE.pattern}|#[0-9]+|->|{_NAME_RE.pattern}|.)", re.S)
+_SYMBOLS = {
+    "(": "LPAR",
+    ")": "RPAR",
+    "~": "NOT",
+    "|": "OR",
+    "&": "AND",
+    "->": "IMPLIES",
+    "=": "EQ",
+    ".": "DOT",
+    ":": "COLON",
+}
+_QUANTIFIER_KINDS = {"E": "EXISTS", "A": "FORALL", "E!": "EXISTS_UNIQUE"}
 
 
 def _and(left: Formula, right: Formula) -> Formula:
     return Negation(Disjunction(Negation(left), Negation(right)))
+
+
+_BINARY = {
+    "OR": Disjunction,
+    "AND": _and,
+    "IMPLIES": lambda left, right: Disjunction(Negation(left), right),
+}
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    toks: list[tuple[str, object, int]] = []
+    for m in _TOKEN_RE.finditer(text):
+        tok, pos = m.group(1), m.start(1)
+        c = tok[0]
+        if tok in _SYMBOLS:
+            toks.append((_SYMBOLS[tok], tok, pos))
+        elif tok in ("E", "A"):
+            raise ParseError("quantifier must be followed by a variable", pos)
+        elif c in "EA":
+            head = tok[: 2 if tok[1] == "!" else 1]
+            toks.append((_QUANTIFIER_KINDS[head], tok[len(head) :], pos))
+        elif tok == "#":
+            raise ParseError("constant marker '#' must be followed by digits", pos)
+        elif c == "#":
+            toks.append(("CONST", int(tok[1:]), pos))
+        elif "a" <= c <= "z":
+            toks.append(("IN" if tok in _RESERVED else "NAME", tok, pos))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", pos)
+    toks.append(("EOF", None, len(text)))
+    return toks
+
+
+def _term(tok: tuple[str, object, int]) -> Term:
+    kind, value, pos = tok
+    if kind == "NAME":
+        return Var(value)
+    if kind == "CONST":
+        return Const(value)
+    raise ParseError("expected a variable or constant", pos)
+
+
+def parse(text: str) -> Formula:
+    """Parse ASCII syntax into a normalized core AST.
+
+    The whole text is tokenized first, so a bad character is reported
+    before any syntax error.  One loop then reads the tokens: it pushes
+    each open prefix (a quantifier with its bound, ``~``, ``(``, or a
+    binary connective with its left side) onto a stack, and after each
+    atom closes every prefix the atom completes.  Nothing recurses, so
+    formulas of any depth parse.
+    """
+    toks = _tokenize(text)
+    stack: list[tuple] = []
+    i = 0
+    while True:
+        kind, value, pos = toks[i]
+        i += 1
+        if kind in ("EXISTS", "FORALL", "EXISTS_UNIQUE"):
+            bound = None
+            if toks[i][0] == "COLON":
+                bound = _term(toks[i + 1])
+                i += 2
+            if toks[i][0] == "DOT":
+                i += 1
+            stack.append((kind, value, bound))
+            continue
+        if kind in ("NOT", "LPAR"):
+            stack.append((kind,))
+            continue
+        if kind not in ("NAME", "CONST"):
+            raise ParseError(f"unexpected token {kind}", pos)
+        op, _, p = toks[i]
+        if op not in ("IN", "EQ"):
+            raise ParseError("expected 'in' or '=' in atom", p)
+        f = (Membership if op == "IN" else Equality)(_term(toks[i - 1]), _term(toks[i + 1]))
+        i += 2
+        while stack:
+            top = stack.pop()
+            k, _, p = toks[i]
+            if top[0] == "LPAR":
+                if k in _BINARY:
+                    stack.append((k, f))
+                    i += 1
+                    break
+                if k != "RPAR":
+                    raise ParseError("expected ')' or a binary connective", p)
+                i += 1
+            elif top[0] in _BINARY:
+                if k != "RPAR":
+                    raise ParseError(f"expected RPAR, found {k}", p)
+                i += 1
+                f = _BINARY[top[0]](top[1], f)
+            elif top[0] == "NOT":
+                f = Negation(f)
+            else:
+                f = _quantifier(*top, f)
+        else:  # every prefix is closed: the formula is complete
+            if toks[i][0] != "EOF":
+                raise ParseError("trailing input", toks[i][2])
+            return f
+
+
+def _quantifier(kind: str, var: str, bound: Term | None, body: Formula) -> Formula:
+    if bound is not None:
+        guard = Membership(Var(var), bound)
+        if kind == "EXISTS":
+            return Exists(var, _and(guard, body))
+        if kind == "FORALL":
+            return Negation(Exists(var, _and(guard, Negation(body))))
+        raise ParseError("E! does not take a bound", 0)
+    if kind == "EXISTS":
+        return Exists(var, body)
+    if kind == "FORALL":
+        return Negation(Exists(var, Negation(body)))
+    # E!x phi: some x satisfies phi and any y satisfying phi[x:=y] equals x
+    fresh = _fresh_var(var, body)
+    renamed = _rename_free(body, var, fresh)
+    unique = Negation(
+        Exists(fresh, Negation(Disjunction(Negation(renamed), Equality(Var(fresh), Var(var)))))
+    )
+    return Exists(var, _and(body, unique))
 
 
 def _all_names(phi: Formula) -> set[str]:
@@ -342,11 +320,6 @@ def _rename_free(phi: Formula, old: str, new: str) -> Formula:
         return t
 
     return _map_terms(phi, sub)
-
-
-def parse(text: str) -> Formula:
-    """Parse ASCII syntax into a normalized core AST."""
-    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -410,7 +410,9 @@ _CHECKED_INPUTS = [
     (["sunflower", "trace", "--family", "family.json", "--m", "all.json"],
      "every family member already belongs to M"),
     (["sunflower", "max", "--family", "family40.json"], "family of 40 sets exceeds the exhaustive scan gate"),
-    (["freeset", "--map", "map.json", "--ground", "1,7"], "7"),
+    (["freeset", "--map", "map.json", "--ground", "1,7"], "--ground element 7 is not a key of --map map.json"),
+    (["hull", "--structure", "v4.json", "--pack", "nokey.json", "--seed-elems", "1"],
+     "wrong JSON shape in nokey.json: no key 'formulas'"),
     (["sunflower", "find", "--family", "mixed.json"], "family member 1 holds 'a', which is not an integer"),
     (["eval", "--formula", "Ex (x = x)", "--structure", "negative.json"], "structure size -2 is negative"),
     (["hull", "--pack", "pairing", "--structure", "negative.json"], "structure size -2 is negative"),
@@ -425,6 +427,7 @@ def test_checked_input_is_a_usage_error(fixtures, monkeypatch, capsys, argv, mes
         {"name": "c", "formulas": ["Ex Ay ~(y in x)"], "closed_under_subformulas": True}
     ))
     (fixtures / "bad.txt").write_text("01\n0\n")
+    (fixtures / "nokey.json").write_text(json.dumps({"name": "p"}))
     (fixtures / "decreasing.json").write_text("[[0, 1, 3], [0]]")
     for n in (18, 24):
         (fixtures / f"c{n}.json").write_text(json.dumps(graph_to_json(cycle_graph(n))))

@@ -20,7 +20,7 @@ from finmodel.graph import complete_graph, cycle_graph, make_graph
 from finmodel.serialize import graph_to_json, structure_to_json
 from finmodel.universe import build_hierarchy
 
-DIGEST = "ebe2cc76c045ea6fa81d830221c7dda0aa7bf7a43fbdb0ad08d517a3a56dcf51"
+DIGEST = "82c82245278f52bff79200e3833ba8f666d6745790431e1da51e89bf8649f593"
 
 K4_TAIL = list(complete_graph(4).edges) + [(3, 4), (4, 5), (5, 6)]
 BOWTIE = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]

@@ -22,6 +22,7 @@ from finmodel.formula import (
     formula_to_json,
     free_vars,
     is_subformula_closed,
+    pack_from_json,
     parse,
     quantifier_depth,
     relativize,
@@ -263,6 +264,29 @@ def test_deep_formulas_hash_compare_and_transform():
     assert remap_constants(substituted, {0: 5, 1: 5, 2: 5, 4: 6}) == remap_constants(
         substitute(copy, {"y": 4}), {0: 5, 1: 5, 2: 5, 4: 6}
     )
+
+
+def test_deep_texts_parse():
+    # texts nested 3,000 deep, far past the default recursion limit; E! is
+    # left out because each one copies its body twice
+    phi = _deep_chain(3000)
+    assert parse(render(phi)) == phi
+    atom, other = Membership(Var("x"), Var("y")), Equality(Var("y"), Const(0))
+    assert parse("~" * 3000 + "x in y") == _nest(Negation, atom)
+    assert parse("(y = #0 | " * 3000 + "x in y" + ")" * 3000) == _nest(lambda f: Disjunction(other, f), atom)
+    assert parse("(" * 3000 + "x in y" + " -> y = #0)" * 3000) == _nest(
+        lambda f: Disjunction(Negation(f), other), atom
+    )
+    prefixes = "".join(("Ax ", "Ey:#1 ", "Az:x. ", "Ex.")[i % 4] for i in range(3000))
+    assert quantifier_depth(parse(prefixes + "x in y")) == 3000
+    pack = subformula_closure(pack_from_json({"formulas": [render(phi)]}))
+    assert pack.formulas[0] == phi and len(pack) == 3 * 3000 + 1 + 3
+
+
+def _nest(wrap, phi):
+    for _ in range(3000):
+        phi = wrap(phi)
+    return phi
 
 
 # pickles in one interpreter and looks the formula up in another, whose

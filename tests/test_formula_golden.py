@@ -3,7 +3,9 @@
 The digests were recorded from the hand-written recursions that the
 traversal helpers in ``finmodel.formula`` replaced; any change to what
 these functions return, including JSON key order and error messages,
-changes a digest.
+changes a digest.  The parse-outcome digest was recorded from the
+recursive-descent parser that the one-loop ``parse`` replaced: it pins
+each text's parse result, or its ``ParseError`` message and position.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from finmodel.formula import (
     Exists,
     Membership,
     Negation,
+    ParseError,
     Var,
     constants,
     formula_from_json,
@@ -79,6 +82,71 @@ def _corpus():
     ]
 
 
+def _sugared(rng, phi) -> str:
+    """Text for *phi* with random sugar: ``A``, ``E!``, bounds, dots, ``&``
+    and ``->`` where the tree has their shape or at random.  The text need
+    not denote *phi*; it only has to exercise the parser."""
+    if isinstance(phi, (Membership, Equality)):
+        text = f"{phi.left} {'in' if isinstance(phi, Membership) else '='} {phi.right}"
+        return f"({text})" if rng.random() < 0.3 else text
+    if isinstance(phi, Disjunction):
+        left, op = phi.left, "|"
+        if isinstance(left, Negation) and rng.random() < 0.5:
+            left, op = left.body, "->"
+        elif rng.random() < 0.2:
+            op = "&"
+        return f"({_sugared(rng, left)} {op} {_sugared(rng, phi.right)})"
+    body = phi.body
+    if isinstance(phi, Negation):
+        if isinstance(body, Exists) and isinstance(body.body, Negation) and rng.random() < 0.6:
+            head, body = f"A{body.var}", body.body.body
+        elif isinstance(body, Disjunction) and rng.random() < 0.5:
+            return f"({_sugared(rng, body.left)} & {_sugared(rng, body.right)})"
+        else:
+            return "~" + _sugared(rng, body)
+    else:
+        head = f"E{'!' if rng.random() < 0.15 else ''}{phi.var}"
+    if rng.random() < 0.3:
+        head += f":{rng.choice(['x', 'y', 'z', '#0', '#3'])}"
+    if rng.random() < 0.3:
+        head += rng.choice([".", " .", ". "])
+    return f"{head}{rng.choice([' ', '  ', chr(9)])}{_sugared(rng, body)}"
+
+
+_INSERTS = "()~|&-=>.:#!EAxyz019 _Bé\x1c\x85\xa0"
+_SOUP = [
+    "(", ")", "~", "|", "&", "->", "-", ">", "=", ".", ":", "#", "#0", "#12", "!",
+    "E", "A", "E!", "Ex", "Ay", "E!z", "Ein", "x", "y", "in", "x_1", "0", "7",
+    "B", "Z", "é", "Ω", "x in y", " ", " ", " ", "\t", "\n", "\x1c", "\x85", "\xa0",
+]
+
+
+def _parse_texts():
+    """Renders with sugar, single-character edits and cuts of them, and
+    token soups."""
+    rng = seeded(1212)
+    texts = []
+    for k in range(1500):
+        text = _sugared(rng, random_formula(rng, k % 4, max_const=4))
+        texts.append(text)
+        for _ in range(4):
+            i = rng.randrange(len(text))
+            texts.append(text[:i] + text[i + 1 :])
+            texts.append(text[:i] + rng.choice(_INSERTS) + text[i:])
+        texts.append(text[: rng.randrange(len(text))])
+        texts.append(text[rng.randrange(len(text)) :])
+    for _ in range(6000):
+        texts.append("".join(rng.choice(_SOUP) for _ in range(rng.randint(1, 12))))
+    return texts
+
+
+def _parse_outcome(text):
+    try:
+        return render(parse(text))
+    except ParseError as exc:
+        return [str(exc), exc.position]
+
+
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
@@ -137,4 +205,12 @@ def test_formula_transformations_match_recorded_digests():
     )
     assert _digest(_outcome(formula_from_json, obj) for obj in MALFORMED) == (
         "5407816905ebb1fca742b02226a429b432089bd2e4757a4a185b539a7f37d7ff"
+    )
+
+
+def test_parse_outcomes_match_recorded_digest():
+    texts = _parse_texts()
+    assert len(texts) == 22500
+    assert _digest(_parse_outcome(text) for text in texts) == (
+        "9fe19f714dc74bef4398d0c73c33eb09999da0d70fdc6fe4a48edd990e33ab02"
     )
