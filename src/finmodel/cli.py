@@ -658,7 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
     b = bsub.add_parser("search")
     b.add_argument("--graph", required=True)
     b.add_argument("--kappa", type=int, required=True)
-    b.add_argument("--search-budget", type=int, default=50_000)
+    b.add_argument(
+        "--search-budget", type=int, default=50_000,
+        help="units of exact-search work once the heuristic candidate fails: one per "
+        "candidate block of at most KAPPA edges examined and one per node of the "
+        "cover and partition searches (exit 3 when spent)",
+    )
     b.set_defaults(handler=cmd_bondfaithful_search)
 
     p = sub.add_parser("sunflower", help="delta-system finders")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .graph import (
@@ -329,7 +329,7 @@ def _host_bonds_upto(G: Graph, max_size: int) -> tuple[list[frozenset[Edge]], bo
     try:
         bonds = enumerate_bonds(G, max_size=max_size)
         return bonds, False
-    except ValueError:
+    except InputError:
         sampled: dict[frozenset[Edge], None] = {}
         singles = [{v} for v in sorted(G.vertices)]
         doubles = [set(p) for p in itertools.combinations(sorted(G.vertices), 2)]
@@ -351,39 +351,52 @@ def check_bond_faithful(
     a bond of the host.
     """
     members = tuple(parts.parts) if isinstance(parts, Decomposition) else tuple(parts)
-    return _bond_faithful_checker(G, kappa)(members)
+    return _Clauses(G, kappa).check(members)
 
 
-def _bond_faithful_checker(
-    G: Graph, kappa: int
-) -> Callable[[Sequence[Graph]], BondFaithfulReport]:
-    """The check of :func:`check_bond_faithful` against one host, for
-    any number of decompositions: the host's bonds are enumerated once,
-    and each member edge set's foreign bonds are kept for its next use."""
-    if kappa < 1:
-        raise InputError("kappa must be at least 1")
-    host_bonds, sampled = _host_bonds_upto(G, kappa)
-    foreign_of: dict[frozenset[Edge], list[frozenset[Edge]]] = {}
+class _Clauses:
+    """The clauses of :func:`check_bond_faithful` against one host, for
+    any number of decompositions and blocks: the host's bonds are
+    enumerated once, and each member edge set's foreign bonds are kept
+    for its next use."""
 
-    def check(members: Sequence[Graph]) -> BondFaithfulReport:
+    def __init__(self, G: Graph, kappa: int):
+        if kappa < 1:
+            raise InputError("kappa must be at least 1")
+        self.G, self.kappa = G, kappa
+        self.host_bonds, self.sampled = _host_bonds_upto(G, kappa)
+        self._host_bond_set = frozenset(self.host_bonds)
+        self._foreign_of: dict[frozenset[Edge], list[frozenset[Edge]]] = {}
+
+    def foreign(self, edges: frozenset[Edge]) -> list[frozenset[Edge]]:
+        """The bonds with fewer than kappa edges of the subgraph on
+        ``edges`` that are no bonds of the host: looked up among the
+        host bonds when they are all known, else tested one by one."""
+        found = self._foreign_of.get(edges)
+        if found is None:
+            found = self._foreign_of[edges] = [
+                F
+                for F in enumerate_bonds(_subgraph_of(edges), max_size=self.kappa - 1)
+                if not (
+                    is_bond(self.G, F) if self.sampled else F in self._host_bond_set
+                )
+            ]
+        return found
+
+    def check(self, members: Sequence[Graph]) -> BondFaithfulReport:
+        G, kappa = self.G, self.kappa
         if not is_decomposition(G, members):
             raise InputError("parts do not form a decomposition of the host")
         oversized = tuple(
             i for i, part in enumerate(members) if len(part.edges) > kappa
         )
         split = tuple(
-            F for F in host_bonds
+            F for F in self.host_bonds
             if not any(F <= part.edges for part in members)
         )
-        foreign: list[tuple[int, frozenset[Edge]]] = []
-        for i, part in enumerate(members):
-            if part.edges not in foreign_of:
-                foreign_of[part.edges] = [
-                    F
-                    for F in enumerate_bonds(part, max_size=kappa - 1)
-                    if not is_bond(G, F)
-                ]
-            foreign.extend((i, F) for F in foreign_of[part.edges])
+        foreign = tuple(
+            (i, F) for i, part in enumerate(members) for F in self.foreign(part.edges)
+        )
         return BondFaithfulReport(
             kappa=kappa,
             size_ok=not oversized,
@@ -391,11 +404,45 @@ def _bond_faithful_checker(
             bond_preservation_ok=not foreign,
             oversized_members=oversized,
             split_bonds=split,
-            foreign_bonds=tuple(foreign),
-            sampled=sampled,
+            foreign_bonds=foreign,
+            sampled=self.sampled,
         )
 
-    return check
+    def admissible_blocks(self, edges: list[Edge], spend: Callable[[], None]) -> list[int]:
+        """The edge sets that can be members of a bond-faithful
+        decomposition, as masks (edge k of ``edges`` is bit k): the
+        nonempty B with at most kappa edges and no foreign bonds.  A
+        decomposition passes :meth:`check` exactly when its members'
+        edge sets are admissible blocks.  ``spend`` is called once per
+        subset examined.
+
+        Containment needs no test of its own.  If B meets a host bond F
+        of at most kappa edges without holding it, F ∩ B is a cut of B
+        with fewer than kappa edges, and the bonds it splits into lie
+        strictly inside the bond F, so none is a host bond.  A cheap
+        test runs first: an edge of B with an end that no other edge of
+        B touches is a bond of B with one edge, which for kappa > 1 must
+        be a host bond, that is a bridge (found exactly, even when the
+        host bonds are sampled).  It spares building the subgraph of
+        most B."""
+        bit = {e: 1 << k for k, e in enumerate(edges)}
+        host_bridges = sum(bit[e] for e in bridges(self.G))
+        incident: dict[int, int] = {}
+        for e, b in bit.items():
+            for v in e:
+                incident[v] = incident.get(v, 0) | b
+        out = []
+        for size in range(1, min(self.kappa, len(edges)) + 1):
+            for picked in itertools.combinations(range(len(edges)), size):
+                spend()
+                block = sum(1 << k for k in picked)
+                if self.kappa > 1:
+                    ends = (incident[v] & block for k in picked for v in edges[k])
+                    if any(at & ~host_bridges and not at & (at - 1) for at in ends):
+                        continue
+                if not self.foreign(frozenset(edges[k] for k in picked)):
+                    out.append(block)
+        return out
 
 
 @dataclass(frozen=True)
@@ -413,18 +460,6 @@ def _subgraph_of(edges: Iterable[Edge]) -> Graph:
     es = frozenset(edges)
     vs = frozenset(v for e in es for v in e)
     return Graph(vs, es)
-
-
-def _edge_partitions(edges: list[Edge]):
-    """All set partitions of the edge list (restricted growth strings)."""
-    if not edges:
-        yield []
-        return
-    first, rest = edges[0], edges[1:]
-    for sub in _edge_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [sub[i] + [first]] + sub[i + 1:]
-        yield sub + [[first]]
 
 
 def _slice_candidate(G: Graph) -> list[Graph] | None:
@@ -470,21 +505,39 @@ def _repair(G: Graph, members: list[frozenset[Edge]], kappa: int) -> list[frozen
     return [frozenset(m) for m in current]
 
 
+class _Spent(Exception):
+    """The search budget is spent."""
+
+
 def search_bond_faithful(
     G: Graph, kappa: int, budget: int = 50_000
 ) -> BondFaithfulSearch:
-    """Heuristic pipeline: component split, chain slicing, recursion,
-    then a merge repair pass; every candidate is validated before being
-    returned.  A failed heuristic falls back to exhaustive search over
-    the edge partitions, which proves absence when it runs to the end
-    and gives up as ``budget-exhausted`` after *budget* partitions.  A
-    candidate that passes only against sampled host bonds, because a
-    component exceeds the enumeration cap, comes back as ``sampled``,
-    not ``found``."""
-    check = _bond_faithful_checker(G, kappa)
+    """Heuristic pipeline, then an exact search.
+
+    The heuristic (component split, chain slicing, recursion, then a
+    merge repair pass) gives one candidate.  When it fails the check,
+    the search lists the admissible blocks, the edge sets that can be
+    members (:meth:`_Clauses.admissible_blocks`), and decides by exact
+    cover (Knuth, "Dancing Links", 2000): a depth-first search that
+    covers the uncovered edge with the fewest fitting blocks first.  No
+    cover is ``proven-absent``.  Otherwise the first passing
+    decomposition in the order of the edge-partition walk
+    (``oracles.first_bond_faithful_partition``) is returned: edges are
+    assigned from last to first, to an earlier block or a new one, and
+    a partial block that no admissible block extends is pruned.  Every
+    returned decomposition has passed the check.
+
+    ``budget`` counts search work: each candidate block examined and
+    each node of the two depth-first searches; past it the search gives
+    up as ``budget-exhausted``.  A candidate that passes only against
+    sampled host bonds, because a component exceeds the enumeration
+    cap, comes back as ``sampled``, not ``found``.  Which blocks are
+    admissible does not rest on the sample (a block's bonds are tested
+    with :func:`is_bond` then), so no cover still proves absence."""
+    clauses = _Clauses(G, kappa)
 
     def verdict(parts: list[Graph]) -> BondFaithfulSearch | None:
-        report = check(parts)
+        report = clauses.check(parts)
         if not report.verdict:
             return None
         status = "sampled" if report.sampled else "found"
@@ -494,17 +547,113 @@ def search_bond_faithful(
     outcome = verdict([_subgraph_of(m) for m in candidate if m])
     if outcome:
         return outcome
-    spent = 0
-    for partition in _edge_partitions(sorted(G.edges)):
-        spent += 1
-        if spent > budget:
-            return BondFaithfulSearch("budget-exhausted")
-        if any(len(block) > kappa for block in partition):
-            continue
-        outcome = verdict([_subgraph_of(block) for block in partition])
-        if outcome:
-            return outcome
-    return BondFaithfulSearch("proven-absent")
+    left = budget
+
+    def spend() -> None:
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise _Spent
+
+    edges = sorted(G.edges)
+    try:
+        by_bit = _by_bit(clauses.admissible_blocks(edges, spend))
+        if not _cover_exists(by_bit, (1 << len(edges)) - 1, spend):
+            return BondFaithfulSearch("proven-absent")
+        partition = _first_partition(by_bit, len(edges), spend)
+    except _Spent:
+        return BondFaithfulSearch("budget-exhausted")
+    outcome = verdict(
+        [_subgraph_of(e for k, e in enumerate(edges) if b >> k & 1) for b in partition]
+    )
+    if outcome is None:
+        raise AssertionError("a partition into admissible blocks failed the check")
+    return outcome
+
+
+def _by_bit(blocks: list[int]) -> dict[int, list[int]]:
+    """The masks ``blocks`` that hold each one-bit mask, in their order."""
+    by_bit: dict[int, list[int]] = {}
+    for block in blocks:
+        rest = block
+        while rest:
+            low = rest & -rest
+            by_bit.setdefault(low, []).append(block)
+            rest ^= low
+    return by_bit
+
+
+def _cover_exists(
+    by_bit: dict[int, list[int]], full: int, spend: Callable[[], None]
+) -> bool:
+    """Do some of the blocks indexed in ``by_bit`` partition ``full``?
+    Depth-first, branching on the uncovered bit that the fewest blocks
+    fit; a set of uncovered bits once refuted is not searched again."""
+    refuted: set[int] = set()
+    stack: list[tuple[int, Iterator[int]]] = []
+    uncovered = full
+    while True:
+        spend()
+        if not uncovered:
+            return True
+        if uncovered not in refuted:
+            fewest = None
+            rest = uncovered
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                fitting = [b for b in by_bit.get(low, ()) if not b & ~uncovered]
+                if fewest is None or len(fitting) < len(fewest):
+                    fewest = fitting
+                    if not fitting:
+                        break
+            stack.append((uncovered, iter(fewest)))
+        while stack:  # the next untried block of the deepest open node
+            node, options = stack[-1]
+            b = next(options, None)
+            if b is not None:
+                uncovered = node ^ b
+                break
+            refuted.add(node)
+            stack.pop()
+        else:
+            return False
+
+
+def _first_partition(
+    by_bit: dict[int, list[int]], m: int, spend: Callable[[], None]
+) -> list[int]:
+    """The first partition of bits 0..m-1 into the blocks indexed in
+    ``by_bit``, in the order of the edge-partition walk: bit m-1 first,
+    each bit joining one of the blocks so far, in their order, or else
+    opening a new last block.  After bit k is placed every partial block
+    P must still be the part above bit k of some block b (b & high == P),
+    else the branch is cut; a part that only blocks holding bit k extend
+    must take bit k."""
+
+    def fit(part: int, high: int) -> bool:
+        return any(b & high == part for b in by_bit.get(part & -part, ()))
+
+    stack: list[tuple[int, list[int]]] = [(m - 1, [])]
+    while stack:
+        spend()
+        k, parts = stack.pop()
+        if k < 0:
+            return parts
+        bit, high = 1 << k, ((1 << m) - 1) ^ ((1 << k) - 1)
+        stale = [i for i, p in enumerate(parts) if not fit(p, high)]
+        children = []
+        if len(stale) <= 1:
+            for i in stale or range(len(parts) + 1):
+                trial = parts.copy()
+                if i < len(parts):
+                    trial[i] |= bit
+                else:
+                    trial.append(bit)
+                if fit(trial[i], high):
+                    children.append((k - 1, trial))
+        stack.extend(reversed(children))
+    raise AssertionError("a cover exists but the partition walk found none")
 
 
 def _search_candidate(G: Graph, kappa: int) -> list[frozenset[Edge]]:

@@ -192,7 +192,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif tok == "#":
             raise ParseError("constant marker '#' must be followed by digits", pos)
         elif c == "#":
-            toks.append(("CONST", int(tok[1:]), pos))
+            try:
+                value = int(tok[1:])
+            except ValueError:  # past the interpreter's limit on digits
+                message = f"constant of {len(tok) - 1} digits is too long"
+                raise ParseError(message, pos) from None
+            toks.append(("CONST", value, pos))
         elif "a" <= c <= "z":
             toks.append(("IN" if tok in _RESERVED else "NAME", tok, pos))
         elif not c.isspace():

@@ -257,54 +257,82 @@ def cut_to_bonds(G: Graph, F: Iterable[Edge]) -> list[frozenset[Edge]]:
     return bonds
 
 
-def _connected_sides(adj: list[int], anchor: int) -> Iterator[int]:
+def _connected_sides(
+    adj: list[int], inc: list[int], anchor: int
+) -> Iterator[tuple[int, int]]:
     """Every connected vertex mask that contains the one-bit mask
-    ``anchor``, each once.
+    ``anchor``, each once, with its cut: the XOR of the incident-edge
+    masks ``inc`` of its vertices, since an edge with both ends inside
+    cancels.
 
     A side grows by one frontier vertex at a time, and each branch bars
     the vertices its earlier siblings added, so no side is reached twice.
     """
-    stack = [(anchor, adj[anchor.bit_length() - 1], 0)]
+    i = anchor.bit_length() - 1
+    stack = [(anchor, adj[i], 0, inc[i])]
     while stack:
-        side, frontier, barred = stack.pop()
-        yield side
+        side, frontier, barred, cut = stack.pop()
+        yield side, cut
         fresh = frontier & ~barred
         while fresh:
             low = fresh & -fresh
             fresh ^= low
+            j = low.bit_length() - 1
             grown = side | low
-            reach = (frontier | adj[low.bit_length() - 1]) & ~grown
-            stack.append((grown, reach, barred))
+            reach = (frontier | adj[j]) & ~grown
+            stack.append((grown, reach, barred, cut ^ inc[j]))
             barred |= low
 
 
 def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edge]]:
-    """All bonds (optionally only those up to max_size), deterministic.
+    """All bonds (optionally only those up to max_size), deterministic:
+    by size, then by their sorted edge lists.
 
     A bond always lives inside one connected component, and the bonds of
     a connected component are exactly the cuts of the sides A, taken
     here to contain the component's smallest vertex, such that A and its
     complement are both connected (Tsukiyama, Shirakawa, Ozaki and
     Ariyoshi, JACM 1980).  Connected sides are grown as bitmasks per
-    component; components larger than the cap raise.
+    component, each carrying its cut as an edge mask in which edge k of
+    the sorted edges is bit m-1-k: a cut over max_size is dropped before
+    its complement is flooded, and of two cuts of one size the larger
+    mask is the one whose sorted edge list comes first.  Components
+    larger than the cap raise.
     """
     _, index, adj = G._view
-    ends = [(e, 1 << index[e[0]] | 1 << index[e[1]]) for e in G.edges]
-    out: list[frozenset[Edge]] = []
+    edges = sorted(G.edges)
+    m = len(edges)
+    inc = [0] * len(adj)
+    for k, (u, v) in enumerate(edges):
+        bit = 1 << (m - 1 - k)
+        inc[index[u]] |= bit
+        inc[index[v]] |= bit
+    cap = m if max_size is None else max_size
+    cuts: list[int] = []
     for comp in _components(adj):
-        anchor = comp & -comp
         size = comp.bit_count()
         if size > _COMPONENT_CAP:
             raise InputError(
                 f"component with {size} vertices exceeds the enumeration cap"
             )
-        for side in _connected_sides(adj, anchor):
-            other = comp ^ side
-            if other and _reach(adj, other & -other, other) == other:
-                F = frozenset(e for e, m in ends if m & side and m & other)
-                if max_size is None or len(F) <= max_size:
-                    out.append(F)
-    return sorted(out, key=lambda f: (len(f), sorted(f)))
+        for side, cut in _connected_sides(adj, inc, comp & -comp):
+            if cut.bit_count() <= cap:
+                other = comp ^ side
+                if other and _reach(adj, other & -other, other) == other:
+                    cuts.append(cut)
+    cuts.sort(key=lambda cut: (cut.bit_count(), -cut))
+    return [_edges_of(edges, cut) for cut in cuts]
+
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _edges_of(edges: list[Edge], mask: int) -> frozenset[Edge]:
+    """The edges whose bits are set in ``mask``, edge k of ``edges``
+    being bit len(edges)-1-k: the binary digits of ``mask`` under a
+    leading 1, read left to right, select from ``edges`` in order."""
+    digits = bin(1 << len(edges) | mask).encode()[3:]
+    return frozenset(itertools.compress(edges, digits.translate(_DIGIT_BITS)))
 
 
 @dataclass(frozen=True)

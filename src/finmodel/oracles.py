@@ -98,6 +98,45 @@ def bond_faithful_by_definition(
     return True
 
 
+def _edge_partitions(edges: list[Edge], kappa: int):
+    """The set partitions of the edge list into blocks of at most kappa
+    edges (restricted growth strings): the partitions of all edges but
+    the first, each followed by the first edge joining each of its
+    blocks in turn, then by the first edge alone in a new last block."""
+    if not edges:
+        yield []
+        return
+    first, rest = edges[0], edges[1:]
+    for sub in _edge_partitions(rest, kappa):
+        for i in range(len(sub)):
+            if len(sub[i]) < kappa:
+                yield sub[:i] + [sub[i] + [first]] + sub[i + 1:]
+        yield sub + [[first]]
+
+
+def first_bond_faithful_partition(G: Graph, kappa: int) -> list[frozenset[Edge]] | None:
+    """The first partition of G's sorted edges, in the order of
+    :func:`_edge_partitions`, that is bond-faithful by the clauses of
+    :func:`bond_faithful_by_definition`, or None when none is."""
+    host_bonds = bonds_by_definition(G)
+    small = [F for F in host_bonds if len(F) <= kappa]
+    host_bond_set = set(host_bonds)
+    preserves: dict[frozenset[Edge], bool] = {}
+    for partition in _edge_partitions(sorted(G.edges), kappa):
+        blocks = [frozenset(b) for b in partition]
+        if not all(any(F <= b for b in blocks) for F in small):
+            continue
+        for b in blocks:
+            if b not in preserves:
+                part = Graph(frozenset(v for e in b for v in e), b)
+                preserves[b] = all(
+                    len(F) >= kappa or F in host_bond_set for F in bonds_by_definition(part)
+                )
+        if all(preserves[b] for b in blocks):
+            return blocks
+    return None
+
+
 def _forms_cycle(edges: frozenset[Edge]) -> bool:
     """Do the (canonical) edges form a cycle: nonempty, every vertex they
     touch of degree two in them, and connected?"""

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -474,3 +475,43 @@ def test_a_fault_inside_a_search_is_not_a_usage_error(fixtures, monkeypatch, arg
     monkeypatch.setattr(sys.modules[f"finmodel.{module}"], name, _raise(exc))
     with pytest.raises(type(exc), match="injected"):
         cli.main(argv)
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return make_graph(range(10), outer + inner + [(i, i + 5) for i in range(5)])
+
+
+_DENSE_HOSTS = {
+    "k5": make_graph(range(5), [(a, b) for a in range(5) for b in range(a + 1, 5)]),
+    "k6": make_graph(range(6), [(a, b) for a in range(6) for b in range(a + 1, 6)]),
+    "petersen": _petersen(),
+}
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(_DENSE_HOSTS))
+def test_bondfaithful_search_proves_dense_hosts_absent(fixtures, name, kappa):
+    # no block of K5, K6 or the Petersen graph with at most 4 edges is
+    # admissible, so the exact search refutes every decomposition
+    (fixtures / f"{name}.json").write_text(json.dumps(graph_to_json(_DENSE_HOSTS[name])))
+    start = time.perf_counter()
+    proc = run_fm(["bondfaithful", "search", "--graph", f"{name}.json", "--kappa", str(kappa)], fixtures)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["result"] == {"status": "proven-absent"}
+    assert elapsed < 1.0, f"{name} at kappa {kappa} took {elapsed:.2f} s"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("argv", [
+    ["parse"], ["relativize"], ["eval", "--structure", "v3.json"],
+])
+def test_a_constant_past_the_digit_limit_is_a_parse_error(fixtures, argv):
+    # int() refuses strings of more than 4,300 digits
+    formula = "x = #" + "1" * 5000
+    proc = run_fm([*argv, "--formula", formula], fixtures)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "fm: error: constant of 5000 digits is too long (at position 4)\n"
