@@ -179,8 +179,9 @@ def _edges_json(edges) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (exit_code, result dict); main turns a result
-# with ``"validated": false`` into a violation
+# handlers: each returns (exit_code, result dict or DOT text, *answer);
+# a handler with an oracle route puts its fast answer after the result
+# for main to judge by :data:`ROUTES`, and "validated": false exits 1
 
 
 def cmd_parse(args):
@@ -243,10 +244,7 @@ def cmd_hull(args):
     N = _load_structure(args.structure)
     pack = _load_pack(args.pack)
     h = build_hull(N, pack, _ints(args.seed_elems), _budget(args))
-    result = _hull_json(h)
-    if args.validate:
-        result["validated"] = verify_hull(N, pack, h, _budget(args))
-    return EXIT_OK, result
+    return EXIT_OK, _hull_json(h), N, pack, h
 
 
 def cmd_chain(args):
@@ -266,13 +264,7 @@ def cmd_chain(args):
         ],
         "coherent": ch.coherent,
     }
-    if args.validate:
-        checks = [
-            bool(is_sigma_elementary(stage, N, pack, _budget(args)))
-            for stage in ch.stages
-        ]
-        result["validated"] = all(checks)
-    return EXIT_OK, result
+    return EXIT_OK, result, N, pack, ch
 
 
 def cmd_slice(args):
@@ -334,15 +326,7 @@ def cmd_probe(args):
 def cmd_graph_bonds(args):
     G = _load_graph(args.graph)
     bonds = enumerate_bonds(G, max_size=args.max_size)
-    result = {"bonds": [_edges_json(b) for b in bonds]}
-    if args.validate:
-        expected = bonds_by_definition(G)
-        if args.max_size is not None:
-            expected = [b for b in expected if len(b) <= args.max_size]
-        want = sorted(sorted(map(list, b)) for b in expected)
-        got = sorted(sorted(map(list, b)) for b in bonds)
-        result["validated"] = want == got
-    return EXIT_OK, result
+    return EXIT_OK, {"bonds": [_edges_json(b) for b in bonds]}, G, bonds
 
 
 def cmd_graph_gamma(args):
@@ -350,11 +334,8 @@ def cmd_graph_gamma(args):
     value = edge_connectivity(G, args.x, args.y)
     result = {"gamma": value}
     if args.paths:
-        paths = edge_disjoint_paths(G, args.x, args.y, args.paths)
-        result["paths"] = paths
-    if args.validate:
-        result["validated"] = value == edge_connectivity_brute(G, args.x, args.y)
-    return EXIT_OK, result
+        result["paths"] = edge_disjoint_paths(G, args.x, args.y, args.paths)
+    return EXIT_OK, result, G, value
 
 
 def cmd_graph_nw(args):
@@ -374,23 +355,14 @@ def cmd_graph_veblen(args):
     if not outcome.ok:
         return EXIT_VIOLATION, {"decomposable": False, "odd_vertex": outcome.odd_vertex}
     parts = outcome.decomposition.parts
-    result = {"decomposable": True, "cycles": [_edges_json(p.edges) for p in parts]}
-    if args.validate:
-        result["validated"] = is_decomposition(G, parts) and all(
-            is_cycle(p) for p in parts
-        )
-    if args.format == "dot" and result.get("validated", True):
-        return EXIT_OK, graph_to_dot(G, parts)
-    return EXIT_OK, result
+    # with --format dot, main prints the cycles as DOT once they validate
+    return EXIT_OK, {"decomposable": True, "cycles": [_edges_json(p.edges) for p in parts]}, G, parts
 
 
 def cmd_graph_bridges(args):
     G = _load_graph(args.graph)
     found = bridges(G)
-    result = {"bridges": [_edges_json([e])[0] for e in found]}
-    if args.validate:
-        result["validated"] = found == bridges_by_deletion(G)
-    return EXIT_OK, result
+    return EXIT_OK, {"bridges": [_edges_json([e])[0] for e in found]}, G, found
 
 
 def cmd_graph_dcc(args):
@@ -401,24 +373,14 @@ def cmd_graph_dcc(args):
         result["cycles"] = [_edges_json(c) for c in outcome.cycles]
     if outcome.status == "budget-exhausted":
         return EXIT_BUDGET, result
-    if args.validate:
-        exists = double_cover_by_multisets(G) is not None
-        result["validated"] = exists == (outcome.status == "found") and (
-            not exists or is_double_cover(G, outcome.cycles)
-        )
-    return (EXIT_OK if outcome.status == "found" else EXIT_VIOLATION), result
+    return (EXIT_OK if outcome.status == "found" else EXIT_VIOLATION), result, G, outcome
 
 
 def cmd_bondfaithful_check(args):
     G = _load_graph(args.graph)
     parts = _load_json(args.parts, lambda obj: [graph_from_json(p) for p in obj])
     report = check_bond_faithful(G, parts, args.kappa)
-    result = _bond_report_json(report)
-    if args.validate:
-        result["validated"] = report.verdict == bond_faithful_by_definition(
-            G, parts, args.kappa
-        )
-    return _bond_verdict_exit(report), result
+    return _bond_verdict_exit(report), _bond_report_json(report), G, parts, report
 
 
 def _bond_verdict_exit(report) -> int:
@@ -473,19 +435,10 @@ def cmd_sunflower(args):
         system = max_sunflower(family, args.petals)
         if system is None:
             return EXIT_VIOLATION, {"found": False}
-        result = _system_json(system)
-        if args.validate:
-            other = max_sunflower_by_kernels(family)
-            result["validated"] = other.indices == system.indices
-        return EXIT_OK, result
-    mset = _load_json(args.m, lambda obj: _kernel_set(family, obj)) if args.m else set()
-    system = trace_kernel_sunflower(family, mset)
-    result = _system_json(system)
-    if args.validate:
-        ok = is_delta_system(system.members) is not None or len(system.members) < 2
-        ok = ok and is_maximal_for_kernel(family, system)
-        result["validated"] = ok
-    return EXIT_OK, result
+    else:
+        mset = _load_json(args.m, lambda obj: _kernel_set(family, obj)) if args.m else set()
+        system = trace_kernel_sunflower(family, mset)
+    return EXIT_OK, _system_json(system), family, system
 
 
 def _kernel_set(family, obj) -> set:
@@ -521,9 +474,7 @@ def cmd_freeset(args):
         "size": len(report.chosen),
         "maximum_size": report.maximum_size,
     }
-    if args.validate:
-        result["validated"] = is_free(report.chosen, mapping)
-    return EXIT_OK, result
+    return EXIT_OK, result, report.chosen, mapping
 
 
 def cmd_corpus_gen(args):
@@ -531,19 +482,70 @@ def cmd_corpus_gen(args):
         spec, graphs = _load_json(args.spec, lambda spec: (spec, generate_corpus(spec)))
     else:
         generator = {"model": args.model, "n": args.n, "count": args.count}
-        if args.p is not None:
-            generator["p"] = args.p
-        if args.d is not None:
-            generator["d"] = args.d
-        if args.cycles is not None:
-            generator["cycles"] = args.cycles
+        for key in ("p", "d", "cycles"):
+            if getattr(args, key) is not None:
+                generator[key] = getattr(args, key)
         spec = {"generator": generator, "seed": args.seed}
         graphs = generate_corpus(spec)
     return EXIT_OK, {"spec": spec, "graphs": [graph_to_json(g) for g in graphs]}
 
 
 # ---------------------------------------------------------------------------
+# oracle routes: ``fm <command> --validate`` sets ``"validated"`` to the
+# route's verdict on the handler's fast answer; a route reads its oracles
+# from this module's names when it runs
+
+
+def _bonds_route(args, G, bonds) -> bool:
+    expected = bonds_by_definition(G)
+    if args.max_size is not None:
+        expected = [b for b in expected if len(b) <= args.max_size]
+    want = sorted(sorted(map(list, b)) for b in expected)
+    return want == sorted(sorted(map(list, b)) for b in bonds)
+
+
+def _dcc_route(args, G, outcome) -> bool:
+    exists = double_cover_by_multisets(G) is not None
+    return exists == (outcome.status == "found") and (
+        not exists or is_double_cover(G, outcome.cycles)
+    )
+
+
+def _sunflower_route(args, family, system) -> bool:
+    if args.action == "max":
+        return max_sunflower_by_kernels(family).indices == system.indices
+    ok = is_delta_system(system.members) is not None or len(system.members) < 2
+    return ok and is_maximal_for_kernel(family, system)
+
+
+ROUTES = {
+    "hull": lambda args, N, pack, h: verify_hull(N, pack, h, _budget(args)),
+    "chain": lambda args, N, pack, ch: all(
+        [bool(is_sigma_elementary(stage, N, pack, _budget(args))) for stage in ch.stages]
+    ),
+    "graph bonds": _bonds_route,
+    "graph gamma": lambda args, G, value: value == edge_connectivity_brute(G, args.x, args.y),
+    "graph veblen": lambda args, G, parts: is_decomposition(G, parts) and all(map(is_cycle, parts)),
+    "graph bridges": lambda args, G, found: found == bridges_by_deletion(G),
+    "graph dcc": _dcc_route,
+    "bondfaithful check": lambda args, G, parts, report: (
+        report.verdict == bond_faithful_by_definition(G, parts, args.kappa)
+    ),
+    "sunflower": _sunflower_route,
+    "freeset": lambda args, chosen, mapping: is_free(chosen, mapping),
+}
+
+
+# ---------------------------------------------------------------------------
 # argument wiring
+
+
+def _bind(p: argparse.ArgumentParser, name: str, handler) -> None:
+    """``fm <name>`` runs *handler*; a command with an oracle route also
+    takes ``--validate``, added here as its last option."""
+    if name in ROUTES:
+        p.add_argument("--validate", action="store_true")
+    p.set_defaults(handler=handler, route=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,18 +559,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse a formula")
     p.add_argument("--formula", required=True)
-    p.set_defaults(handler=cmd_parse)
+    _bind(p, "parse", cmd_parse)
 
     p = sub.add_parser("eval", help="evaluate a formula over a structure")
     p.add_argument("--structure", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--valuation", help='JSON object, e.g. {"x": 0}')
     p.add_argument("--relativize-to", help="comma list of elements; relativize and bound quantifiers to it")
-    p.set_defaults(handler=cmd_eval)
+    _bind(p, "eval", cmd_eval)
 
     p = sub.add_parser("relativize", help="bound every quantifier to the distinguished subset")
     p.add_argument("--formula", required=True)
-    p.set_defaults(handler=cmd_relativize)
+    _bind(p, "relativize", cmd_relativize)
 
     p = sub.add_parser("universe", help="hereditarily finite universe views")
     usub = p.add_subparsers(dest="action", required=True)
@@ -576,27 +578,25 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--rank", type=int, required=True)
     d.add_argument("--limit", type=int)
     d.add_argument("--allow-rank5", action="store_true")
-    d.set_defaults(handler=cmd_universe_dump)
+    _bind(d, "universe dump", cmd_universe_dump)
 
     p = sub.add_parser("hull", help="witness-closure hull of a seed")
     p.add_argument("--structure", required=True)
     p.add_argument("--pack", required=True)
     p.add_argument("--seed-elems", default="")
-    p.add_argument("--validate", action="store_true")
-    p.set_defaults(handler=cmd_hull)
+    _bind(p, "hull", cmd_hull)
 
     p = sub.add_parser("chain", help="increasing hull chain reaching a cover")
     p.add_argument("--structure", required=True)
     p.add_argument("--pack", required=True)
     p.add_argument("--seed-elems", default="")
     p.add_argument("--cover-elems", default="all")
-    p.add_argument("--validate", action="store_true")
-    p.set_defaults(handler=cmd_chain)
+    _bind(p, "chain", cmd_chain)
 
     p = sub.add_parser("slice", help="slice a code-labelled graph along stages")
     p.add_argument("--graph", required=True)
     p.add_argument("--stages", required=True, help="JSON file: list of code lists")
-    p.set_defaults(handler=cmd_slice)
+    _bind(p, "slice", cmd_slice)
 
     p = sub.add_parser("probe", help="reflection probe over a corpus")
     p.add_argument("--corpus", help="corpus spec JSON file")
@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True, choices=sorted(PROPERTIES))
     p.add_argument("--allow-rank5", action="store_true")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(handler=cmd_probe)
+    _bind(p, "probe", cmd_probe)
 
     p = sub.add_parser("graph", help="graph analysis")
     gsub = p.add_subparsers(dest="action", required=True)
@@ -613,37 +613,32 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("bonds")
     g.add_argument("--graph", required=True)
     g.add_argument("--max-size", type=int)
-    g.add_argument("--validate", action="store_true")
-    g.set_defaults(handler=cmd_graph_bonds)
+    _bind(g, "graph bonds", cmd_graph_bonds)
 
     g = gsub.add_parser("gamma")
     g.add_argument("--graph", required=True)
     g.add_argument("--x", type=int, required=True)
     g.add_argument("--y", type=int, required=True)
     g.add_argument("--paths", type=int)
-    g.add_argument("--validate", action="store_true")
-    g.set_defaults(handler=cmd_graph_gamma)
+    _bind(g, "graph gamma", cmd_graph_gamma)
 
     g = gsub.add_parser("nw")
     g.add_argument("--graph", required=True)
     g.add_argument("--mode", choices=["fast", "exhaustive"], default="fast")
-    g.set_defaults(handler=cmd_graph_nw)
+    _bind(g, "graph nw", cmd_graph_nw)
 
     g = gsub.add_parser("veblen")
     g.add_argument("--graph", required=True)
-    g.add_argument("--validate", action="store_true")
-    g.set_defaults(handler=cmd_graph_veblen)
+    _bind(g, "graph veblen", cmd_graph_veblen)
 
     g = gsub.add_parser("bridges")
     g.add_argument("--graph", required=True)
-    g.add_argument("--validate", action="store_true")
-    g.set_defaults(handler=cmd_graph_bridges)
+    _bind(g, "graph bridges", cmd_graph_bridges)
 
     g = gsub.add_parser("dcc")
     g.add_argument("--graph", required=True)
     g.add_argument("--search-budget", type=int, default=200_000)
-    g.add_argument("--validate", action="store_true")
-    g.set_defaults(handler=cmd_graph_dcc)
+    _bind(g, "graph dcc", cmd_graph_dcc)
 
     p = sub.add_parser("bondfaithful", help="bond-faithful decompositions")
     bsub = p.add_subparsers(dest="action", required=True)
@@ -652,8 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--graph", required=True)
     b.add_argument("--parts", required=True, help="JSON file: list of graph objects")
     b.add_argument("--kappa", type=int, required=True)
-    b.add_argument("--validate", action="store_true")
-    b.set_defaults(handler=cmd_bondfaithful_check)
+    _bind(b, "bondfaithful check", cmd_bondfaithful_check)
 
     b = bsub.add_parser("search")
     b.add_argument("--graph", required=True)
@@ -664,21 +658,19 @@ def build_parser() -> argparse.ArgumentParser:
         "candidate block of at most KAPPA edges examined and one per node of the "
         "cover and partition searches (exit 3 when spent)",
     )
-    b.set_defaults(handler=cmd_bondfaithful_search)
+    _bind(b, "bondfaithful search", cmd_bondfaithful_search)
 
     p = sub.add_parser("sunflower", help="delta-system finders")
     p.add_argument("action", choices=["find", "max", "trace"])
     p.add_argument("--family", required=True, help="JSON file: list of element lists")
     p.add_argument("--petals", type=int)
     p.add_argument("--m", help="JSON file: {elements: [...], members: [indices]}")
-    p.add_argument("--validate", action="store_true")
-    p.set_defaults(handler=cmd_sunflower)
+    _bind(p, "sunflower", cmd_sunflower)
 
     p = sub.add_parser("freeset", help="greedy free set for a set mapping")
     p.add_argument("--map", required=True, help="JSON file: {element: [image...]}")
     p.add_argument("--ground", help="comma list; defaults to the mapping keys")
-    p.add_argument("--validate", action="store_true")
-    p.set_defaults(handler=cmd_freeset)
+    _bind(p, "freeset", cmd_freeset)
 
     p = sub.add_parser("corpus", help="corpus generation")
     csub = p.add_subparsers(dest="action", required=True)
@@ -691,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", type=int)
     c.add_argument("--cycles", type=int)
     c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(handler=cmd_corpus_gen)
+    _bind(c, "corpus gen", cmd_corpus_gen)
 
     return top
 
@@ -704,7 +696,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors, which matches the contract
         return int(exc.code or 0)
     try:
-        code, result = args.handler(args)
+        code, result, *answer = args.handler(args)
+        if answer and args.validate:
+            result["validated"] = ROUTES[args.route](args, *answer)
     except BudgetExceededError as exc:
         print(f"fm: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -716,6 +710,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     if not result.get("validated", True):
         code = EXIT_VIOLATION
+    elif args.format == "dot" and args.route == "graph veblen" and answer:
+        sys.stdout.write(graph_to_dot(*answer))
+        return code
     report = {"schema": SCHEMA, "command": args.command, "result": result}
     if args.format == "text":
         sys.stdout.write(_to_text(report) + "\n")
@@ -726,24 +723,17 @@ def main(argv: list[str] | None = None) -> int:
 
 def _to_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, list)):
+        if isinstance(obj, dict):
+            items = [(f"{key}:", obj[key]) for key in sorted(obj)]
+        else:
+            items = [("-", value) for value in obj]
         lines = []
-        for key in sorted(obj):
-            value = obj[key]
+        for label, value in items:
             if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}{key}:")
-                lines.append(_to_text(value, indent + 1))
+                lines += [pad + label, _to_text(value, indent + 1)]
             else:
-                lines.append(f"{pad}{key}: {_scalar(value)}")
-        return "\n".join(lines)
-    if isinstance(obj, list):
-        lines = []
-        for value in obj:
-            if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}-")
-                lines.append(_to_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(value)}")
+                lines.append(f"{pad}{label} {_scalar(value)}")
         return "\n".join(lines)
     return f"{pad}{_scalar(obj)}"
 

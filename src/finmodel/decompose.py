@@ -323,7 +323,7 @@ class BondFaithfulReport:
         return self.size_ok and self.containment_ok and self.bond_preservation_ok
 
 
-def _host_bonds_upto(G: Graph, max_size: int) -> tuple[list[frozenset[Edge]], bool]:
+def _bonds_upto(G: Graph, max_size: int) -> tuple[list[frozenset[Edge]], bool]:
     """Bonds of G with at most max_size edges; falls back to sampling
     vertex-star and two-set cuts when a component exceeds the cap."""
     try:
@@ -364,19 +364,21 @@ class _Clauses:
         if kappa < 1:
             raise InputError("kappa must be at least 1")
         self.G, self.kappa = G, kappa
-        self.host_bonds, self.sampled = _host_bonds_upto(G, kappa)
+        self.host_bonds, self.sampled = _bonds_upto(G, kappa)
         self._host_bond_set = frozenset(self.host_bonds)
         self._foreign_of: dict[frozenset[Edge], list[frozenset[Edge]]] = {}
 
     def foreign(self, edges: frozenset[Edge]) -> list[frozenset[Edge]]:
         """The bonds with fewer than kappa edges of the subgraph on
         ``edges`` that are no bonds of the host: looked up among the
-        host bonds when they are all known, else tested one by one."""
+        host bonds when they are all known, else tested one by one.  Past
+        the cap the subgraph's bonds are sampled, and then so are the
+        host's (one of its components holds the subgraph's)."""
         found = self._foreign_of.get(edges)
         if found is None:
             found = self._foreign_of[edges] = [
                 F
-                for F in enumerate_bonds(_subgraph_of(edges), max_size=self.kappa - 1)
+                for F in _bonds_upto(_subgraph_of(edges), self.kappa - 1)[0]
                 if not (
                     is_bond(self.G, F) if self.sampled else F in self._host_bond_set
                 )
@@ -489,7 +491,7 @@ def _slice_candidate(G: Graph) -> list[Graph] | None:
 
 def _repair(G: Graph, members: list[frozenset[Edge]], kappa: int) -> list[frozenset[Edge]]:
     """Merge members until no small host bond is split across members."""
-    bonds, _ = _host_bonds_upto(G, kappa)
+    bonds, _ = _bonds_upto(G, kappa)
     current = [set(m) for m in members if m]
     changed = True
     while changed:
@@ -532,8 +534,9 @@ def search_bond_faithful(
     up as ``budget-exhausted``.  A candidate that passes only against
     sampled host bonds, because a component exceeds the enumeration
     cap, comes back as ``sampled``, not ``found``.  Which blocks are
-    admissible does not rest on the sample (a block's bonds are tested
-    with :func:`is_bond` then), so no cover still proves absence."""
+    admissible does not rest on the host's sample (a block's bonds are
+    tested with :func:`is_bond` then), and a block's own sampled bonds
+    only admit more blocks, so no cover still proves absence."""
     clauses = _Clauses(G, kappa)
 
     def verdict(parts: list[Graph]) -> BondFaithfulSearch | None:

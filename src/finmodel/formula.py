@@ -238,7 +238,7 @@ def parse(text: str) -> Formula:
                 i += 2
             if toks[i][0] == "DOT":
                 i += 1
-            stack.append((kind, value, bound))
+            stack.append((kind, value, bound, pos))
             continue
         if kind in ("NOT", "LPAR"):
             stack.append((kind,))
@@ -276,7 +276,12 @@ def parse(text: str) -> Formula:
             return f
 
 
-def _quantifier(kind: str, var: str, bound: Term | None, body: Formula) -> Formula:
+# E!x copies its body twice, so each E! around another doubles the tree:
+# past this many nodes in one body, the E! is a parse error
+_UNIQUE_BODY_NODES = 10_000
+
+
+def _quantifier(kind: str, var: str, bound: Term | None, pos: int, body: Formula) -> Formula:
     if bound is not None:
         guard = Membership(Var(var), bound)
         if kind == "EXISTS":
@@ -289,6 +294,9 @@ def _quantifier(kind: str, var: str, bound: Term | None, body: Formula) -> Formu
     if kind == "FORALL":
         return Negation(Exists(var, Negation(body)))
     # E!x phi: some x satisfies phi and any y satisfying phi[x:=y] equals x
+    nodes = sum(1 for _ in _walk(body))
+    if nodes > _UNIQUE_BODY_NODES:
+        raise ParseError(f"E! body of {nodes} nodes exceeds the bound of {_UNIQUE_BODY_NODES}", pos)
     fresh = _fresh_var(var, body)
     renamed = _rename_free(body, var, fresh)
     unique = Negation(

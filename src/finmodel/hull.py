@@ -108,13 +108,6 @@ class _WitnessOracle:
         self.swept: list[list[int] | None] = [None] * len(self.exists)
 
 
-def _require_closed(pack: FormulaPack) -> None:
-    if not pack.closed_under_subformulas or not is_subformula_closed(pack):
-        raise InputError(
-            "pack must be closed under subformulas; call subformula_closure first"
-        )
-
-
 def _fresh_valuations(ordered: list[int], new: set[int], k: int) -> Iterator[tuple[int, ...]]:
     """The k-tuples over *ordered* that hold an element of *new*, in the
     order ``itertools.product(ordered, repeat=k)`` yields them: after an
@@ -168,22 +161,15 @@ def hull(
     seed: Iterable[int],
     budget: int = DEFAULT_BUDGET,
 ) -> Hull:
-    """Least witness-closed superset of the seed.
+    """Least witness-closed superset of the seed: the first stage of
+    :func:`chain` with an empty cover.
 
     Deterministic (smallest-identifier witnesses), monotone in the seed,
     and sound: the carrier is elementary in the host for every formula
     of the pack.
     """
-    structure = _ambient(N)
-    _require_closed(pack)
-    seed_set = frozenset(seed)
-    for s in seed_set:
-        if not (0 <= s < structure.size):
-            raise InputError(f"seed element {s} outside the universe")
-    oracle = _WitnessOracle(structure, pack, budget)
-    trace: list[TraceStep] = []
-    carrier = _close(seed_set, oracle, trace)
-    return Hull(seed_set, carrier, tuple(trace))
+    stages, records = _stages(N, pack, seed, (), budget)
+    return Hull(records[0].seed, stages[0], records[0].trace)
 
 
 def verify_hull(
@@ -219,14 +205,21 @@ def chain(
     rank) the code of the previous stage itself, so a stage is an
     element of its successor whenever the finite universe allows it.
     """
+    stages, records = _stages(N, pack, seed, cover, budget)
+    return Chain(tuple(stages), pack, tuple(records), _chain_coherent(_ambient(N), stages))
+
+
+def _stages(N, pack, seed, cover, budget) -> tuple[list[frozenset[int]], list[StageRecord]]:
+    """The stages of :func:`chain`, from its arguments, and their records."""
     structure = _ambient(N)
-    _require_closed(pack)
-    cover_set = frozenset(cover)
-    for c in cover_set:
-        if not (0 <= c < structure.size):
-            raise InputError(f"cover element {c} outside the universe")
+    if not pack.closed_under_subformulas or not is_subformula_closed(pack):
+        raise InputError("pack must be closed under subformulas; call subformula_closure first")
+    seed_set, cover_set = frozenset(seed), frozenset(cover)
+    for kind, elements in (("seed", seed_set), ("cover", cover_set)):
+        for c in elements:
+            if not (0 <= c < structure.size):
+                raise InputError(f"{kind} element {c} outside the universe")
     oracle = _WitnessOracle(structure, pack, budget)
-    seed_set = frozenset(seed)
     trace: list[TraceStep] = []
     stages = [_close(seed_set, oracle, trace)]
     records = [StageRecord(None, "initial", seed_set, tuple(trace))]
@@ -247,7 +240,7 @@ def chain(
         stage = _close(frozen_seed, oracle, trace)
         stages.append(stage)
         records.append(StageRecord(nxt, encoding, frozen_seed, tuple(trace)))
-    return Chain(tuple(stages), pack, tuple(records), _chain_coherent(structure, stages))
+    return stages, records
 
 
 def _chain_coherent(structure: FinStructure, stages: list[frozenset[int]]) -> bool | None:

@@ -408,6 +408,9 @@ def _evaluate(
             if c not in subset:
                 raise EvalError(f"constant #{c} lies outside the designated subset")
     scope = None if subset is None else tuple(sorted(subset))
+    if scope and not (0 <= scope[0] and scope[-1] < N.size):
+        bad = scope[0] if scope[0] < 0 else scope[-1]
+        raise EvalError(f"designated subset element {bad} outside the universe")
     compiled.require_scope(scope)
     values = [valuation[name] for name in compiled.free_vars]
     return compiled(N, scope, Budget(budget), *values)
@@ -433,9 +436,9 @@ def eval_relativized(
     """Satisfaction where ``BoundedExists`` scans only M.
 
     Plain existentials still scan all of N, so partially relativized
-    formulas are legal.  The entry valuation and the formula's constants
-    must lie inside M (they play the role of parameters from M); inner
-    unbounded witnesses may roam.
+    formulas are legal.  M must lie in N's universe, and the entry
+    valuation and the formula's constants inside M (they play the role
+    of parameters from M); inner unbounded witnesses may roam.
     """
     return _evaluate(N, phi, valuation, budget, frozenset(M))
 

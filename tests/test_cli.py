@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 import time
@@ -155,6 +156,26 @@ def test_sampled_bond_faithful_pass_exits_3(fixtures):
     assert json.loads(failing.stdout)["result"]["sampled"] is True
 
 
+def test_member_bonds_past_the_cap_are_sampled(fixtures):
+    # a 22-vertex member's own bonds are sampled, as the host's are,
+    # instead of ending the run at the enumeration cap
+    path = make_graph(range(22), [(i, i + 1) for i in range(21)])
+    (fixtures / "path22.json").write_text(json.dumps(graph_to_json(path)))
+    (fixtures / "whole.json").write_text(json.dumps([graph_to_json(path)]))
+    search = run_fm(["bondfaithful", "search", "--graph", "path22.json", "--kappa", "25"], fixtures)
+    assert search.returncode == 3, search.stderr
+    result = json.loads(search.stdout)["result"]
+    assert result["status"] == "sampled" and result["report"]["verdict"] is True
+    assert result["report"]["sampled"] is True
+    check = run_fm(
+        ["bondfaithful", "check", "--graph", "path22.json", "--parts", "whole.json", "--kappa", "25"],
+        fixtures,
+    )
+    assert check.returncode == 3, check.stderr
+    result = json.loads(check.stdout)["result"]
+    assert result["verdict"] is True and result["sampled"] is True
+
+
 def test_bondfaithful_search_spends_its_budget(fixtures):
     # K4 plus a 3-edge tail has 9 edges and no bond-faithful decomposition
     # at kappa 3; its exhaustive search runs until the budget says stop
@@ -206,6 +227,27 @@ def test_failed_validation_exits_1(fixtures, monkeypatch, capsys, argv, oracle, 
     monkeypatch.setattr(cli, oracle, liar)
     assert cli.main(argv + ["--validate"]) == 1
     assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
+
+
+def _subcommands(parser, prefix=()):
+    """Each leaf subcommand of *parser*, as its words, with its parser."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        yield " ".join(prefix), parser
+    for action in actions:
+        for name, sub in action.choices.items():
+            yield from _subcommands(sub, (*prefix, name))
+
+
+def test_exactly_the_routed_subcommands_take_validate():
+    validated = {
+        name for name, p in _subcommands(cli.build_parser())
+        if any("--validate" in a.option_strings for a in p._actions)
+    }
+    assert validated == set(cli.ROUTES) == {
+        "hull", "chain", "graph bonds", "graph gamma", "graph veblen", "graph bridges",
+        "graph dcc", "bondfaithful check", "sunflower", "freeset",
+    }
 
 
 def test_failed_veblen_validation_prints_the_report_not_dot(fixtures, monkeypatch, capsys):
@@ -419,6 +461,14 @@ _CHECKED_INPUTS = [
     (["hull", "--pack", "pairing", "--structure", "negative.json"], "structure size -2 is negative"),
     (["chain", "--pack", "pairing", "--structure", "negative.json"], "structure size -2 is negative"),
     (["corpus", "gen", "--model", "regular", "--n", "5", "--d", "3"], "no 3-regular graph on 5 vertices"),
+    (["chain", "--seed-elems", "99", "--structure", "v4.json", "--pack", "pairing", "--cover-elems", "0"],
+     "seed element 99 outside the universe"),
+    (["chain", "--seed-elems=-1", "--structure", "v4.json", "--pack", "pairing", "--cover-elems", "0"],
+     "seed element -1 outside the universe"),
+    (["eval", "--relativize-to", "0,99", "--structure", "v3.json", "--formula", "Ex (x in x)"],
+     "designated subset element 99 outside the universe"),
+    (["eval", "--relativize-to", "0,99", "--structure", "v3.json", "--formula", "Ex (x = x)"],
+     "designated subset element 99 outside the universe"),
 ]
 
 

@@ -89,6 +89,16 @@ def test_parse_unique_existence_expands():
     assert "x_" in render(phi)
 
 
+def test_nested_unique_existence_is_bounded():
+    # each E! copies its body twice: ten nested E! make 12,277 nodes, and
+    # the next would copy that whole body, so the parse stops at that E!
+    assert sum(1 for _ in subformulas(parse("E!x " * 10 + "x in y"))) == 12277
+    for n in (11, 14, 40):
+        with pytest.raises(ParseError, match=r"E! body of 12277 nodes exceeds the bound of 10000") as err:
+            parse("E!x " * n + "x in y")
+        assert err.value.position == 4 * (n - 11)
+
+
 def test_parse_optional_dot():
     assert parse("Ex . (x in y)") == parse("Ex (x in y)")
 
