@@ -103,12 +103,7 @@ def chain_slices(G: Graph, stages: Sequence[Iterable[int]]) -> SliceSet:
 
 def slice_partition_check(S: SliceSet) -> bool:
     """Do the slices' edge sets partition the host's edge set?"""
-    seen: set[Edge] = set()
-    for part in S.slices:
-        if seen & part.edges:
-            return False
-        seen |= part.edges
-    return seen == set(S.host.edges)
+    return is_decomposition(S.host, S.slices)
 
 
 def slices_from_chain(G: Graph, ambient: FinStructure, ch: Chain) -> SliceSet:
@@ -680,10 +675,6 @@ def _search_candidate(G: Graph, kappa: int) -> list[frozenset[Edge]]:
             frozenset(ordered[i : i + kappa]) for i in range(0, len(ordered), kappa)
         ]
         return _repair(G, buckets, kappa)
-    out = []
-    for piece in pieces:
-        if len(piece.edges) < len(G.edges):
-            out.extend(_search_candidate(piece, kappa))
-        else:  # pragma: no cover - slicing guaranteed progress above
-            out.append(frozenset(piece.edges))
+    # two or more nonempty pieces partition the edges: each is smaller
+    out = [member for piece in pieces for member in _search_candidate(piece, kappa)]
     return _repair(G, out, kappa)

@@ -15,15 +15,17 @@ structure and it only enters a tree through :func:`relativize`.
 Text is read by one loop, :func:`parse`, over the tokens of one regex,
 with an explicit stack of the prefixes still open.  Trees are walked one
 way only, by ``_walk``: a preorder walk from an explicit stack.
-Subformulas, terms, quantifier depth, the term rewrites, rendering and
-node equality all run on it, and each node stores its hash when it is
-built, so formulas of any depth parse, hash, compare, transform and
-render.
+Subformulas, terms, quantifier depth, the term rewrites and rendering
+all run on it.  Nodes are interned: building a node equal to a live one
+returns that node, so equal formulas are one object, equality is
+identity and each node's hash is stored once, when it is built.
+Formulas of any depth parse, hash, compare, transform and render.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Mapping, Union
 
@@ -57,77 +59,69 @@ class Const:
 Term = Union[Var, Const]
 
 
+# every live node, keyed by its type and its parts
+_INTERNED = weakref.WeakValueDictionary()
+
+
 class _Node:
-    """Hash and equality for formula nodes that never recurse.
+    """Formula nodes are interned (hash-consed): building a node equal to
+    a live one returns that node, so equal formulas are one object and
+    equality is identity.  A new node stores its hash, taken from its
+    type, its other parts and its children's stored hashes.  Pickling,
+    ``copy`` and ``deepcopy`` rebuild through the constructor, so they
+    return the interned node, and the hash is taken afresh, because
+    string hashes differ between interpreters."""
 
-    Each node stores its hash when it is built, from its own parts and
-    its children's stored hashes.  Equality walks both trees side by side
-    and compares each position's node type, hash and parts other than
-    subformulas: the preorder sequence of node types fixes the shape of a
-    tree.  Pickling rebuilds through the constructor, because string
-    hashes differ between interpreters."""
-
-    def __post_init__(self) -> None:
-        kind = type(self)
-        if kind is Negation:
-            key = (kind, self.body._hash)
-        elif kind is Disjunction:
-            key = (kind, self.left._hash, self.right._hash)
-        elif kind in _QUANTIFIERS:
-            key = (kind, self.var, self.body._hash)
-        else:
-            key = (kind, self.left, self.right)
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, *parts, **named):
+        names = _FIELDS[cls]
+        if named:
+            parts += tuple(named.pop(name) for name in names[len(parts) :] if name in named)
+        if named or len(parts) != len(names):
+            raise TypeError(f"{cls.__name__} takes the parts {', '.join(names)}")
+        key = (cls, *parts)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = object.__new__(cls)
+            vars(node).update(zip(names, parts), _hash=hash(key))
+        return node
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Node):
-            return NotImplemented
-        for (f, _), (g, _) in zip(_walk(self), _walk(other)):
-            if type(f) is not type(g) or f._hash != g._hash:
-                return False
-            if isinstance(f, _ATOMS) and (f.left, f.right) != (g.left, g.right):
-                return False
-            if isinstance(f, _QUANTIFIERS) and f.var != g.var:
-                return False
-        return True
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in _FIELDS[type(self)])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Membership(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Equality(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Negation(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Disjunction(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Exists(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BoundedExists(_Node):
     """Existential quantifier relativized to the distinguished subset."""
 
@@ -288,7 +282,7 @@ def _quantifier(kind: str, var: str, bound: Term | None, pos: int, body: Formula
             return Exists(var, _and(guard, body))
         if kind == "FORALL":
             return Negation(Exists(var, _and(guard, Negation(body))))
-        raise ParseError("E! does not take a bound", 0)
+        raise ParseError("E! does not take a bound", pos)
     if kind == "EXISTS":
         return Exists(var, body)
     if kind == "FORALL":
@@ -401,9 +395,9 @@ def _map_terms(
     quantifier: type | None = None,
 ) -> Formula:
     """Rebuild *phi* with each term replaced by ``fn(term, bound)`` and, when
-    *quantifier* is given, each quantifier node rebuilt as one.  An atom
-    whose terms come back unchanged is kept, not copied.  The walk is read
-    backwards, so each node meets its children rebuilt on the stack."""
+    *quantifier* is given, each quantifier node rebuilt as one.  The walk
+    is read backwards, so each node meets its children rebuilt on the
+    stack."""
     done: list[Formula] = []
     for f, bound in reversed(list(_walk(phi))):
         kind = type(f)
@@ -414,8 +408,7 @@ def _map_terms(
         elif kind in _QUANTIFIERS:
             done.append((quantifier or kind)(f.var, done.pop()))
         else:
-            left, right = fn(f.left, bound), fn(f.right, bound)
-            done.append(f if left is f.left and right is f.right else kind(left, right))
+            done.append(kind(fn(f.left, bound), fn(f.right, bound)))
     return done.pop()
 
 

@@ -3,7 +3,7 @@ relativized satisfaction, induced substructures, absoluteness and
 elementarity for a fixed formula family.
 
 Every evaluation runs generated code.  :func:`compile_formula` turns a
-core formula, once per formula object, into one straight-line Python
+core formula, once per formula, into one straight-line Python
 function, a :class:`CompiledFormula`: each quantifier is a ``for`` loop,
 each atom an inline ``members[b] >> a & 1`` bit test on the structure's
 member masks (:attr:`FinStructure.members`) or an ``a == b`` test, and
@@ -12,10 +12,12 @@ structure, the scope of the relativized quantifiers, the budget and the
 free-variable values are arguments of each call, so one compiled formula
 serves every structure.  Nothing from the formula is pasted into the
 source: variables become generated identifiers and constants call
-arguments.
+arguments.  Generated code is cached by formula, in weak-keyed
+dictionaries: formula nodes are interned, so an equal formula finds the
+same code, and the code goes when the formula does.
 
 :func:`is_absolute` runs the second generated kind, the formula's
-*sweep*, also made once per formula object: one ``for`` loop over the
+*sweep*, also made once per formula: one ``for`` loop over the
 valuations into M in lexicographic order, whose body is the formula's
 code twice, first over N and then over the substructure M induces, with
 the first valuation on which they differ returned.  Both copies spend
@@ -343,26 +345,21 @@ class _Sweep:
         self.run = None if gen.relativized else gen.sweep(phi, self.free_vars)
 
 
-# Generated code lives exactly as long as its formula object does: the
-# caches go by identity, so a lookup never compares two trees.
-_COMPILED: dict[int, tuple[weakref.ref, CompiledFormula]] = {}
-_SWEEPS: dict[int, tuple[weakref.ref, _Sweep]] = {}
-_WITNESSES: dict[int, tuple[weakref.ref, CompiledFormula]] = {}
+_COMPILED: weakref.WeakKeyDictionary[Formula, CompiledFormula] = weakref.WeakKeyDictionary()
+_SWEEPS: weakref.WeakKeyDictionary[Formula, _Sweep] = weakref.WeakKeyDictionary()
+_WITNESSES: weakref.WeakKeyDictionary[Formula, CompiledFormula] = weakref.WeakKeyDictionary()
 
 
-def _per_formula(cache: dict, phi: Formula, make: Callable):
-    """``make(phi)``, made once per formula object and kept in *cache*."""
-    key = id(phi)
-    entry = cache.get(key)
-    if entry is not None and entry[0]() is phi:
-        return entry[1]
-    made = make(phi)
-    cache[key] = (weakref.ref(phi, lambda _, key=key: cache.pop(key, None)), made)
+def _per_formula(cache: weakref.WeakKeyDictionary, phi: Formula, make: Callable):
+    """``make(phi)``, made once per formula and kept in *cache*."""
+    made = cache.get(phi)
+    if made is None:
+        made = cache[phi] = make(phi)
     return made
 
 
 def compile_formula(phi: Formula) -> CompiledFormula:
-    """The compiled form of *phi*, made once per formula object."""
+    """The compiled form of *phi*, made once per formula."""
     return _per_formula(_COMPILED, phi, CompiledFormula)
 
 
@@ -372,7 +369,7 @@ def witness_search(phi: Exists) -> CompiledFormula:
     the order of ``free_vars(phi)``, or None if phi fails there.  It is
     phi's compiled evaluator returning the loop variable of its
     quantifier instead of the truth value, so it spends exactly the steps
-    that evaluating phi would.  Made once per formula object; arguments
+    that evaluating phi would.  Made once per formula; arguments
     are not validated.  A relativized phi has no search and raises
     :class:`EvalError`."""
     search = _per_formula(_WITNESSES, phi, functools.partial(CompiledFormula, witness=True))
@@ -516,7 +513,7 @@ def is_absolute(
     substructure side is undefined and evaluation errors out.
 
     The valuations run in phi's sweep, one generated function made once
-    per formula object: a single loop over the valuations that evaluates
+    per formula: a single loop over the valuations that evaluates
     phi's body inline over N and then over the substructure.  The steps
     are charged to one budget in that order, valuation by valuation, as
     two compiled-formula calls per valuation would charge them, and the

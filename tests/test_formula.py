@@ -1,7 +1,10 @@
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import time
+from copy import copy as shallow, deepcopy
 
 import pytest
 from hypothesis import given, strategies as st
@@ -111,6 +114,7 @@ def test_parse_optional_dot():
         ("E (x in y)", 0),
         ("x @ y", 2),
         ("#a", 0),
+        ("(x = x | E!x:y (x in y))", 9),
     ],
 )
 def test_parse_errors_carry_position(bad, pos):
@@ -260,7 +264,7 @@ def _deep_chain(depth):
 def test_deep_formulas_hash_compare_and_transform():
     # 3,000 levels of | over E and ~, far past the default recursion limit
     phi, copy = _deep_chain(3000), _deep_chain(3000)
-    assert phi is not copy and hash(phi) == hash(copy) and phi == copy
+    assert phi is copy and hash(phi) == hash(copy) and phi == copy
     assert phi != _deep_chain(2999) and phi != Negation(copy)
     pack = subformula_closure(FormulaPack("deep", (phi,)))
     assert len(pack) == 3 * 3000 + 1 + 3  # the chain's nodes, its atom, the 3 guards
@@ -274,6 +278,33 @@ def test_deep_formulas_hash_compare_and_transform():
     assert remap_constants(substituted, {0: 5, 1: 5, 2: 5, 4: 6}) == remap_constants(
         substitute(copy, {"y": 4}), {0: 5, 1: 5, 2: 5, 4: 6}
     )
+
+
+def test_equal_formulas_are_one_object(monkeypatch):
+    phi = parse("Ex (x in y | ~(y = #2))")
+    assert Exists(var="x", body=phi.body) is phi and Exists("x", body=phi.body) is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi and shallow(phi) is phi and deepcopy(phi) is phi
+    with pytest.raises(TypeError):
+        Exists("x", phi.body, bodi=phi.body)
+    # a chain and its separately built copy close in one pass, not by
+    # comparing 9,000 pairs of trees
+    from finmodel.formula import _INTERNED
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    live = len(_INTERNED)
+    chain, twin = _deep_chain(3000), _deep_chain(3000)
+    start = time.perf_counter()
+    pack = subformula_closure(FormulaPack("twins", (chain, twin)))
+    assert time.perf_counter() - start < 1
+    assert len(pack) == 3 * 3000 + 1 + 3
+    assert len(_INTERNED) == live + len(pack) - 2  # x in y and y = #2 are phi's
+    # the table keeps no node alive, and dropping 9,000 nested nodes at
+    # once raises in no weakref callback
+    del chain, twin, pack
+    gc.collect()
+    assert len(_INTERNED) == live and unraisable == []
 
 
 def test_deep_texts_parse():
