@@ -9,8 +9,7 @@ that kernel.  Exhaustive searches double as oracles for it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -19,8 +18,7 @@ MAX_EXHAUSTIVE_FAMILY = 20
 _BRUTE_FORCE_LIMIT = 18
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(NamedTuple):
     sets: tuple[frozenset[int], ...]
 
     @property
@@ -41,8 +39,7 @@ def make_family(sets: Iterable[Iterable[int]]) -> SetFamily:
     return SetFamily(tuple(frozenset(s) for s in members))
 
 
-@dataclass(frozen=True)
-class DeltaSystem:
+class DeltaSystem(NamedTuple):
     """A subfamily whose members pairwise intersect in exactly the
     kernel.  ``degenerate`` flags the sub-two-member cases, where any
     kernel is vacuously valid and a convention was applied."""
@@ -153,8 +150,7 @@ def is_maximal_for_kernel(family: SetFamily, system: DeltaSystem) -> bool:
 # set-mapping free sets
 
 
-@dataclass(frozen=True)
-class FreeSetReport:
+class FreeSetReport(NamedTuple):
     chosen: frozenset[int]
     maximum_size: int | None  # brute-force optimum on small grounds
 

@@ -14,8 +14,7 @@ objects, the slices partition the edge set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .graph import (
@@ -43,8 +42,7 @@ from .universe import build_hierarchy, hf_pair, membership_structure, recode_gra
 # slicing
 
 
-@dataclass(frozen=True)
-class SliceSet:
+class SliceSet(NamedTuple):
     host: Graph
     stages: tuple[frozenset[int], ...]
     slices: tuple[Graph, ...]
@@ -163,15 +161,13 @@ PROPERTIES: dict[str, Callable[[Graph], tuple[bool, object]]] = {
 }
 
 
-@dataclass(frozen=True)
-class ProbeCounterexample:
+class ProbeCounterexample(NamedTuple):
     subset: tuple[int, ...]
     piece: str  # restrict | delete | slice:<i>
     witness: object
 
 
-@dataclass(frozen=True)
-class ProbeInstance:
+class ProbeInstance(NamedTuple):
     index: int
     status: str  # ok | skipped-rank | skipped-precondition
     rank: int | None = None
@@ -183,8 +179,7 @@ class ProbeInstance:
         return self.status == "ok" and not self.counterexamples
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     property_name: str
     pack_name: str
     instances: tuple[ProbeInstance, ...]
@@ -302,8 +297,7 @@ def _probe_star(args) -> ProbeInstance:
 # bond-faithful decompositions
 
 
-@dataclass(frozen=True)
-class BondFaithfulReport:
+class BondFaithfulReport(NamedTuple):
     kappa: int
     size_ok: bool
     containment_ok: bool
@@ -442,8 +436,7 @@ class _Clauses:
         return out
 
 
-@dataclass(frozen=True)
-class BondFaithfulSearch:
+class BondFaithfulSearch(NamedTuple):
     """``sampled`` is a decomposition that passed a check against sampled
     host bonds only, because a component exceeded the enumeration cap: a
     candidate, not a proof."""

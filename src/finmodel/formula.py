@@ -15,21 +15,25 @@ structure and it only enters a tree through :func:`relativize`.
 Text is read by one loop, :func:`parse`, over the tokens of one regex,
 with an explicit stack of the prefixes still open.  Trees are walked one
 way only, by ``_walk``: a preorder walk from an explicit stack.
-Subformulas, terms, quantifier depth, the term rewrites and rendering
-all run on it.  Nodes are interned: building a node equal to a live one
-returns that node, so equal formulas are one object, equality is
-identity and each node's hash is stored once, when it is built.
-Formulas of any depth parse, hash, compare, transform and render.
+Subformulas, terms, quantifier depth, the term rewrites, rendering,
+``repr`` and the JSON writer all run on it.  Nodes are interned:
+building a node equal to a live one returns that node, so equal
+formulas are one object, equality is identity and each node's hash is
+stored once, when it is built.  They are plain classes, frozen, that
+print as their constructor calls, and pickle and copy as a flat table of
+distinct nodes.  Terms are ``NamedTuple`` records.  Formulas of any
+depth parse, hash, compare, transform, render, print, pickle, copy and
+go to and from JSON objects.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from _weakref import _remove_dead_weakref
 
-from .errors import InputError
+from .errors import InputError, read_only
 
 
 class ParseError(InputError):
@@ -40,16 +44,14 @@ class ParseError(InputError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     ident: int
 
     def __str__(self) -> str:
@@ -59,8 +61,18 @@ class Const:
 Term = Union[Var, Const]
 
 
-# every live node, keyed by its type and its parts
-_INTERNED = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+# every live node, as a weak reference under its type and its parts; a
+# dead node's callback drops its entry
+_INTERNED: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, table: dict = _INTERNED, remove=_remove_dead_weakref) -> None:
+    # bound as defaults, so a node dying at interpreter exit still finds them
+    remove(table, ref.key)
 
 
 class _Node:
@@ -68,9 +80,10 @@ class _Node:
     a live one returns that node, so equal formulas are one object and
     equality is identity.  A new node stores its hash, taken from its
     type, its other parts and its children's stored hashes.  Pickling,
-    ``copy`` and ``deepcopy`` rebuild through the constructor, so they
-    return the interned node, and the hash is taken afresh, because
-    string hashes differ between interpreters."""
+    ``copy`` and ``deepcopy`` rebuild through the constructor from a
+    flat table, so they return the interned node, take formulas of any
+    depth and take the hash afresh, because string hashes differ
+    between interpreters.  Nodes print as their constructor calls."""
 
     def __new__(cls, *parts, **named):
         names = _FIELDS[cls]
@@ -79,55 +92,109 @@ class _Node:
         if named or len(parts) != len(names):
             raise TypeError(f"{cls.__name__} takes the parts {', '.join(names)}")
         key = (cls, *parts)
-        node = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        node = ref and ref()
         if node is None:
-            node = _INTERNED[key] = object.__new__(cls)
+            node = object.__new__(cls)
             vars(node).update(zip(names, parts), _hash=hash(key))
+            ref = _INTERNED[key] = _Ref(node, _forget)
+            ref.key = key
         return node
 
     def __hash__(self) -> int:
         return self._hash
 
+    __setattr__ = __delattr__ = read_only
+
+    def __repr__(self) -> str:
+        # printed in preorder: each node's text is cut at its children,
+        # and the pieces after a child wait on a stack until it is printed
+        out: list[str] = []
+        waiting: list[list[str]] = []  # per open node, its pieces to come, last first
+        for f, _ in _walk(self):
+            pieces, text = [], f"{type(f).__name__}("
+            for i, (name, value) in enumerate(zip(_FIELDS[type(f)], _parts(f))):
+                text += f"{', ' if i else ''}{name}="
+                if isinstance(value, _Node):
+                    pieces.append(text)
+                    text = ""
+                else:
+                    text += repr(value)
+            pieces.append(text + ")")
+            out.append(pieces[0])
+            if len(pieces) > 1:
+                waiting.append(pieces[:0:-1])
+                continue
+            while waiting:  # f is printed: so is every node it completes
+                rest = waiting[-1]
+                out.append(rest.pop())
+                if rest:
+                    break
+                waiting.pop()
+        return "".join(out)
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in _FIELDS[type(self)])
+        # each distinct node once, after its children, which stand as
+        # their places in the table
+        place: dict[_Node, int] = {}
+        for f, _ in reversed(list(_walk(self))):
+            place.setdefault(f, len(place))
+        table = [(type(f), *[place[p] if isinstance(p, _Node) else p for p in _parts(f)]) for f in place]
+        return _unpickle, (tuple(table),)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+def _parts(f: "Formula") -> tuple:
+    return tuple(getattr(f, name) for name in _FIELDS[type(f)])
+
+
+def _unpickle(table: tuple) -> "Formula":
+    built: list[Formula] = []
+    for kind, *parts in table:
+        built.append(kind(*[built[p] if type(p) is int else p for p in parts]))
+    return built[-1]
+
+
 class Membership(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Equality(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Negation(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Disjunction(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Exists(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class BoundedExists(_Node):
     """Existential quantifier relativized to the distinguished subset."""
 
     var: str
     body: "Formula"
 
+
+# field names in declaration order; ``var`` holds a name, the rest hold
+# terms in an atom and subformulas elsewhere
+_FIELDS = {
+    Membership: ("left", "right"),
+    Equality: ("left", "right"),
+    Negation: ("body",),
+    Disjunction: ("left", "right"),
+    Exists: ("var", "body"),
+    BoundedExists: ("var", "body"),
+}
 
 Formula = Union[Membership, Equality, Negation, Disjunction, Exists, BoundedExists]
 
@@ -470,11 +537,25 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 # formula packs
 
 
-@dataclass(frozen=True)
 class FormulaPack:
-    name: str
-    formulas: tuple[Formula, ...]
-    closed_under_subformulas: bool = False
+    """A named family of formulas; frozen, and equal by its three fields."""
+
+    def __init__(self, name: str, formulas: tuple[Formula, ...], closed_under_subformulas: bool = False):
+        vars(self).update(name=name, formulas=formulas, closed_under_subformulas=closed_under_subformulas)
+
+    def _key(self) -> tuple:
+        return self.name, self.formulas, self.closed_under_subformulas
+
+    def __repr__(self) -> str:
+        return "FormulaPack(name={!r}, formulas={!r}, closed_under_subformulas={!r})".format(*self._key())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is FormulaPack else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    __setattr__ = __delattr__ = read_only
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -542,28 +623,43 @@ _NODE_OF_TAG = {
     "bounded_exists": BoundedExists,
 }
 _TAG_OF_NODE = {node: tag for tag, node in _NODE_OF_TAG.items()}
-# field names in declaration order; ``var`` holds a name, the rest hold
-# terms in an atom and subformulas elsewhere
-_FIELDS = {node: tuple(f.name for f in fields(node)) for node in _TAG_OF_NODE}
 
 
 def formula_to_json(phi: Formula) -> dict:
-    node = type(phi)
-    out: dict = {"tag": _TAG_OF_NODE[node]}
-    child = term_to_json if node in _ATOMS else formula_to_json
-    for name in _FIELDS[node]:
-        value = getattr(phi, name)
-        out[name] = value if name == "var" else child(value)
-    return out
+    # built from the leaves up, as :func:`_map_terms` builds trees
+    done: list[dict] = []
+    for f, _ in reversed(list(_walk(phi))):
+        node = type(f)
+        out: dict = {"tag": _TAG_OF_NODE[node]}
+        for name, value in zip(_FIELDS[node], _parts(f)):
+            out[name] = value if name == "var" else term_to_json(value) if node in _ATOMS else done.pop()
+        done.append(out)
+    return done.pop()
 
 
 def formula_from_json(obj: dict) -> Formula:
-    tag = obj.get("tag")
-    node = _NODE_OF_TAG.get(tag) if isinstance(tag, str) else None
-    if node is None:
-        raise ValueError(f"unknown formula tag: {tag!r}")
-    child = term_from_json if node in _ATOMS else formula_from_json
-    return node(*[_name_from_json(obj[name]) if name == "var" else child(obj[name]) for name in _FIELDS[node]])
+    """The formula *obj* holds.  Objects are read in preorder from an
+    explicit stack, each key looked up when a recursive reader would
+    look it up, so the first fault found is the same; the nodes are then
+    built from the leaves up."""
+    read: list[tuple] = []  # (node, its parts other than subformulas)
+    todo: list[tuple] = [((obj,), 0)]  # (object, key) of each formula to read
+    while todo:
+        holder, key = todo.pop()
+        obj = holder[key]
+        tag = obj.get("tag")
+        node = _NODE_OF_TAG.get(tag) if isinstance(tag, str) else None
+        if node is None:
+            raise ValueError(f"unknown formula tag: {tag!r}")
+        if node in _ATOMS:
+            read.append((node, term_from_json(obj["left"]), term_from_json(obj["right"])))
+            continue
+        read.append((node, _name_from_json(obj["var"])) if node in _QUANTIFIERS else (node,))
+        todo += [(obj, name) for name in reversed(_FIELDS[node]) if name != "var"]
+    done: list[Formula] = []
+    for node, *parts in reversed(read):
+        done.append(node(*parts, *[done.pop() for _ in range(len(_FIELDS[node]) - len(parts))]))
+    return done.pop()
 
 
 def pack_to_json(pack: FormulaPack) -> dict:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InputError
+from .errors import InputError, read_only
 
 Edge = tuple[int, int]
 
@@ -30,17 +29,29 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
-    vertices: frozenset[int]
-    edges: frozenset[Edge]
+    """A frozen graph, equal to any graph with the same vertices and edges."""
 
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
+    def __init__(self, vertices: frozenset[int], edges: frozenset[Edge]) -> None:
+        for u, v in edges:
             if u >= v:
                 raise ValueError(f"edge {(u, v)} not in canonical order")
-            if u not in self.vertices or v not in self.vertices:
+            if u not in vertices or v not in vertices:
                 raise ValueError(f"edge {(u, v)} has an endpoint outside the vertex set")
+        vars(self).update(vertices=vertices, edges=edges)
+
+    def __repr__(self) -> str:
+        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if type(other) is not Graph:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    __setattr__ = __delattr__ = read_only
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -159,8 +170,7 @@ def delete_edges(G: Graph, F: Iterable[Sequence[int]]) -> Graph:
 # cuts and bonds
 
 
-@dataclass(frozen=True)
-class CutWitness:
+class CutWitness(NamedTuple):
     side: frozenset[int]
     edges: frozenset[Edge]
 
@@ -335,8 +345,7 @@ def _edges_of(edges: list[Edge], mask: int) -> frozenset[Edge]:
     return frozenset(itertools.compress(edges, digits.translate(_DIGIT_BITS)))
 
 
-@dataclass(frozen=True)
-class BondInheritance:
+class BondInheritance(NamedTuple):
     """How a bond of a subgraph sits inside the host graph.
 
     ``kind`` is ``bond-in-host`` when F is a bond of the host too,
@@ -489,8 +498,7 @@ def odd_cut_witness(G: Graph, mode: str = "fast") -> CutWitness | None:
     return None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Subgraphs of a common host whose edge sets partition the host's."""
 
     parts: tuple[Graph, ...]
@@ -515,8 +523,7 @@ def is_cycle(G: Graph) -> bool:
     return sum(len(comp) > 1 for comp in components(G)) == 1
 
 
-@dataclass(frozen=True)
-class CycleDecompositionResult:
+class CycleDecompositionResult(NamedTuple):
     decomposition: Decomposition | None
     odd_vertex: int | None
 
@@ -634,8 +641,7 @@ def enumerate_cycles(G: Graph) -> list[frozenset[Edge]]:
     return sorted(cycles, key=lambda c: (len(c), sorted(c)))
 
 
-@dataclass(frozen=True)
-class DoubleCoverResult:
+class DoubleCoverResult(NamedTuple):
     status: str  # found | budget-exhausted | proven-absent
     cycles: tuple[frozenset[Edge], ...] | None = None
 

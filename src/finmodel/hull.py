@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import InputError
 from .formula import (
@@ -52,8 +51,7 @@ from .structure import (
 from .universe import Hierarchy, hf_encode
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One element added during closure: which existential fired, under
     which valuation, and which witness was chosen."""
 
@@ -62,23 +60,20 @@ class TraceStep:
     witness: int
 
 
-@dataclass(frozen=True)
-class Hull:
+class Hull(NamedTuple):
     seed: frozenset[int]
     carrier: frozenset[int]
     trace: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     added_cover_element: int | None
     self_encoding: str  # added | overflow | not-hierarchy | initial
     seed: frozenset[int]
     trace: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     stages: tuple[frozenset[int], ...]
     pack: FormulaPack
     records: tuple[StageRecord, ...]

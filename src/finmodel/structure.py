@@ -39,6 +39,10 @@ starts to scan its scope.  The error is raised as soon as the steps
 spent exceed the budget.
 
 Valuations are plain dicts from variable names to element identifiers.
+:class:`FinStructure` is a frozen plain class, which validates its
+fields and keeps its member masks once computed; the results of the
+checks, :class:`AbsoluteCheck` and :class:`ElementarityCheck`, are
+``NamedTuple`` records.
 """
 
 from __future__ import annotations
@@ -46,10 +50,9 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NoReturn
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn
 
-from .errors import InputError
+from .errors import InputError, read_only
 from .formula import (
     BoundedExists,
     Const,
@@ -77,28 +80,43 @@ class BudgetExceededError(RuntimeError):
     """The evaluation-step budget ran out."""
 
 
-@dataclass(frozen=True)
 class FinStructure:
     """A finite universe 0..size-1 with one binary relation.
 
     ``codes`` optionally records a hereditarily-finite code per element
     (sorted ascending), which the hull/slicing machinery uses to move
-    between element identifiers and set-objects.
+    between element identifiers and set-objects.  Structures are frozen,
+    and equal when size, pairs and codes are: ``labels`` only names.
     """
 
-    size: int
-    pairs: frozenset[tuple[int, int]]
-    labels: Mapping[int, str] | None = field(default=None, compare=False)
-    codes: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"structure size {self.size} is negative")
-        for a, b in self.pairs:
-            if not (0 <= a < self.size and 0 <= b < self.size):
-                raise ValueError(f"relation pair {(a, b)} outside universe 0..{self.size - 1}")
-        if self.codes is not None and len(self.codes) != self.size:
+    def __init__(
+        self,
+        size: int,
+        pairs: frozenset[tuple[int, int]],
+        labels: Mapping[int, str] | None = None,
+        codes: tuple[int, ...] | None = None,
+    ) -> None:
+        if size < 0:
+            raise ValueError(f"structure size {size} is negative")
+        for a, b in pairs:
+            if not (0 <= a < size and 0 <= b < size):
+                raise ValueError(f"relation pair {(a, b)} outside universe 0..{size - 1}")
+        if codes is not None and len(codes) != size:
             raise ValueError("codes must list one code per element")
+        vars(self).update(size=size, pairs=pairs, labels=labels, codes=codes)
+
+    def __repr__(self) -> str:
+        return f"FinStructure(size={self.size!r}, pairs={self.pairs!r}, labels={self.labels!r}, codes={self.codes!r})"
+
+    def __eq__(self, other):
+        if type(other) is not FinStructure:
+            return NotImplemented
+        return (self.size, self.pairs, self.codes) == (other.size, other.pairs, other.codes)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.pairs, self.codes))
+
+    __setattr__ = __delattr__ = read_only
 
     @functools.cached_property
     def members(self) -> tuple[int, ...]:
@@ -454,8 +472,7 @@ def induced_substructure(N: FinStructure, M: Iterable[int]) -> tuple[FinStructur
     return FinStructure(sub.size, pairs, labels, codes), sub.remap
 
 
-@dataclass(frozen=True)
-class AbsoluteCheck:
+class AbsoluteCheck(NamedTuple):
     ok: bool
     counterexample: dict[str, int] | None = None
 
@@ -463,8 +480,7 @@ class AbsoluteCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ElementarityCheck:
+class ElementarityCheck(NamedTuple):
     ok: bool
     formula: Formula | None = None
     counterexample: dict[str, int] | None = None

@@ -11,7 +11,7 @@ so the n-th hierarchy level is simply ``range(size_n)`` with sizes
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .graph import Graph, make_graph
@@ -141,8 +141,7 @@ def hf_repr(code: int, max_depth: int = 8) -> str:
 # hierarchy levels as structures
 
 
-@dataclass(frozen=True)
-class Hierarchy:
+class Hierarchy(NamedTuple):
     rank: int
     structure: FinStructure
 
@@ -226,8 +225,7 @@ def graph_vertex_codes(count: int) -> list[int]:
     return list(itertools.islice(pool, count))
 
 
-@dataclass(frozen=True)
-class GraphCodes:
+class GraphCodes(NamedTuple):
     """Element-wise set encoding of a graph: one code per vertex and per
     edge, plus the least hierarchy rank admitting them all."""
 

@@ -280,6 +280,21 @@ def test_deep_formulas_hash_compare_and_transform():
     )
 
 
+def test_deep_formulas_print_pickle_copy_and_go_through_json():
+    phi = _deep_chain(3000)
+    text = repr(phi)
+    assert text.startswith("Disjunction(left=Equality(left=Var(name='y'), right=Const(ident=2)), right=Exists(")
+    assert text.endswith("Membership(left=Var(name='x'), right=Var(name='y'))" + ")" * 3 * 3000)
+    assert text.count("Disjunction(") == 3000 and repr(_deep_chain(1)) == (
+        "Disjunction(left=Equality(left=Var(name='y'), right=Const(ident=0)), right=Exists(var='x', "
+        "body=Negation(body=Membership(left=Var(name='x'), right=Var(name='y')))))"
+    )
+    assert pickle.loads(pickle.dumps(phi)) is phi and deepcopy(phi) is phi and shallow(phi) is phi
+    # the JSON pair takes 400 levels, the standard encoder's depth aside
+    chain = _deep_chain(400)
+    assert formula_from_json(formula_to_json(chain)) is chain
+
+
 def test_equal_formulas_are_one_object(monkeypatch):
     phi = parse("Ex (x in y | ~(y = #2))")
     assert Exists(var="x", body=phi.body) is phi and Exists("x", body=phi.body) is phi
