@@ -57,6 +57,7 @@ from .oracles import (
     bridges_by_deletion,
     double_cover_by_multisets,
     edge_connectivity_brute,
+    first_bond_faithful_partition,
     is_double_cover,
     max_sunflower_by_kernels,
 )
@@ -417,10 +418,10 @@ def cmd_bondfaithful_search(args):
         result["report"] = _bond_report_json(outcome.report)
         if args.format == "dot":
             return code, graph_to_dot(G, outcome.decomposition.parts)
-        return code, result
+        return code, result, G, outcome
     if outcome.status == "budget-exhausted":
         return EXIT_BUDGET, result
-    return EXIT_VIOLATION, result
+    return EXIT_VIOLATION, result, G, outcome
 
 
 def cmd_sunflower(args):
@@ -530,6 +531,11 @@ ROUTES = {
     "graph dcc": _dcc_route,
     "bondfaithful check": lambda args, G, parts, report: (
         report.verdict == bond_faithful_by_definition(G, parts, args.kappa)
+    ),
+    "bondfaithful search": lambda args, G, outcome: (
+        (first_bond_faithful_partition(G, args.kappa) is None) == (outcome.status == "proven-absent")
+        and (outcome.decomposition is None
+             or bond_faithful_by_definition(G, outcome.decomposition.parts, args.kappa))
     ),
     "sunflower": _sunflower_route,
     "freeset": lambda args, chosen, mapping: is_free(chosen, mapping),
@@ -654,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kappa", type=int, required=True)
     b.add_argument(
         "--search-budget", type=int, default=50_000,
-        help="units of exact-search work once the heuristic candidate fails: one per "
+        help="units of exact-search work once the graph's blocks fail: one per "
         "candidate block of at most KAPPA edges examined and one per node of the "
         "cover and partition searches (exit 3 when spent)",
     )
@@ -714,10 +720,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(graph_to_dot(*answer))
         return code
     report = {"schema": SCHEMA, "command": args.command, "result": result}
-    if args.format == "text":
-        sys.stdout.write(_to_text(report) + "\n")
-    else:
-        sys.stdout.write(canonical_dumps(report))
+    try:  # both writers recurse once per nesting level of the report
+        text = _to_text(report) + "\n" if args.format == "text" else canonical_dumps(report)
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"fm: error: the report nests past the recursion limit of {limit}", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stdout.write(text)
     return code
 
 

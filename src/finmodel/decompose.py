@@ -21,21 +21,21 @@ from .graph import (
     Decomposition,
     Edge,
     Graph,
+    biconnected_blocks,
     bridges,
     components,
     cut_of,
     enumerate_bonds,
     is_bond,
     is_decomposition,
-    make_graph,
     odd_cut_witness,
     odd_vertices,
     restrict,
 )
-from .hull import Chain, chain, get_pack
+from .hull import Chain, chain
 from .formula import FormulaPack
 from .structure import DEFAULT_BUDGET, FinStructure
-from .universe import build_hierarchy, hf_pair, membership_structure, recode_graph
+from .universe import build_hierarchy, hf_pair, recode_graph
 
 
 # ---------------------------------------------------------------------------
@@ -452,49 +452,6 @@ def _subgraph_of(edges: Iterable[Edge]) -> Graph:
     return Graph(vs, es)
 
 
-def _slice_candidate(G: Graph) -> list[Graph] | None:
-    """Chain-slice a connected graph over its membership structure;
-    None when slicing makes no progress."""
-    coded, codes = recode_graph(G)
-    objects = codes.all_codes()
-    ambient = membership_structure(objects)
-    index = {c: i for i, c in enumerate(ambient.codes)}
-    cover_ids = frozenset(index[c] for c in objects)
-    ch = chain(ambient, get_pack("pairing,members"), frozenset(), cover_ids)
-    sliced = slices_from_chain(coded, ambient, ch)
-    if not (sliced.all_coherent and slice_partition_check(sliced)):
-        return None
-    pieces = [s for s in sliced.slices if s.edges]
-    if len(pieces) <= 1:
-        return None
-    back = {c: v for v, c in codes.vertex_code.items()}
-    return [
-        make_graph(
-            {back[v] for v in piece.vertices if v in back},
-            {(back[u], back[v]) for u, v in piece.edges},
-        )
-        for piece in pieces
-    ]
-
-
-def _repair(G: Graph, members: list[frozenset[Edge]], kappa: int) -> list[frozenset[Edge]]:
-    """Merge members until no small host bond is split across members."""
-    bonds, _ = _bonds_upto(G, kappa)
-    current = [set(m) for m in members if m]
-    changed = True
-    while changed:
-        changed = False
-        for F in bonds:
-            owners = [i for i, m in enumerate(current) if m & F]
-            if len(owners) > 1:
-                merged = set().union(*(current[i] for i in owners))
-                current = [m for i, m in enumerate(current) if i not in owners]
-                current.append(merged)
-                changed = True
-                break
-    return [frozenset(m) for m in current]
-
-
 class _Spent(Exception):
     """The search budget is spent."""
 
@@ -502,40 +459,49 @@ class _Spent(Exception):
 def search_bond_faithful(
     G: Graph, kappa: int, budget: int = 50_000
 ) -> BondFaithfulSearch:
-    """Heuristic pipeline, then an exact search.
+    """G's blocks when they pass the check, else an exact search.
 
-    The heuristic (component split, chain slicing, recursion, then a
-    merge repair pass) gives one candidate.  When it fails the check,
-    the search lists the admissible blocks, the edge sets that can be
-    members (:meth:`_Clauses.admissible_blocks`), and decides by exact
-    cover (Knuth, "Dancing Links", 2000): a depth-first search that
-    covers the uncovered edge with the fewest fitting blocks first.  No
-    cover is ``proven-absent``.  Otherwise the first passing
-    decomposition in the order of the edge-partition walk
+    The blocks (:func:`biconnected_blocks`) are bond-faithful whenever
+    each has at most kappa edges.  Containment: both sides of a bond are
+    connected, so any two of its edges lie on a common cycle, hence in
+    one block.  Preservation: by B's maximality, each component of G
+    minus a block B's edges meets B in at most one vertex; put on that
+    vertex's side, it extends a bond of B to a bond of G with the same
+    edges.
+
+    Blocks over kappa edges prove nothing, though in every search
+    measured no decomposition existed then.  So the search lists the
+    admissible blocks, the edge sets that can be members
+    (:meth:`_Clauses.admissible_blocks`), and decides by exact cover
+    (Knuth, "Dancing Links", 2000): a depth-first search that covers
+    the uncovered edge with the fewest fitting blocks first.  No cover is ``proven-absent``.  Otherwise the
+    first passing decomposition in the order of the edge-partition walk
     (``oracles.first_bond_faithful_partition``) is returned: edges are
     assigned from last to first, to an earlier block or a new one, and
     a partial block that no admissible block extends is pruned.  Every
-    returned decomposition has passed the check.
+    returned decomposition has passed the check and lists its parts by
+    smallest edge.
 
-    ``budget`` counts search work: each candidate block examined and
-    each node of the two depth-first searches; past it the search gives
-    up as ``budget-exhausted``.  A candidate that passes only against
-    sampled host bonds, because a component exceeds the enumeration
-    cap, comes back as ``sampled``, not ``found``.  Which blocks are
-    admissible does not rest on the host's sample (a block's bonds are
-    tested with :func:`is_bond` then), and a block's own sampled bonds
-    only admit more blocks, so no cover still proves absence."""
+    ``budget`` counts the exact search's work: each candidate block
+    examined and each node of the two depth-first searches; past it the
+    search gives up as ``budget-exhausted``.  A decomposition that
+    passes only against sampled host bonds, because a component exceeds
+    the enumeration cap, comes back as ``sampled``, not ``found``.
+    Which blocks are admissible does not rest on the host's sample (a
+    block's bonds are tested with :func:`is_bond` then), and a block's
+    own sampled bonds only admit more blocks, so no cover still proves
+    absence."""
     clauses = _Clauses(G, kappa)
 
-    def verdict(parts: list[Graph]) -> BondFaithfulSearch | None:
-        report = clauses.check(parts)
+    def verdict(parts: list[frozenset[Edge]]) -> BondFaithfulSearch | None:
+        members = [_subgraph_of(part) for part in sorted(parts, key=min)]
+        report = clauses.check(members)
         if not report.verdict:
             return None
         status = "sampled" if report.sampled else "found"
-        return BondFaithfulSearch(status, Decomposition(tuple(parts)), report)
+        return BondFaithfulSearch(status, Decomposition(tuple(members)), report)
 
-    candidate = _search_candidate(G, kappa)
-    outcome = verdict([_subgraph_of(m) for m in candidate if m])
+    outcome = verdict(biconnected_blocks(G))
     if outcome:
         return outcome
     left = budget
@@ -555,7 +521,7 @@ def search_bond_faithful(
     except _Spent:
         return BondFaithfulSearch("budget-exhausted")
     outcome = verdict(
-        [_subgraph_of(e for k, e in enumerate(edges) if b >> k & 1) for b in partition]
+        [frozenset(e for k, e in enumerate(edges) if b >> k & 1) for b in partition]
     )
     if outcome is None:
         raise AssertionError("a partition into admissible blocks failed the check")
@@ -646,28 +612,3 @@ def _first_partition(
         stack.extend(reversed(children))
     raise AssertionError("a cover exists but the partition walk found none")
 
-
-def _search_candidate(G: Graph, kappa: int) -> list[frozenset[Edge]]:
-    if not G.edges:
-        return []
-    if len(G.edges) <= kappa:
-        return [frozenset(G.edges)]
-    comps = components(G)
-    if len(comps) > 1:
-        out: list[frozenset[Edge]] = []
-        for comp in comps:
-            piece = restrict(G, comp)
-            if piece.edges:
-                out.extend(_search_candidate(piece, kappa))
-        return _repair(G, out, kappa)
-    pieces = _slice_candidate(G)
-    if pieces is None:
-        # fall back to greedy buckets and let the repair pass regroup
-        ordered = sorted(G.edges)
-        buckets = [
-            frozenset(ordered[i : i + kappa]) for i in range(0, len(ordered), kappa)
-        ]
-        return _repair(G, buckets, kappa)
-    # two or more nonempty pieces partition the edges: each is smaller
-    out = [member for piece in pieces for member in _search_candidate(piece, kappa)]
-    return _repair(G, out, kappa)

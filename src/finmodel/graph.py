@@ -576,40 +576,54 @@ def veblen_decomposition(G: Graph) -> CycleDecompositionResult:
     return CycleDecompositionResult(Decomposition(tuple(cycles)), None)
 
 
-def bridges(G: Graph) -> list[Edge]:
-    """Edges whose removal separates their endpoints (low-link DFS)."""
+def biconnected_blocks(G: Graph) -> list[frozenset[Edge]]:
+    """The edge sets of G's blocks (its maximal 2-connected subgraphs and
+    its bridges) by smallest edge: a low-link DFS with an edge stack
+    (Hopcroft and Tarjan, CACM 1973).  When no back edge below v reaches
+    above its parent p, the edges from the tree edge pv on are a block."""
     adj = G.adjacency()
     preorder: dict[int, int] = {}
     low: dict[int, int] = {}
-    out: list[Edge] = []
+    pending: list[Edge] = []
+    out: list[frozenset[Edge]] = []
     counter = itertools.count()
 
     for root in sorted(G.vertices):
         if root in preorder:
             continue
-        # iterative DFS, tracking the edge used to enter each vertex
-        stack: list[tuple[int, int | None, Iterable[int]]] = []
+        # iterative DFS, tracking the vertex each vertex was entered from
+        # and where its tree edge stands on the edge stack
+        stack: list[tuple[int, int | None, Iterable[int], int]] = []
         preorder[root] = low[root] = next(counter)
-        stack.append((root, None, iter(sorted(adj[root]))))
+        stack.append((root, None, iter(sorted(adj[root])), 0))
         while stack:
-            v, parent, it = stack[-1]
+            v, parent, it, mark = stack[-1]
             advanced = False
             for w in it:
                 if w not in preorder:
                     preorder[w] = low[w] = next(counter)
-                    stack.append((w, v, iter(sorted(adj[w]))))
+                    stack.append((w, v, iter(sorted(adj[w])), len(pending)))
+                    pending.append(edge(v, w))
                     advanced = True
                     break
-                if w != parent:
+                if w != parent and preorder[w] < preorder[v]:
+                    pending.append(edge(v, w))
                     low[v] = min(low[v], preorder[w])
             if not advanced:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[v])
-                    if low[v] > preorder[p]:
-                        out.append(edge(p, v))
-    return sorted(out)
+                    if low[v] >= preorder[p]:
+                        out.append(frozenset(pending[mark:]))
+                        del pending[mark:]
+    return sorted(out, key=min)
+
+
+def bridges(G: Graph) -> list[Edge]:
+    """Edges whose removal separates their endpoints: the blocks of one
+    edge."""
+    return [min(block) for block in biconnected_blocks(G) if len(block) == 1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .graph import Edge, Graph, components, delete_edges, edge
 
 BIPARTITION_GATE = 16
 DOUBLE_COVER_GATE = 14
+PARTITION_GATE = 12
 
 
 def all_cuts(G: Graph) -> set[frozenset[Edge]]:
@@ -118,6 +119,8 @@ def first_bond_faithful_partition(G: Graph, kappa: int) -> list[frozenset[Edge]]
     """The first partition of G's sorted edges, in the order of
     :func:`_edge_partitions`, that is bond-faithful by the clauses of
     :func:`bond_faithful_by_definition`, or None when none is."""
+    if len(G.edges) > PARTITION_GATE:
+        raise InputError(f"{len(G.edges)} edges exceed the partition gate")
     host_bonds = bonds_by_definition(G)
     small = [F for F in host_bonds if len(F) <= kappa]
     host_bond_set = set(host_bonds)

@@ -8,8 +8,18 @@ import pytest
 import finmodel.decompose as decompose
 from finmodel.corpus import gnp_graph
 from finmodel.decompose import check_bond_faithful, search_bond_faithful
-from finmodel.graph import enumerate_bonds, is_connected, make_graph
-from finmodel.oracles import bonds_by_definition, first_bond_faithful_partition
+from finmodel.graph import (
+    Graph,
+    biconnected_blocks,
+    enumerate_bonds,
+    is_connected,
+    make_graph,
+)
+from finmodel.oracles import (
+    bond_faithful_by_definition,
+    bonds_by_definition,
+    first_bond_faithful_partition,
+)
 
 from conftest import seeded
 
@@ -31,18 +41,18 @@ def test_enumerate_bonds_matches_definition_at_every_size_bound():
 
 
 def _assert_search_matches_walk(G, kappa, monkeypatch):
-    """Status against the oracle; with the heuristic replaced by the whole
+    """Status against the oracle; with the blocks replaced by the whole
     edge set, which passes only where the walk's first partition is that
-    same single block, the parts too, in order."""
+    same single block, the parts too, listed by smallest edge."""
     first = first_bond_faithful_partition(G, kappa)
     out = search_bond_faithful(G, kappa)
     assert out.status == ("proven-absent" if first is None else "found")
     with monkeypatch.context() as m:
-        m.setattr(decompose, "_search_candidate", lambda H, k: [frozenset(H.edges)])
+        m.setattr(decompose, "biconnected_blocks", lambda H: [frozenset(H.edges)])
         exact = search_bond_faithful(G, kappa)
     assert exact.status == out.status
     if first is not None:
-        assert [p.edges for p in exact.decomposition.parts] == first
+        assert [p.edges for p in exact.decomposition.parts] == sorted(first, key=min)
         assert exact.report.verdict
 
 
@@ -75,16 +85,53 @@ def test_search_matches_partition_walk_on_connected_gnp(monkeypatch):
 def test_exact_search_over_sampled_host_bonds_stays_sampled(monkeypatch):
     # a 22-vertex path exceeds the enumeration cap, so its host bonds are
     # sampled, and most of its bridges are missing from the sample; with
-    # the heuristic's candidate oversized, the exact search must still
-    # find pairs of edges admissible and call the result sampled
+    # the blocks replaced by an oversized candidate, the exact search must
+    # still find pairs of edges admissible and call the result sampled
     edges = [(i, i + 1) for i in range(21)]
     path22 = make_graph(range(22), edges)
     oversized = [frozenset(edges[:3])] + [frozenset([e]) for e in edges[3:]]
-    monkeypatch.setattr(decompose, "_search_candidate", lambda H, k: oversized)
+    monkeypatch.setattr(decompose, "biconnected_blocks", lambda H: oversized)
     out = search_bond_faithful(path22, 2)
     assert out.status == "sampled"
     assert out.report.verdict and out.report.sampled
     assert len(out.decomposition.parts) == 11
+
+
+def test_blocks_within_kappa_are_bond_faithful():
+    # the lemma of search_bond_faithful: once every block has at most
+    # kappa edges, the blocks pass the definition, and the search returns
+    # them without its exact route
+    rng = seeded(1973)
+    bridged = 0
+    for _ in range(40):
+        G = gnp_graph(rng.randint(2, 9), rng.choice((0.2, 0.35, 0.5)), rng)
+        blocks = biconnected_blocks(G)
+        bridged += any(len(b) == 1 for b in blocks) and any(len(b) > 1 for b in blocks)
+        parts = [Graph(frozenset(v for e in b for v in e), b) for b in blocks]
+        largest = max(map(len, blocks), default=1)
+        for kappa in (largest, largest + 1):
+            assert bond_faithful_by_definition(G, parts, kappa)
+            out = search_bond_faithful(G, kappa, budget=0)
+            assert out.status == "found"
+            assert [p.edges for p in out.decomposition.parts] == blocks
+    assert bridged >= 5
+
+
+def test_blocks_decide_where_the_subset_listing_runs_out_of_budget():
+    # C(16, <=10) edge subsets overrun the default budget, but the blocks
+    # (9 edges and seven bridges) pass at kappa 10
+    G = make_graph(range(20), [
+        (0, 9), (0, 13), (1, 11), (2, 5), (4, 12), (5, 6), (5, 16), (6, 15),
+        (6, 16), (6, 17), (7, 15), (8, 19), (9, 17), (11, 18), (13, 18), (16, 18),
+    ])
+    out = search_bond_faithful(G, 10)
+    assert out.status == "found"
+    assert sorted(len(p.edges) for p in out.decomposition.parts) == [1] * 7 + [9]
+    # past the enumeration cap the blocks of a path are its edges, which
+    # pass against sampled host bonds
+    path22 = make_graph(range(22), [(i, i + 1) for i in range(21)])
+    out = search_bond_faithful(path22, 6)
+    assert out.status == "sampled" and len(out.decomposition.parts) == 21
 
 
 def test_search_budget_counts_candidate_blocks():

@@ -208,6 +208,8 @@ _LYING_ORACLES = [
     (["graph", "dcc", "--graph", "c3.json"], "is_double_cover", lambda *a: False),
     (["bondfaithful", "check", "--graph", "c4.json", "--parts", "singles.json", "--kappa", "1"],
      "bond_faithful_by_definition", lambda *a: False),
+    (["bondfaithful", "search", "--graph", "c4.json", "--kappa", "1"],
+     "first_bond_faithful_partition", lambda *a: None),
     (["sunflower", "max", "--family", "family.json"],
      "max_sunflower_by_kernels", lambda family: SimpleNamespace(indices=())),
     (["sunflower", "trace", "--family", "family.json"], "is_maximal_for_kernel", lambda *a: False),
@@ -246,8 +248,36 @@ def test_exactly_the_routed_subcommands_take_validate():
     }
     assert validated == set(cli.ROUTES) == {
         "hull", "chain", "graph bonds", "graph gamma", "graph veblen", "graph bridges",
-        "graph dcc", "bondfaithful check", "sunflower", "freeset",
+        "graph dcc", "bondfaithful check", "bondfaithful search", "sunflower", "freeset",
     }
+
+
+def test_bondfaithful_search_validates_status_and_parts(fixtures, monkeypatch, capsys):
+    # proven-absent is judged by the oracle's existence answer alone,
+    # found parts by the definition too; budget-exhausted and DOT output
+    # carry no answer to judge
+    monkeypatch.chdir(fixtures)
+    search = ["bondfaithful", "search", "--graph", "c4.json", "--validate", "--kappa"]
+    assert cli.main(search + ["2"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"status": "proven-absent", "validated": True}
+    # the oracle walks edge partitions, so it takes at most 12 edges
+    rows = [(v, v + 1) for v in range(12) if v % 4 < 3]
+    grid = make_graph(range(12), rows + [(v, v + 4) for v in range(8)])
+    (fixtures / "grid.json").write_text(json.dumps(graph_to_json(grid)))
+    assert cli.main(["bondfaithful", "search", "--graph", "grid.json", "--kappa", "3", "--validate"]) == 2
+    assert capsys.readouterr() == ("", "fm: error: 17 edges exceed the partition gate\n")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "first_bond_faithful_partition", lambda *a: [])
+        assert cli.main(search + ["2"]) == 1
+        assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
+    monkeypatch.setattr(cli, "bond_faithful_by_definition", lambda *a: False)
+    assert cli.main(search + ["1"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
+    assert cli.main(search + ["2", "--search-budget", "0"]) == 3
+    assert json.loads(capsys.readouterr().out)["result"] == {"status": "budget-exhausted"}
+    assert cli.main(["--format", "dot"] + search + ["1"]) == 0
+    assert capsys.readouterr().out.startswith("graph G {")
 
 
 def test_failed_veblen_validation_prints_the_report_not_dot(fixtures, monkeypatch, capsys):
@@ -510,7 +540,7 @@ def _raise(exc):
 # program, not a usage error: fm must not exit 2 on it
 _FAULTS = [
     (["bondfaithful", "search", "--graph", "c4.json", "--kappa", "2"],
-     "decompose", "_search_candidate", ValueError("injected")),
+     "decompose", "biconnected_blocks", ValueError("injected")),
     (["graph", "dcc", "--graph", "c4.json"], "graph", "enumerate_cycles", KeyError("injected")),
     (["hull", "--structure", "v4.json", "--pack", "pairing", "--seed-elems", "0,1"],
      "hull", "_close", KeyError("injected")),
@@ -565,3 +595,13 @@ def test_a_constant_past_the_digit_limit_is_a_parse_error(fixtures, argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "fm: error: constant of 5000 digits is too long (at position 4)\n"
+
+
+def test_a_report_nested_past_the_recursion_limit_is_an_input_error(fixtures):
+    # both report writers recurse once per nesting level: a formula nested
+    # 1,000 deep exits 2 with a message naming the limit, not a traceback
+    for command in ("parse", "relativize"):
+        for fmt in ("json", "text"):
+            proc = run_fm(["--format", fmt, command, "--formula", "~" * 1000 + "x in y"], fixtures)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == "fm: error: the report nests past the recursion limit of 1000\n"

@@ -7,6 +7,7 @@ import pytest
 from finmodel.decompose import chain_slices
 from finmodel.graph import (
     CutWitness,
+    biconnected_blocks,
     bridges,
     check_bond_inheritance,
     complete_graph,
@@ -35,6 +36,7 @@ from finmodel.oracles import (
     all_cuts,
     bonds_by_definition,
     bridges_by_deletion,
+    cycles_by_subsets,
     double_cover_by_multisets,
     edge_connectivity_brute,
     is_bond_by_definition,
@@ -303,11 +305,29 @@ def test_bridges_known_cases():
     assert bridges(C4) == []
     pendant = make_graph(range(6), list(bowtie().edges) + [(4, 5)])
     assert bridges(pendant) == [(4, 5)]
+    assert biconnected_blocks(pendant) == [
+        frozenset({(0, 1), (0, 2), (1, 2)}),
+        frozenset({(2, 3), (2, 4), (3, 4)}),
+        frozenset({(4, 5)}),
+    ]
 
 
 def test_bridges_match_deletion_oracle():
     for G in _random_graphs(120, 7, 97):
         assert bridges(G) == bridges_by_deletion(G)
+
+
+def test_blocks_match_cycle_definition():
+    # two edges share a block exactly when some cycle holds both; the
+    # blocks partition the edges and come ordered by smallest edge
+    for G in _random_graphs(80, 6, 1973):
+        blocks = biconnected_blocks(G)
+        assert sorted(e for b in blocks for e in b) == sorted(G.edges)
+        assert [min(b) for b in blocks] == sorted(min(b) for b in blocks)
+        block_of = {e: i for i, b in enumerate(blocks) for e in b}
+        cycles = cycles_by_subsets(G)
+        for e, f in itertools.combinations(sorted(G.edges), 2):
+            assert (block_of[e] == block_of[f]) == any(e in c and f in c for c in cycles)
 
 
 def test_bond_inheritance_known_cases():
