@@ -290,8 +290,10 @@ def cmd_slice(args):
 def cmd_probe(args):
     if args.corpus:
         graphs = _load_json(args.corpus, generate_corpus)
-    else:
+    elif args.graph:
         graphs = [_load_graph(args.graph)]
+    else:
+        raise InputError("probe needs --corpus or --graph")
     pack = _load_pack(args.pack)
     report = well_reflecting_probe(
         graphs, pack, args.property,
@@ -662,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--search-budget", type=int, default=50_000,
         help="units of exact-search work once the graph's blocks fail: one per "
         "candidate block of at most KAPPA edges examined and one per node of the "
-        "cover and partition searches (exit 3 when spent)",
+        "cover search (exit 3 when spent)",
     )
     _bind(b, "bondfaithful search", cmd_bondfaithful_search)
 

@@ -14,6 +14,7 @@ objects, the slices partition the edge set.
 from __future__ import annotations
 
 import itertools
+import os
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
@@ -106,15 +107,13 @@ def slice_partition_check(S: SliceSet) -> bool:
 
 def slices_from_chain(G: Graph, ambient: FinStructure, ch: Chain) -> SliceSet:
     """Translate a chain's stages from element identifiers to codes and
-    slice the graph along them."""
+    slice the graph along them.  The codes are distinct, so the code
+    sets increase strictly, as the stages do."""
     if ambient.codes is None:
         raise ValueError("ambient structure carries no set codes")
-    stage_codes = [frozenset(ambient.codes[i] for i in stage) for stage in ch.stages]
-    deduped = [stage_codes[0]]
-    for s in stage_codes[1:]:
-        if s != deduped[-1]:
-            deduped.append(s)
-    return chain_slices(G, deduped)
+    return chain_slices(
+        G, [frozenset(ambient.codes[i] for i in stage) for stage in ch.stages]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +273,7 @@ def well_reflecting_probe(
     if property_name not in PROPERTIES:
         raise KeyError(f"unknown property {property_name!r}; available: {sorted(PROPERTIES)}")
     prop = PROPERTIES[property_name]
+    workers = min(workers, len(corpus), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -474,16 +474,12 @@ def search_bond_faithful(
     admissible blocks, the edge sets that can be members
     (:meth:`_Clauses.admissible_blocks`), and decides by exact cover
     (Knuth, "Dancing Links", 2000): a depth-first search that covers
-    the uncovered edge with the fewest fitting blocks first.  No cover is ``proven-absent``.  Otherwise the
-    first passing decomposition in the order of the edge-partition walk
-    (``oracles.first_bond_faithful_partition``) is returned: edges are
-    assigned from last to first, to an earlier block or a new one, and
-    a partial block that no admissible block extends is pruned.  Every
-    returned decomposition has passed the check and lists its parts by
-    smallest edge.
+    the uncovered edge with the fewest fitting blocks first.  No cover
+    is ``proven-absent``; any cover passes the check, so the cover found
+    is returned, its parts listed by smallest edge.
 
     ``budget`` counts the exact search's work: each candidate block
-    examined and each node of the two depth-first searches; past it the
+    examined and each node of the cover search; past it the
     search gives up as ``budget-exhausted``.  A decomposition that
     passes only against sampled host bonds, because a component exceeds
     the enumeration cap, comes back as ``sampled``, not ``found``.
@@ -515,13 +511,13 @@ def search_bond_faithful(
     edges = sorted(G.edges)
     try:
         by_bit = _by_bit(clauses.admissible_blocks(edges, spend))
-        if not _cover_exists(by_bit, (1 << len(edges)) - 1, spend):
-            return BondFaithfulSearch("proven-absent")
-        partition = _first_partition(by_bit, len(edges), spend)
+        cover = _cover(by_bit, (1 << len(edges)) - 1, spend)
     except _Spent:
         return BondFaithfulSearch("budget-exhausted")
+    if cover is None:
+        return BondFaithfulSearch("proven-absent")
     outcome = verdict(
-        [frozenset(e for k, e in enumerate(edges) if b >> k & 1) for b in partition]
+        [frozenset(e for k, e in enumerate(edges) if b >> k & 1) for b in cover]
     )
     if outcome is None:
         raise AssertionError("a partition into admissible blocks failed the check")
@@ -540,19 +536,22 @@ def _by_bit(blocks: list[int]) -> dict[int, list[int]]:
     return by_bit
 
 
-def _cover_exists(
+def _cover(
     by_bit: dict[int, list[int]], full: int, spend: Callable[[], None]
-) -> bool:
-    """Do some of the blocks indexed in ``by_bit`` partition ``full``?
-    Depth-first, branching on the uncovered bit that the fewest blocks
-    fit; a set of uncovered bits once refuted is not searched again."""
+) -> list[int] | None:
+    """Blocks indexed in ``by_bit`` that partition ``full``, or None when
+    there are none.  Depth-first, branching on the uncovered bit that the
+    fewest blocks fit; a set of uncovered bits once refuted is not
+    searched again.  The stack holds each open node's uncovered bits, so
+    the block taken at a node is its bits less the next node's."""
     refuted: set[int] = set()
     stack: list[tuple[int, Iterator[int]]] = []
     uncovered = full
     while True:
         spend()
         if not uncovered:
-            return True
+            nodes = [node for node, _ in stack]
+            return [a ^ b for a, b in zip(nodes, nodes[1:] + [0])]
         if uncovered not in refuted:
             fewest = None
             rest = uncovered
@@ -574,41 +573,5 @@ def _cover_exists(
             refuted.add(node)
             stack.pop()
         else:
-            return False
-
-
-def _first_partition(
-    by_bit: dict[int, list[int]], m: int, spend: Callable[[], None]
-) -> list[int]:
-    """The first partition of bits 0..m-1 into the blocks indexed in
-    ``by_bit``, in the order of the edge-partition walk: bit m-1 first,
-    each bit joining one of the blocks so far, in their order, or else
-    opening a new last block.  After bit k is placed every partial block
-    P must still be the part above bit k of some block b (b & high == P),
-    else the branch is cut; a part that only blocks holding bit k extend
-    must take bit k."""
-
-    def fit(part: int, high: int) -> bool:
-        return any(b & high == part for b in by_bit.get(part & -part, ()))
-
-    stack: list[tuple[int, list[int]]] = [(m - 1, [])]
-    while stack:
-        spend()
-        k, parts = stack.pop()
-        if k < 0:
-            return parts
-        bit, high = 1 << k, ((1 << m) - 1) ^ ((1 << k) - 1)
-        stale = [i for i, p in enumerate(parts) if not fit(p, high)]
-        children = []
-        if len(stale) <= 1:
-            for i in stale or range(len(parts) + 1):
-                trial = parts.copy()
-                if i < len(parts):
-                    trial[i] |= bit
-                else:
-                    trial.append(bit)
-                if fit(trial[i], high):
-                    children.append((k - 1, trial))
-        stack.extend(reversed(children))
-    raise AssertionError("a cover exists but the partition walk found none")
+            return None
 

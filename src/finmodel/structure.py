@@ -84,7 +84,7 @@ class FinStructure:
     """A finite universe 0..size-1 with one binary relation.
 
     ``codes`` optionally records a hereditarily-finite code per element
-    (sorted ascending), which the hull/slicing machinery uses to move
+    (strictly ascending), which the hull/slicing machinery uses to move
     between element identifiers and set-objects.  Structures are frozen,
     and equal when size, pairs and codes are: ``labels`` only names.
     """
@@ -101,8 +101,11 @@ class FinStructure:
         for a, b in pairs:
             if not (0 <= a < size and 0 <= b < size):
                 raise ValueError(f"relation pair {(a, b)} outside universe 0..{size - 1}")
-        if codes is not None and len(codes) != size:
-            raise ValueError("codes must list one code per element")
+        if codes is not None:
+            if len(codes) != size:
+                raise ValueError("codes must list one code per element")
+            if any(a >= b for a, b in zip((-1, *codes), codes)):
+                raise ValueError("codes must be nonnegative and strictly ascending")
         vars(self).update(size=size, pairs=pairs, labels=labels, codes=codes)
 
     def __repr__(self) -> str:

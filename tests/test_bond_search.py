@@ -42,8 +42,9 @@ def test_enumerate_bonds_matches_definition_at_every_size_bound():
 
 def _assert_search_matches_walk(G, kappa, monkeypatch):
     """Status against the oracle; with the blocks replaced by the whole
-    edge set, which passes only where the walk's first partition is that
-    same single block, the parts too, listed by smallest edge."""
+    edge set, which passes only where that one block is admissible, the
+    exact route's parts too: they partition the edges and pass the
+    definition."""
     first = first_bond_faithful_partition(G, kappa)
     out = search_bond_faithful(G, kappa)
     assert out.status == ("proven-absent" if first is None else "found")
@@ -52,7 +53,10 @@ def _assert_search_matches_walk(G, kappa, monkeypatch):
         exact = search_bond_faithful(G, kappa)
     assert exact.status == out.status
     if first is not None:
-        assert [p.edges for p in exact.decomposition.parts] == sorted(first, key=min)
+        parts = exact.decomposition.parts
+        assert all(p.edges for p in parts)
+        assert sorted(e for p in parts for e in p.edges) == sorted(G.edges)
+        assert bond_faithful_by_definition(G, parts, kappa)
         assert exact.report.verdict
 
 
@@ -86,7 +90,7 @@ def test_exact_search_over_sampled_host_bonds_stays_sampled(monkeypatch):
     # a 22-vertex path exceeds the enumeration cap, so its host bonds are
     # sampled, and most of its bridges are missing from the sample; with
     # the blocks replaced by an oversized candidate, the exact search must
-    # still find pairs of edges admissible and call the result sampled
+    # still cover the path by admissible blocks and call the result sampled
     edges = [(i, i + 1) for i in range(21)]
     path22 = make_graph(range(22), edges)
     oversized = [frozenset(edges[:3])] + [frozenset([e]) for e in edges[3:]]
@@ -94,7 +98,44 @@ def test_exact_search_over_sampled_host_bonds_stays_sampled(monkeypatch):
     out = search_bond_faithful(path22, 2)
     assert out.status == "sampled"
     assert out.report.verdict and out.report.sampled
-    assert len(out.decomposition.parts) == 11
+    parts = out.decomposition.parts
+    assert all(1 <= len(p.edges) <= 2 for p in parts)
+    assert sorted(e for p in parts for e in p.edges) == edges
+
+
+def _partitions_exist(masks, full):
+    """Does some subfamily of ``masks`` partition ``full``?  Each mask in
+    turn is left out or, when disjoint from those taken, put in."""
+    def extend(i, taken):
+        if taken == full:
+            return True
+        if i == len(masks):
+            return False
+        fits = not masks[i] & taken and not masks[i] & ~full
+        return (fits and extend(i + 1, taken | masks[i])) or extend(i + 1, taken)
+
+    return extend(0, 0)
+
+
+def test_cover_matches_brute_force_on_random_families():
+    rng = seeded(4242)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        bits = rng.randint(1, 9)
+        masks = [rng.randrange(1, 1 << bits) for _ in range(rng.randint(0, 14))]
+        full = (1 << bits) - 1 if rng.random() < 0.7 else rng.randrange(1 << bits)
+        cover = decompose._cover(decompose._by_bit(masks), full, lambda: None)
+        exists = _partitions_exist(masks, full)
+        outcomes[exists] += 1
+        assert (cover is not None) == exists
+        if cover is not None:
+            assert all(b in masks for b in cover)
+            union = 0
+            for b in cover:
+                assert not b & union
+                union |= b
+            assert union == full
+    assert min(outcomes.values()) >= 100
 
 
 def test_blocks_within_kappa_are_bond_faithful():

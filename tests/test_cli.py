@@ -499,6 +499,9 @@ _CHECKED_INPUTS = [
      "designated subset element 99 outside the universe"),
     (["eval", "--relativize-to", "0,99", "--structure", "v3.json", "--formula", "Ex (x = x)"],
      "designated subset element 99 outside the universe"),
+    (["probe", "--pack", "pairing", "--property", "nw"], "probe needs --corpus or --graph"),
+    (["chain", "--structure=badcodes.json", "--pack", "pairing"],
+     "codes must be nonnegative and strictly ascending"),
 ]
 
 
@@ -517,6 +520,9 @@ def test_checked_input_is_a_usage_error(fixtures, monkeypatch, capsys, argv, mes
     (fixtures / "family40.json").write_text(json.dumps([[i, i + 1] for i in range(40)]))
     (fixtures / "mixed.json").write_text(json.dumps([[1], [1, "a"]]))
     (fixtures / "negative.json").write_text(json.dumps({"size": -2, "pairs": []}))
+    (fixtures / "badcodes.json").write_text(
+        json.dumps({"size": 3, "pairs": [[0, 2], [1, 2]], "codes": ["0", "0", "3"]})
+    )
     monkeypatch.chdir(fixtures)
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()

@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
+import os
 
 import pytest
 
@@ -132,6 +134,32 @@ def test_probe_skips_precondition_failures():
 def test_probe_rejects_unknown_property():
     with pytest.raises(KeyError):
         well_reflecting_probe([C3], get_pack("pairing"), "no-such-property")
+
+
+def test_probe_asks_for_no_more_workers_than_graphs(monkeypatch):
+    # a fake pool records the workers asked for and maps in this process,
+    # so no process is started
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    corpus, pack = [C3, make_graph([0, 1], [(0, 1)])], get_pack("pairing,members")
+    report = well_reflecting_probe(corpus, pack, "nw", workers=10_000)
+    assert asked == [2]
+    assert report == well_reflecting_probe(corpus, pack, "nw")
 
 
 # SHA-256 of the answers below, recorded from the code that built each
