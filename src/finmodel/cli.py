@@ -30,7 +30,7 @@ from .combinatorics import (
     trace_kernel_sunflower,
 )
 from .corpus import generate_corpus
-from .errors import InputError
+from .errors import InputError, read_int
 from .decompose import (
     PROPERTIES,
     chain_slices,
@@ -170,9 +170,8 @@ def _ints(text: str) -> list[int]:
 
 
 def _valuation(text: str | None) -> dict[str, int]:
-    if not text:
-        return {}
-    return _json_input("--valuation", text, lambda obj: {str(k): int(v) for k, v in obj.items()})
+    values = lambda obj: {str(k): read_int(v, f"--valuation of {k!r}") for k, v in obj.items()}
+    return _json_input("--valuation", text, values) if text else {}
 
 
 def _edges_json(edges) -> list[list[int]]:
@@ -270,7 +269,7 @@ def cmd_chain(args):
 
 def cmd_slice(args):
     G = _load_graph(args.graph)
-    stages = _load_json(args.stages, lambda obj: [set(map(int, s)) for s in obj])
+    stages = _load_json(args.stages, lambda obj: [{read_int(x, f"stage {i}") for x in s} for i, s in enumerate(obj)])
     sliced = chain_slices(G, stages)
     partition = slice_partition_check(sliced)
     result = {
@@ -446,11 +445,12 @@ def cmd_sunflower(args):
 
 def _kernel_set(family, obj) -> set:
     """The --m file's elements, and the family members it names by index."""
-    mset = {int(x) for x in obj.get("elements", [])}
+    mset = {read_int(x, "the elements list") for x in obj.get("elements", [])}
     for idx in obj.get("members", []):
-        if not 0 <= int(idx) < len(family.sets):
+        idx = read_int(idx, "the members list")
+        if not 0 <= idx < len(family.sets):
             raise IndexError(f"no member {idx} in a family of {len(family.sets)} sets")
-        mset.add(family.sets[int(idx)])
+        mset.add(family.sets[idx])
     return mset
 
 
@@ -464,9 +464,9 @@ def _system_json(system):
 
 
 def cmd_freeset(args):
-    mapping = _load_json(
-        args.map, lambda obj: {int(k): frozenset(int(x) for x in v) for k, v in obj.items()}
-    )
+    mapping = _load_json(args.map, lambda obj: {
+        read_int(k, "the map"): frozenset(read_int(x, f"image of {k!r}") for x in v) for k, v in obj.items()
+    })
     ground = _ints(args.ground) if args.ground else sorted(mapping)
     for x in ground:
         if x not in mapping:

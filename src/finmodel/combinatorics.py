@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import InputError
+from .errors import InputError, read_int
 
 MAX_EXHAUSTIVE_FAMILY = 20
 # free_set also computes the true maximum on grounds up to this size
@@ -21,22 +21,15 @@ _BRUTE_FORCE_LIMIT = 18
 class SetFamily(NamedTuple):
     sets: tuple[frozenset[int], ...]
 
-    @property
-    def has_duplicates(self) -> bool:
-        return len(set(self.sets)) != len(self.sets)
-
     def __len__(self) -> int:
         return len(self.sets)
 
 
 def make_family(sets: Iterable[Iterable[int]]) -> SetFamily:
     """The family of *sets*, whose elements must be integers."""
-    members = [tuple(s) for s in sets]
-    for i, member in enumerate(members):
-        for x in member:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise InputError(f"family member {i} holds {x!r}, which is not an integer")
-    return SetFamily(tuple(frozenset(s) for s in members))
+    return SetFamily(tuple(
+        frozenset(read_int(x, f"family member {i}", strings=False) for x in s) for i, s in enumerate(sets)
+    ))
 
 
 class DeltaSystem(NamedTuple):

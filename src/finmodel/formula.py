@@ -33,7 +33,7 @@ import weakref
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 from _weakref import _remove_dead_weakref
 
-from .errors import InputError, read_only
+from .errors import InputError, read_int, read_only
 
 
 class ParseError(InputError):
@@ -610,7 +610,7 @@ def term_from_json(obj: dict) -> Term:
     if "var" in obj:
         return Var(_name_from_json(obj["var"]))
     if "const" in obj:
-        return Const(int(obj["const"]))
+        return Const(read_int(obj["const"], "a constant"))
     raise ValueError(f"not a term: {obj!r}")
 
 
@@ -660,14 +660,6 @@ def formula_from_json(obj: dict) -> Formula:
     for node, *parts in reversed(read):
         done.append(node(*parts, *[done.pop() for _ in range(len(_FIELDS[node]) - len(parts))]))
     return done.pop()
-
-
-def pack_to_json(pack: FormulaPack) -> dict:
-    return {
-        "name": pack.name,
-        "formulas": [formula_to_json(f) for f in pack.formulas],
-        "closed_under_subformulas": pack.closed_under_subformulas,
-    }
 
 
 def pack_from_json(obj: dict) -> FormulaPack:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
+from .errors import read_int
 from .graph import Graph, make_graph
 from .structure import FinStructure
 
@@ -35,16 +36,21 @@ def structure_to_json(N: FinStructure) -> dict:
 def structure_from_json(obj: dict) -> FinStructure:
     labels = None
     if obj.get("labels"):
-        labels = {int(k): str(v) for k, v in obj["labels"].items()}
+        labels = {read_int(k, "the labels object"): str(v) for k, v in obj["labels"].items()}
     codes = None
     if obj.get("codes") is not None:
-        codes = tuple(int(c) for c in obj["codes"])
+        codes = tuple(read_int(c, "the codes list") for c in obj["codes"])
     return FinStructure(
-        int(obj["size"]),
-        frozenset((int(a), int(b)) for a, b in obj["pairs"]),
+        read_int(obj["size"], "structure size"),
+        frozenset(_int_pair(pair, "relation pair") for pair in obj["pairs"]),
         labels,
         codes,
     )
+
+
+def _int_pair(pair, holder: str) -> tuple[int, int]:
+    a, b = pair
+    return read_int(a, f"{holder} {pair!r}"), read_int(b, f"{holder} {pair!r}")
 
 
 def structure_from_matrix(text: str) -> FinStructure:
@@ -62,13 +68,6 @@ def structure_from_matrix(text: str) -> FinStructure:
     return FinStructure(n, frozenset(pairs))
 
 
-def structure_to_matrix(N: FinStructure) -> str:
-    return "\n".join(
-        "".join("1" if (a, b) in N.pairs else "0" for b in range(N.size))
-        for a in range(N.size)
-    ) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -82,8 +81,8 @@ def graph_to_json(G: Graph) -> dict:
 
 def graph_from_json(obj: dict) -> Graph:
     return make_graph(
-        (int(v) for v in obj["vertices"]),
-        ((int(u), int(v)) for u, v in obj["edges"]),
+        (read_int(v, "the vertex list") for v in obj["vertices"]),
+        (_int_pair(edge, "edge") for edge in obj["edges"]),
     )
 
 
@@ -105,13 +104,6 @@ def graph_from_edge_list(text: str) -> Graph:
         else:
             raise ValueError(f"bad edge-list line: {line!r}")
     return make_graph(vertices, edges)
-
-
-def graph_to_edge_list(G: Graph) -> str:
-    lines = [f"{u} {v}" for u, v in sorted(G.edges)]
-    touched = {v for e in G.edges for v in e}
-    lines += [str(v) for v in sorted(G.vertices - touched)]
-    return "\n".join(lines) + "\n"
 
 
 _DOT_COLORS = (

@@ -20,10 +20,12 @@ same code, and the code goes when the formula does.
 *sweep*, also made once per formula: one ``for`` loop over the
 valuations into M in lexicographic order, whose body is the formula's
 code twice, first over N and then over the substructure M induces, with
-the first valuation on which they differ returned.  Both copies spend
-from one step count, so the charges fall in the order two
-compiled-formula calls per valuation would make them.  The substructure
-is M's carrier, which gathers its member masks from N's.
+the first valuation on which they differ returned.  An induced
+substructure's atoms are N's, so M's side tests N's own member masks
+and constants, each of its quantifiers scanning M's elements, ascending,
+for ``|M|`` steps: no substructure or remapped masks are built.  Both
+copies spend from one step count, in the order two compiled-formula
+calls per valuation would.
 
 The hulls' witness search, :func:`witness_search`, is no kind of its
 own: it is an existential's evaluator whose last line returns the
@@ -159,8 +161,8 @@ class _Generator:
     Besides its variables, the code reads a *context*: names for the
     structure's ``members``, ``size`` and ``universe``, for the relativized
     scope and for each constant.  :meth:`emit` takes the context as an
-    argument, so the sweep emits the body once over N and once over the
-    substructure, and a split function is handed the context it was
+    argument, so the sweep emits the body once over N and once with the
+    scans over M, and a split function is handed the context it was
     split from."""
 
     def __init__(self, phi: Formula, constants: tuple[int, ...]):
@@ -171,27 +173,26 @@ class _Generator:
         self.splits = itertools.count(1)
         self.pending: list[tuple[list[str], Formula, dict[str, str], dict]] = []
 
-    def context(self, prefix: str, structure: str, consts: str) -> tuple[dict, list[str]]:
-        """The context for one structure, keyed by ``"members"``,
+    def context(self) -> tuple[dict, list[str]]:
+        """The context for the structure ``N``, keyed by ``"members"``,
         ``"size"``, ``"universe"``, ``"scope"``, ``"nscope"`` and each
         constant's identifier, as far as the formula uses them, and the
-        statements that set it from the expressions *structure* and
-        *consts* (the elements the constants denote).  Each name but the
-        scope's, which is one for every structure, starts with *prefix*."""
+        statements that set it from ``N`` and ``consts`` (the elements
+        the constants denote)."""
         ctx, setup = {}, []
         if Membership in self.kinds:
-            ctx["members"] = f"{prefix}members"
-            setup.append(f"{prefix}members = {structure}.members")
+            ctx["members"] = "members"
+            setup.append("members = N.members")
         if Exists in self.kinds:
-            ctx["size"], ctx["universe"] = f"{prefix}size", f"{prefix}universe"
-            setup += [f"{prefix}size = {structure}.size", f"{prefix}universe = range({prefix}size)"]
+            ctx["size"], ctx["universe"] = "size", "universe"
+            setup += ["size = N.size", "universe = range(size)"]
         if self.relativized:
             ctx["scope"], ctx["nscope"] = "scope", "nscope"
             setup.append("nscope = len(scope) or 1")
         if self.constants:
-            names = [f"{prefix}k{i}" for i in range(len(self.constants))]
+            names = [f"k{i}" for i in range(len(self.constants))]
             ctx.update(zip(self.constants, names))
-            setup.append(f"{', '.join(names)}, = {consts}")
+            setup.append(f"{', '.join(names)}, = consts")
         return ctx, setup
 
     def evaluator(self, phi: Formula, names: list[str], witness: bool = False) -> Callable:
@@ -199,7 +200,7 @@ class _Generator:
         N with its free variables *names* at *values*.  With *witness*,
         phi is an existential and f returns the smallest x that satisfies
         its body, or None, having spent what the truth value costs."""
-        ctx, setup = self.context("", "N", "consts")
+        ctx, setup = self.context()
         env = {name: self.variable() for name in names}
         lines = [f"def _f0({', '.join(['consts', 'N', 'scope', 'budget', *env.values()])}):"]
         lines += [f"    {line}" for line in setup]
@@ -209,31 +210,33 @@ class _Generator:
         return self.finish(lines)
 
     def sweep(self, phi: Formula, names: list[str]) -> Callable:
-        """``f(S, N, hconsts, sconsts, budget)``, the first tuple of values
-        for *names* from the elements of S, in lexicographic order, on
-        which phi's truth value in N differs from its value in S, the
-        substructure they induce, numbered 0, 1, ... in order (a
-        :class:`_Carrier`); None if there is none.  Each tuple evaluates
-        N's side, then S's, from one step count."""
-        host, host_setup = self.context("", "N", "hconsts")
-        sub, sub_setup = self.context("s", "S", "sconsts")
-        hvals = {name: self.variable() for name in names}
-        svals = {name: self.variable() for name in names}
-        # one loop whatever the arity, each position an (S, N) value pair
-        target = ", ".join(f"({svals[n]}, {hvals[n]})" for n in names) + "," if names else "_"
-        lines = ["def _f0(S, N, hconsts, sconsts, budget):"]
-        lines += [f"    {line}" for line in host_setup + sub_setup]
+        """``f(S, N, consts, budget)``, the first tuple of values for
+        *names* from the sorted tuple S, in lexicographic order, on which
+        phi's truth value in N differs from its value in the substructure
+        S induces, or None.  Each tuple evaluates N's side, then S's, from
+        one step count; S's side reads N's member masks, each quantifier
+        scanning S for ``len(S)`` steps."""
+        ctx, setup = self.context()
+        sub = dict(ctx)
+        if Exists in self.kinds:
+            sub.update(size="ssize", universe="S")
+            setup.append("ssize = len(S)")
+        env = {name: self.variable() for name in names}
+        values = "".join(f"{v}, " for v in env.values())
+        lines = ["def _f0(S, N, consts, budget):"]
+        lines += [f"    {line}" for line in setup]
         lines += [
             "    left = budget.left",
-            f"    for {target} in product(enumerate(S), repeat={len(names)}):",
+            # one loop whatever the arity
+            f"    for {values.rstrip() or '_'} in product(S, repeat={len(names)}):",
         ]
-        self.emit(phi, hvals, host, lines, 2)
+        self.emit(phi, env, ctx, lines, 2)
         lines.append("        h = r")
-        self.emit(phi, svals, sub, lines, 2)
+        self.emit(phi, env, sub, lines, 2)
         lines += [
             "        if r != h:",
             "            budget.left = left",
-            f"            return ({''.join(f'{v}, ' for v in hvals.values())})",
+            f"            return ({values})",
             "    budget.left = left",
             "    return None",
         ]
@@ -353,21 +356,17 @@ class CompiledFormula(functools.partial):
             raise EvalError(_NO_SCOPE)
 
 
-class _Sweep:
-    """:func:`is_absolute`'s generated check for one formula: ``run`` is
-    the entry of :meth:`_Generator.sweep`, or None for a relativized
-    formula, which has no value in a substructure."""
-
-    __slots__ = ("free_vars", "constants", "run")
-
-    def __init__(self, phi: Formula):
-        self.free_vars, self.constants = free_vars(phi), tuple(constants(phi))
-        gen = _Generator(phi, self.constants)
-        self.run = None if gen.relativized else gen.sweep(phi, self.free_vars)
+def _sweep(phi: Formula) -> tuple[list[str], tuple[int, ...], Callable | None]:
+    """:func:`is_absolute`'s generated check for one formula: its free
+    variables, its constants and the entry of :meth:`_Generator.sweep`,
+    or None for a relativized formula, which has no value in a substructure."""
+    names, consts = free_vars(phi), tuple(constants(phi))
+    gen = _Generator(phi, consts)
+    return names, consts, None if gen.relativized else gen.sweep(phi, names)
 
 
 _COMPILED: weakref.WeakKeyDictionary[Formula, CompiledFormula] = weakref.WeakKeyDictionary()
-_SWEEPS: weakref.WeakKeyDictionary[Formula, _Sweep] = weakref.WeakKeyDictionary()
+_SWEEPS: weakref.WeakKeyDictionary[Formula, tuple] = weakref.WeakKeyDictionary()
 _WITNESSES: weakref.WeakKeyDictionary[Formula, CompiledFormula] = weakref.WeakKeyDictionary()
 
 
@@ -461,6 +460,15 @@ def eval_relativized(
     return _evaluate(N, phi, valuation, budget, frozenset(M))
 
 
+def _elements(M: Iterable[int], N: FinStructure) -> tuple[int, ...]:
+    """The elements of M in ascending order, each checked to lie in N."""
+    S = tuple(sorted(set(M)))
+    for m in S:
+        if not (0 <= m < N.size):
+            raise ValueError(f"element {m} outside universe 0..{N.size - 1}")
+    return S
+
+
 def induced_substructure(N: FinStructure, M: Iterable[int]) -> tuple[FinStructure, dict[int, int]]:
     """Restriction of the relation to M, with the identifier re-map.
 
@@ -468,11 +476,12 @@ def induced_substructure(N: FinStructure, M: Iterable[int]) -> tuple[FinStructur
     returned mapping translates old identifiers to new ones so callers
     can translate valuations.
     """
-    sub = _Carrier(M, N)
-    pairs = frozenset((a, b) for b, mask in enumerate(sub.members) for a in range(sub.size) if mask >> a & 1)
-    labels = {sub.remap[k]: v for k, v in N.labels.items() if k in sub.remap} if N.labels else None
-    codes = tuple(N.codes[m] for m in sub) if N.codes is not None else None
-    return FinStructure(sub.size, pairs, labels, codes), sub.remap
+    S = _elements(M, N)
+    remap = {old: new for new, old in enumerate(S)}
+    pairs = frozenset((remap[a], new) for new, b in enumerate(S) for a in S if N.members[b] >> a & 1)
+    labels = {remap[k]: v for k, v in N.labels.items() if k in remap} if N.labels else None
+    codes = tuple(N.codes[m] for m in S) if N.codes is not None else None
+    return FinStructure(len(S), pairs, labels, codes), remap
 
 
 class AbsoluteCheck(NamedTuple):
@@ -492,31 +501,6 @@ class ElementarityCheck(NamedTuple):
         return self.ok
 
 
-class _Carrier(tuple):
-    """The elements of M in ascending order, as the substructure they
-    induce in *host*, numbered 0, 1, ... in that order: its ``size``, its
-    member masks gathered from the host's, and the renumbering.  Built
-    once for all the formulas one carrier is checked against."""
-
-    def __new__(cls, M: Iterable[int], host: FinStructure) -> "_Carrier":
-        self = super().__new__(cls, sorted(set(M)))
-        for m in self:
-            if not (0 <= m < host.size):
-                raise ValueError(f"element {m} outside universe 0..{host.size - 1}")
-        self.host, self.size = host, len(self)
-        self.remap = {old: new for new, old in enumerate(self)}
-        inside, members = sum(1 << a for a in self), []
-        for b in self:
-            mask, bits = host.members[b] & inside, 0
-            while mask:
-                low = mask & -mask
-                bits |= 1 << self.remap[low.bit_length() - 1]
-                mask ^= low
-            members.append(bits)
-        self.members = tuple(members)
-        return self
-
-
 def is_absolute(
     M: Iterable[int],
     N: FinStructure,
@@ -532,24 +516,24 @@ def is_absolute(
     substructure side is undefined and evaluation errors out.
 
     The valuations run in phi's sweep, one generated function made once
-    per formula: a single loop over the valuations that evaluates
-    phi's body inline over N and then over the substructure.  The steps
-    are charged to one budget in that order, valuation by valuation, as
-    two compiled-formula calls per valuation would charge them, and the
+    per formula: a single loop over the valuations that evaluates phi's
+    body inline over N, then on N's member masks with each quantifier
+    scanning M, which is the substructure's side with nothing built.
+    The steps are charged to one budget in that order, as two
+    compiled-formula calls per valuation would charge them, and the
     sweep stops at the first valuation on which the two sides differ.
     """
-    carrier = M if isinstance(M, _Carrier) and M.host is N else _Carrier(M, N)
-    sweep = _per_formula(_SWEEPS, phi, _Sweep)
-    for c in sweep.constants:
-        if c not in carrier.remap:
+    S = _elements(M, N)
+    names, consts, sweep = _per_formula(_SWEEPS, phi, _sweep)
+    for c in consts:
+        if c not in S:
             raise EvalError(f"constant #{c} lies outside M")
-    if sweep.run is None:
+    if sweep is None:
         raise EvalError(_NO_SCOPE)
-    sub_constants = tuple(carrier.remap[c] for c in sweep.constants)
-    found = sweep.run(carrier, N, sweep.constants, sub_constants, Budget(budget))
+    found = sweep(S, N, consts, Budget(budget))
     if found is None:
         return AbsoluteCheck(True)
-    return AbsoluteCheck(False, dict(zip(sweep.free_vars, found)))
+    return AbsoluteCheck(False, dict(zip(names, found)))
 
 
 def is_sigma_elementary(
@@ -559,11 +543,9 @@ def is_sigma_elementary(
     budget: int = DEFAULT_BUDGET,
 ) -> ElementarityCheck:
     """Absoluteness of every pack member, first failure reported."""
-    if not pack.formulas:  # holds without looking at M
-        return ElementarityCheck(True)
-    carrier = _Carrier(M, N)
+    S = sorted(set(M))  # once; is_absolute checks it against N
     for phi in pack.formulas:
-        check = is_absolute(carrier, N, phi, budget)
+        check = is_absolute(S, N, phi, budget)
         if not check.ok:
             return ElementarityCheck(False, phi, check.counterexample)
     return ElementarityCheck(True)

@@ -502,6 +502,17 @@ _CHECKED_INPUTS = [
     (["probe", "--pack", "pairing", "--property", "nw"], "probe needs --corpus or --graph"),
     (["chain", "--structure=badcodes.json", "--pack", "pairing"],
      "codes must be nonnegative and strictly ascending"),
+    # a float or a bool where an integer belongs is refused, not truncated
+    (["eval", "--valuation", '{"x": 0.9, "y": 1}', "--structure", "v3.json", "--formula", "x in y"],
+     "--valuation of 'x' holds 0.9, which is not an integer"),
+    (["eval", '--valuation={"x": true}', "--structure", "v3.json", "--formula", "x = x"],
+     "--valuation of 'x' holds True, which is not an integer"),
+    (["graph", "bridges", "--graph", "vertexfloat.json"], "the vertex list holds 2.7, which is not an integer"),
+    (["graph", "veblen", "--graph", "edgefloat.json"], "edge [1, 2.2] holds 2.2, which is not an integer"),
+    (["hull", "--seed-elems", "0", "--structure", "sizefloat.json", "--pack", "pairing"],
+     "structure size holds 2.9, which is not an integer"),
+    (["chain", "--cover-elems", "0", "--structure", "pairfloat.json", "--pack", "pairing"],
+     "relation pair [0, 1.5] holds 1.5, which is not an integer"),
 ]
 
 
@@ -523,6 +534,10 @@ def test_checked_input_is_a_usage_error(fixtures, monkeypatch, capsys, argv, mes
     (fixtures / "badcodes.json").write_text(
         json.dumps({"size": 3, "pairs": [[0, 2], [1, 2]], "codes": ["0", "0", "3"]})
     )
+    (fixtures / "vertexfloat.json").write_text(json.dumps({"vertices": [0, 1, 2.7], "edges": [[0, 1]]}))
+    (fixtures / "edgefloat.json").write_text(json.dumps({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2.2]]}))
+    (fixtures / "sizefloat.json").write_text(json.dumps({"size": 2.9, "pairs": []}))
+    (fixtures / "pairfloat.json").write_text(json.dumps({"size": 2, "pairs": [[0, 1.5]]}))
     monkeypatch.chdir(fixtures)
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()

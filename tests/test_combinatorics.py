@@ -11,6 +11,7 @@ from finmodel.combinatorics import (
     max_sunflower,
     trace_kernel_sunflower,
 )
+from finmodel.errors import InputError
 from finmodel.oracles import max_sunflower_by_kernels
 
 from conftest import seeded
@@ -27,9 +28,15 @@ def test_is_delta_system_degenerate_conventions():
     assert is_delta_system(make_family([[4, 5]])) == frozenset({4, 5})
 
 
-def test_family_duplicates_flagged():
-    assert make_family([[1], [1]]).has_duplicates
-    assert not make_family([[1], [2]]).has_duplicates
+def test_family_keeps_duplicate_members():
+    family = make_family([[1], [1]])
+    assert len(family) == 2 and family.sets[0] == family.sets[1]
+
+
+def test_family_elements_are_integers():
+    for bad in (1.0, True, "1"):
+        with pytest.raises(InputError, match=f"family member 0 holds {bad!r}, which is not an integer"):
+            make_family([[bad]])
 
 
 def test_trace_kernel_known_cases():

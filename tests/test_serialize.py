@@ -9,14 +9,12 @@ from finmodel.serialize import (
     graph_from_edge_list,
     graph_from_json,
     graph_to_dot,
-    graph_to_edge_list,
     graph_to_json,
     structure_from_json,
     structure_from_matrix,
     structure_to_json,
-    structure_to_matrix,
 )
-from finmodel.formula import pack_from_json, pack_to_json
+from finmodel.formula import pack_from_json
 from finmodel.structure import FinStructure
 from finmodel.universe import build_hierarchy
 
@@ -29,9 +27,9 @@ def test_structure_json_round_trip():
 
 
 def test_structure_matrix_round_trip():
+    # V3 is codes 0..3, where 0 is in 1 and 3, and 1 is in 2 and 3
     N = build_hierarchy(3).structure
-    text = structure_to_matrix(N)
-    back = structure_from_matrix(text)
+    back = structure_from_matrix("0101\n0011\n0000\n0000\n")
     assert back.size == N.size and back.pairs == N.pairs
     with pytest.raises(ValueError):
         structure_from_matrix("01\n0")
@@ -40,7 +38,8 @@ def test_structure_matrix_round_trip():
 def test_graph_json_and_edge_list_round_trip():
     G = make_graph([0, 1, 2, 5], [(0, 1), (1, 2)])  # 5 isolated
     assert graph_from_json(graph_to_json(G)) == G
-    assert graph_from_edge_list(graph_to_edge_list(G)) == G
+    assert graph_from_json(json.loads('{"vertices": [0, 1, 2, 5], "edges": [[1, 0], [1, 2]]}')) == G
+    assert graph_from_edge_list("0 1\n2 1\n\n5\n") == G
     with pytest.raises(ValueError):
         graph_from_edge_list("1 2 3")
 
@@ -57,8 +56,9 @@ def test_dot_export_colors_parts():
 
 def test_pack_json_round_trip_accepts_text_formulas():
     pack = subformula_closure(FormulaPack("p", (parse("Ex (x in y)"),)))
-    back = pack_from_json(json.loads(json.dumps(pack_to_json(pack))))
-    assert back == pack
+    atom = {"tag": "membership", "left": {"var": "x"}, "right": {"var": "y"}}
+    formulas = [{"tag": "exists", "var": "x", "body": atom}, atom]
+    assert pack_from_json({"name": "p", "formulas": formulas, "closed_under_subformulas": True}) == pack
     mixed = pack_from_json({"name": "m", "formulas": ["Ex (x = x)"]})
     assert mixed.formulas == (parse("Ex (x = x)"),)
 

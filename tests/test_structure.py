@@ -12,9 +12,11 @@ from finmodel.formula import (
     Membership,
     Negation,
     Var,
+    constants,
     free_vars,
     parse,
     relativize,
+    remap_constants,
 )
 from finmodel.structure import (
     Budget,
@@ -196,6 +198,42 @@ def test_is_absolute_remaps_constants():
     assert check.ok == (eval_formula(V3, phi) == direct)
     with pytest.raises(EvalError):
         is_absolute([0], V3, phi)  # constant outside the subset
+
+
+def _absolute_by_definition(M, N, phi):
+    """The first valuation into M, in lexicographic order, on which phi
+    over N and phi over the substructure M induces differ, or None, and
+    the steps both sides spend up to it."""
+    sub, remap = induced_substructure(N, M)
+    host, inner = compile_formula(phi), compile_formula(remap_constants(phi, remap))
+    assert host.free_vars == inner.free_vars
+    budget = Budget(10**9)
+    for values in itertools.product(sorted(M), repeat=len(host.free_vars)):
+        if host(N, None, budget, *values) != inner(sub, None, budget, *[remap[v] for v in values]):
+            return dict(zip(host.free_vars, values)), 10**9 - budget.left
+    return None, 10**9 - budget.left
+
+
+def test_is_absolute_is_the_definition_at_the_steps_of_both_sides():
+    rng = seeded(19)
+    cases = []
+    for _ in range(150):
+        N = random_structure(rng.randint(1, 6), rng)
+        phi = random_formula(rng, rng.randint(0, 3), max_const=N.size if rng.random() < 0.4 else None)
+        M = {e for e in range(N.size) if rng.random() < 0.6} | set(constants(phi))
+        cases.append((M, N, phi))
+    N = random_structure(4, rng)
+    cases += [(set(), N, parse("Ex Ey (x in y)")), (set(), N, parse("~Ex (x = x)")), (set(), N, parse("x in y"))]
+    verdicts = set()
+    for M, N, phi in cases:
+        expected, steps = _absolute_by_definition(M, N, phi)
+        check = is_absolute(M, N, phi, budget=steps)
+        assert (check.ok, check.counterexample) == (expected is None, expected)
+        verdicts.add(check.ok)
+        if steps > 0:
+            with pytest.raises(BudgetExceededError):
+                is_absolute(M, N, phi, budget=steps - 1)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
