@@ -10,7 +10,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .errors import InputError
+from .errors import InputError, read_int
 from .formula import (
     Const,
     Disjunction,
@@ -81,9 +81,9 @@ def random_graph(model: str, n: int, rng: random.Random, **params) -> Graph:
     if model == "gnp":
         return gnp_graph(n, float(params.get("p", 0.4)), rng)
     if model == "regular":
-        return regular_graph(n, int(params.get("d", 2)), rng)
+        return regular_graph(n, read_int(params.get("d", 2), "the generator's d"), rng)
     if model == "union-of-cycles":
-        return union_of_cycles_graph(n, int(params.get("cycles", 2)), rng)
+        return union_of_cycles_graph(n, read_int(params.get("cycles", 2), "the generator's cycles"), rng)
     raise InputError(f"unknown graph model {model!r}")
 
 
@@ -92,9 +92,9 @@ def generate_corpus(spec: dict) -> list[Graph]:
     ``{"generator": {"model": ..., "n": ..., "count": ..., ...}, "seed": ...}``."""
     gen = dict(spec["generator"])
     model = gen.pop("model")
-    n = int(gen.pop("n"))
-    count = int(gen.pop("count", 1))
-    rng = random.Random(int(spec.get("seed", 0)))
+    n = read_int(gen.pop("n"), "the generator's n")
+    count = read_int(gen.pop("count", 1), "the generator's count")
+    rng = random.Random(read_int(spec.get("seed", 0), "the corpus seed"))
     return [random_graph(model, n, rng, **gen) for _ in range(count)]
 
 

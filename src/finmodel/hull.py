@@ -34,8 +34,6 @@ from .formula import (
     Exists,
     Formula,
     FormulaPack,
-    constants,
-    free_vars,
     is_subformula_closed,
     parse,
     subformula_closure,
@@ -94,10 +92,10 @@ class _WitnessOracle:
         self.N = N
         self.budget = Budget(budget)
         self.exists = [phi for phi in pack.formulas if isinstance(phi, Exists)]
-        self.names = [free_vars(phi) for phi in self.exists]
         self.searches = [witness_search(phi) for phi in self.exists]
-        for phi in self.exists:
-            for c in constants(phi):
+        self.names = [search.free_vars for search in self.searches]
+        for search in self.searches:
+            for c in search.constants:
                 if not (0 <= c < N.size):
                     raise EvalError(f"dangling constant #{c}")
         self.swept: list[list[int] | None] = [None] * len(self.exists)

@@ -25,7 +25,12 @@ substructure's atoms are N's, so M's side tests N's own member masks
 and constants, each of its quantifiers scanning M's elements, ascending,
 for ``|M|`` steps: no substructure or remapped masks are built.  Both
 copies spend from one step count, in the order two compiled-formula
-calls per valuation would.
+calls per valuation would.  A formula without a quantifier skips its
+sweep, and holds, whenever the budget covers ``2a`` steps for each of
+the ``|M|**k`` valuations (a atom occurrences, k free variables): both
+sides then read N's own atoms and agree, and a valuation charges each
+side at most one step per atom, so the sweep could neither find a
+mismatch nor run out.
 
 The hulls' witness search, :func:`witness_search`, is no kind of its
 own: it is an existential's evaluator whose last line returns the
@@ -356,13 +361,18 @@ class CompiledFormula(functools.partial):
             raise EvalError(_NO_SCOPE)
 
 
-def _sweep(phi: Formula) -> tuple[list[str], tuple[int, ...], Callable | None]:
+def _sweep(phi: Formula) -> tuple[list[str], tuple[int, ...], int | None, Callable | None]:
     """:func:`is_absolute`'s generated check for one formula: its free
-    variables, its constants and the entry of :meth:`_Generator.sweep`,
-    or None for a relativized formula, which has no value in a substructure."""
+    variables, its constants, the most steps one valuation can charge when
+    phi has no quantifier (one per atom occurrence on each side), else
+    None, and the entry of :meth:`_Generator.sweep`, or None for a
+    relativized formula, which has no value in a substructure."""
     names, consts = free_vars(phi), tuple(constants(phi))
     gen = _Generator(phi, consts)
-    return names, consts, None if gen.relativized else gen.sweep(phi, names)
+    steps = None
+    if not gen.kinds & {Exists, BoundedExists}:
+        steps = 2 * sum(isinstance(f, (Membership, Equality)) for f in subformulas(phi))
+    return names, consts, steps, None if gen.relativized else gen.sweep(phi, names)
 
 
 _COMPILED: weakref.WeakKeyDictionary[Formula, CompiledFormula] = weakref.WeakKeyDictionary()
@@ -522,14 +532,21 @@ def is_absolute(
     The steps are charged to one budget in that order, as two
     compiled-formula calls per valuation would charge them, and the
     sweep stops at the first valuation on which the two sides differ.
+
+    A quantifier-free phi with a atom occurrences and k free variables
+    holds without its sweep when ``2a * |M|**k`` steps fit the budget:
+    an induced substructure's atoms are N's, so the sides agree, and a
+    valuation charges at most ``2a`` steps, so the sweep cannot run out.
     """
     S = _elements(M, N)
-    names, consts, sweep = _per_formula(_SWEEPS, phi, _sweep)
+    names, consts, steps, sweep = _per_formula(_SWEEPS, phi, _sweep)
     for c in consts:
         if c not in S:
             raise EvalError(f"constant #{c} lies outside M")
     if sweep is None:
         raise EvalError(_NO_SCOPE)
+    if steps is not None and steps * len(S) ** len(names) <= budget:
+        return AbsoluteCheck(True)
     found = sweep(S, N, consts, Budget(budget))
     if found is None:
         return AbsoluteCheck(True)

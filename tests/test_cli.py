@@ -513,6 +513,8 @@ _CHECKED_INPUTS = [
      "structure size holds 2.9, which is not an integer"),
     (["chain", "--cover-elems", "0", "--structure", "pairfloat.json", "--pack", "pairing"],
      "relation pair [0, 1.5] holds 1.5, which is not an integer"),
+    (["probe", "--corpus", "specfloat.json", "--pack", "pairing", "--property", "nw"],
+     "the generator's n holds 3.9, which is not an integer"),
 ]
 
 
@@ -538,10 +540,31 @@ def test_checked_input_is_a_usage_error(fixtures, monkeypatch, capsys, argv, mes
     (fixtures / "edgefloat.json").write_text(json.dumps({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2.2]]}))
     (fixtures / "sizefloat.json").write_text(json.dumps({"size": 2.9, "pairs": []}))
     (fixtures / "pairfloat.json").write_text(json.dumps({"size": 2, "pairs": [[0, 1.5]]}))
+    (fixtures / "specfloat.json").write_text(json.dumps(_FLOAT_SPEC))
     monkeypatch.chdir(fixtures)
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"fm: error: {message}\n")
+
+
+_FLOAT_SPEC = {"generator": {"model": "gnp", "n": 3.9, "p": 0.5, "count": 1.5}, "seed": 0.5}
+
+
+def test_a_float_in_a_corpus_spec_is_refused(fixtures, monkeypatch, capsys):
+    # each integer field of a spec, one float at a time; p stays a float
+    gnp = {"model": "gnp", "n": 6, "p": 0.5}
+    cases = [
+        (_FLOAT_SPEC, "the generator's n holds 3.9"),
+        ({"generator": {**gnp, "count": 2.5}}, "the generator's count holds 2.5"),
+        ({"generator": gnp, "seed": 2.5}, "the corpus seed holds 2.5"),
+        ({"generator": {"model": "regular", "n": 6, "d": 2.5}}, "the generator's d holds 2.5"),
+        ({"generator": {"model": "union-of-cycles", "n": 6, "cycles": 2.5}}, "the generator's cycles holds 2.5"),
+    ]
+    monkeypatch.chdir(fixtures)
+    for spec, message in cases:
+        (fixtures / "spec.json").write_text(json.dumps(spec))
+        assert cli.main(["corpus", "gen", "--spec", "spec.json"]) == 2, message
+        assert capsys.readouterr() == ("", f"fm: error: {message}, which is not an integer\n")
 
 
 def test_a_bad_budget_in_the_environment_is_a_usage_error(fixtures):

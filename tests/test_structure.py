@@ -17,6 +17,7 @@ from finmodel.formula import (
     parse,
     relativize,
     remap_constants,
+    subformulas,
 )
 from finmodel.structure import (
     Budget,
@@ -234,6 +235,53 @@ def test_is_absolute_is_the_definition_at_the_steps_of_both_sides():
             with pytest.raises(BudgetExceededError):
                 is_absolute(M, N, phi, budget=steps - 1)
     assert verdicts == {True, False}
+
+
+def _fail_on_sweep(monkeypatch, phi):
+    """Replace phi's cached sweep with one that fails if it is called."""
+    from finmodel import structure
+
+    def untouched(*args):
+        raise AssertionError("the sweep ran")
+
+    entry = structure._per_formula(structure._SWEEPS, phi, structure._sweep)
+    monkeypatch.setitem(structure._SWEEPS, phi, (*entry[:-1], untouched))
+
+
+def test_is_absolute_skips_the_sweep_only_where_it_could_not_fail(monkeypatch):
+    rng = seeded(23)
+    cases = []
+    for _ in range(80):
+        N = random_structure(rng.randint(1, 6), rng)
+        phi = random_formula(rng, 0, max_const=N.size if rng.random() < 0.5 else None)
+        M = {e for e in range(N.size) if rng.random() < 0.6} | set(constants(phi))
+        cases.append((M, N, phi))
+    N = random_structure(3, rng)
+    cases += [({0, 2}, N, parse("((#0 in #2) | ~(#2 = #0))")), (set(), N, parse("x in y"))]
+    swept_below = raised = 0
+    for M, N, phi in cases:
+        atoms = sum(isinstance(f, (Membership, Equality)) for f in subformulas(phi))
+        bound = 2 * atoms * len(M) ** len(free_vars(phi))
+        expected, steps = _absolute_by_definition(M, N, phi)
+        assert expected is None  # N's own atoms: no quantifier-free formula fails
+        # below the bound the sweep runs and spends exactly the definition's steps
+        for budget in range(bound):
+            if budget < steps:
+                with pytest.raises(BudgetExceededError):
+                    is_absolute(M, N, phi, budget)
+                raised += 1
+            else:
+                assert is_absolute(M, N, phi, budget) == (True, None)
+                swept_below += 1
+        with monkeypatch.context() as patch:  # a formula can recur
+            _fail_on_sweep(patch, phi)
+            assert is_absolute(M, N, phi, budget=bound) == (True, None)
+    assert swept_below and raised
+    # a quantified formula never skips its sweep
+    phi = parse("Ey (y in x)")
+    _fail_on_sweep(monkeypatch, phi)
+    with pytest.raises(AssertionError, match="the sweep ran"):
+        is_absolute([0, 1], V2, phi)
 
 
 # ---------------------------------------------------------------------------
