@@ -267,31 +267,7 @@ def cut_to_bonds(G: Graph, F: Iterable[Edge]) -> list[frozenset[Edge]]:
     return bonds
 
 
-def _connected_sides(
-    adj: list[int], inc: list[int], anchor: int
-) -> Iterator[tuple[int, int]]:
-    """Every connected vertex mask that contains the one-bit mask
-    ``anchor``, each once, with its cut: the XOR of the incident-edge
-    masks ``inc`` of its vertices, since an edge with both ends inside
-    cancels.
-
-    A side grows by one frontier vertex at a time, and each branch bars
-    the vertices its earlier siblings added, so no side is reached twice.
-    """
-    i = anchor.bit_length() - 1
-    stack = [(anchor, adj[i], 0, inc[i])]
-    while stack:
-        side, frontier, barred, cut = stack.pop()
-        yield side, cut
-        fresh = frontier & ~barred
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            j = low.bit_length() - 1
-            grown = side | low
-            reach = (frontier | adj[j]) & ~grown
-            stack.append((grown, reach, barred, cut ^ inc[j]))
-            barred |= low
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edge]]:
@@ -299,15 +275,37 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
     by size, then by their sorted edge lists.
 
     A bond always lives inside one connected component, and the bonds of
-    a connected component are exactly the cuts of the sides A, taken
-    here to contain the component's smallest vertex, such that A and its
+    a connected component are exactly the cuts of the sides S, taken
+    here to contain the component's smallest vertex, such that S and its
     complement are both connected (Tsukiyama, Shirakawa, Ozaki and
-    Ariyoshi, JACM 1980).  Connected sides are grown as bitmasks per
-    component, each carrying its cut as an edge mask in which edge k of
-    the sorted edges is bit m-1-k: a cut over max_size is dropped before
-    its complement is flooded, and of two cuts of one size the larger
-    mask is the one whose sorted edge list comes first.  Components
-    larger than the cap raise.
+    Ariyoshi, JACM 1980).  Vertex sets are bitmasks, and each side
+    carries its cut as the XOR of its vertices' incident-edge masks (an
+    edge with both ends inside cancels), edge k of the sorted edges being
+    bit m-1-k.
+
+    A side grows by one frontier vertex at a time, and each branch bars
+    the vertices its earlier siblings added, so a node (S, barred) stands
+    for every connected side that holds S and avoids the barred vertices,
+    and no side is reached twice.  A node whose cut is within max_size
+    floods the rest of the component, comp - S, once from a barred
+    vertex, so that only sides that can still lead to a bond are grown
+    (the listing paradigm of Provan and Shier, Algorithmica 1996).  The
+    components of comp - S have no edges between them, and each one
+    touches S.  A side below the node leaves the barred vertices out, so
+    its complement, inside comp - S, is connected only if the barred
+    vertices lie in one component C of comp - S and every other
+    component is inside the side.  So:
+
+    - with barred vertices in two components no bond lies below, and the
+      node is pruned;
+    - otherwise the other components join S, which stays connected as
+      each touches it, and S, whose complement is now C, is a bond side.
+
+    While nothing is barred the flood starts at the lowest vertex of
+    comp - S and only tells whether S is a bond side.  A node whose cut
+    is over max_size grows without a flood.  Cuts are collected by size;
+    of two cuts of one size the larger mask is the one whose sorted edge
+    list comes first.  Components larger than the cap raise.
     """
     _, index, adj = G._view
     edges = sorted(G.edges)
@@ -318,31 +316,53 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
         inc[index[u]] |= bit
         inc[index[v]] |= bit
     cap = m if max_size is None else max_size
-    cuts: list[int] = []
+    by_size: list[list[int]] = [[] for _ in range(cap + 1)]
     for comp in _components(adj):
         size = comp.bit_count()
         if size > _COMPONENT_CAP:
             raise InputError(
                 f"component with {size} vertices exceeds the enumeration cap"
             )
-        for side, cut in _connected_sides(adj, inc, comp & -comp):
-            if cut.bit_count() <= cap:
-                other = comp ^ side
-                if other and _reach(adj, other & -other, other) == other:
-                    cuts.append(cut)
-    cuts.sort(key=lambda cut: (cut.bit_count(), -cut))
-    return [_edges_of(edges, cut) for cut in cuts]
-
-
-_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _edges_of(edges: list[Edge], mask: int) -> frozenset[Edge]:
-    """The edges whose bits are set in ``mask``, edge k of ``edges``
-    being bit len(edges)-1-k: the binary digits of ``mask`` under a
-    leading 1, read left to right, select from ``edges`` in order."""
-    digits = bin(1 << len(edges) | mask).encode()[3:]
-    return frozenset(itertools.compress(edges, digits.translate(_DIGIT_BITS)))
+        # a node is comp - S, S's frontier, the barred vertices and S's cut
+        anchor = comp & -comp
+        i = anchor.bit_length() - 1
+        stack = [(comp ^ anchor, adj[i], 0, inc[i])]
+        while stack:
+            rest, frontier, barred, cut = stack.pop()
+            if rest and cut.bit_count() <= cap:
+                start = barred or rest
+                reach = _reach(adj, start & -start, rest)
+                if barred & ~reach:
+                    continue
+                if barred or reach == rest:
+                    absorbed = rest ^ reach
+                    rest = reach
+                    frontier &= reach
+                    while absorbed:
+                        low = absorbed & -absorbed
+                        cut ^= inc[low.bit_length() - 1]
+                        absorbed ^= low
+                    count = cut.bit_count()
+                    if count <= cap:
+                        by_size[count].append(cut)
+            fresh = frontier & ~barred
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                j = low.bit_length() - 1
+                left = rest ^ low
+                stack.append((left, (frontier | adj[j]) & left, barred, cut ^ inc[j]))
+                barred |= low
+    # a cut's binary digits under a leading 1, read left to right, select
+    # its edges from the sorted edges
+    top = 1 << m
+    return [
+        frozenset(
+            itertools.compress(edges, bin(top | cut).encode()[3:].translate(_DIGIT_BITS))
+        )
+        for bucket in by_size
+        for cut in sorted(bucket, reverse=True)
+    ]
 
 
 class BondInheritance(NamedTuple):

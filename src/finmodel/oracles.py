@@ -37,16 +37,21 @@ def all_cuts(G: Graph) -> set[frozenset[Edge]]:
 
 
 def bonds_by_definition(G: Graph) -> list[frozenset[Edge]]:
-    """Nonempty cuts that are inclusion-minimal among the cuts."""
-    cuts = all_cuts(G)
-    nonempty = [c for c in cuts if c]
-    return sorted(
-        (
-            c for c in nonempty
-            if not any(other and other < c for other in nonempty)
-        ),
-        key=lambda f: (len(f), sorted(f)),
-    )
+    """Nonempty cuts that are inclusion-minimal among the cuts.
+
+    The cuts are taken smallest first, each as a mask over the edges, and
+    one is kept when no bond kept before it lies inside it: a cut that is
+    not minimal holds a strictly smaller nonempty cut, and a smallest
+    nonempty cut inside that one is a bond, kept first."""
+    bit = {e: 1 << k for k, e in enumerate(sorted(G.edges))}
+    masks: list[int] = []
+    bonds = []
+    for cut in sorted((c for c in all_cuts(G) if c), key=len):
+        mask = sum(bit[e] for e in cut)
+        if not any(b & mask == b for b in masks):
+            masks.append(mask)
+            bonds.append(cut)
+    return sorted(bonds, key=lambda f: (len(f), sorted(f)))
 
 
 def is_bond_by_definition(G: Graph, F: Iterable[Edge]) -> bool:

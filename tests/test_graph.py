@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from finmodel.corpus import gnp_graph
 from finmodel.decompose import chain_slices
 from finmodel.graph import (
     CutWitness,
@@ -413,6 +414,54 @@ def test_bond_kernel_on_code_labelled_graphs():
         for r in range(min(3, len(edges)) + 1):
             for F in itertools.combinations(edges, r):
                 assert is_bond(coded, F) == is_bond_by_definition(coded, F)
+
+
+def _connected_gnp(n, p, rng):
+    while True:
+        G = gnp_graph(n, p, rng)
+        if is_connected(G):
+            return G
+
+
+def test_enumerate_bonds_matches_definition_past_10_vertices():
+    # seeded connected gnp graphs on 11 to 13 vertices, a host of two
+    # components and a host labelled with set codes, at every size bound
+    # up to 4
+    rng = seeded(2111)
+    hosts = [
+        _connected_gnp(n, p, rng) for n in (11, 12, 13) for p in (0.35, 0.5) for _ in "ab"
+    ]
+    left, right = _connected_gnp(6, 0.5, rng), _connected_gnp(6, 0.5, rng)
+    hosts.append(
+        make_graph(range(12), left.edges | {(u + 6, v + 6) for u, v in right.edges})
+    )
+    hosts.append(recode_graph(_connected_gnp(11, 0.35, rng))[0])
+    assert not is_connected(hosts[-2])
+    for G in hosts:
+        want = bonds_by_definition(G)
+        assert enumerate_bonds(G) == want
+        for k in (1, 2, 3, 4):
+            assert enumerate_bonds(G, max_size=k) == [F for F in want if len(F) <= k]
+
+
+# SHA-256 of the bond lists below, recorded from the kernel that flooded
+# the complement of every connected side it grew
+BOND_LIST_DIGEST = "96e2259e4c948194a26c6857fb157e0325a871857cf0e5df5bea55318d17607c"
+
+
+def test_bond_lists_match_recorded_digest():
+    # seeded gnp graphs on 13 to 16 vertices, three of them disconnected:
+    # every bond, then those of at most 3 edges, in the order returned
+    rng = seeded(2121)
+    digest = hashlib.sha256()
+    for n, p in (
+        (13, 0.3), (14, 0.25), (14, 0.4), (15, 0.2), (15, 0.3),
+        (16, 0.2), (16, 0.25), (13, 0.5), (16, 0.35),
+    ):
+        G = gnp_graph(n, p, rng)
+        for k in (None, 3):
+            digest.update(repr([sorted(F) for F in enumerate_bonds(G, k)]).encode())
+    assert digest.hexdigest() == BOND_LIST_DIGEST
 
 
 def _path(n, offset=0):
