@@ -315,7 +315,8 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
         bit = 1 << (m - 1 - k)
         inc[index[u]] |= bit
         inc[index[v]] |= bit
-    cap = m if max_size is None else max_size
+    # no cut holds more than the m edges
+    cap = m if max_size is None else min(max_size, m)
     by_size: list[list[int]] = [[] for _ in range(cap + 1)]
     for comp in _components(adj):
         size = comp.bit_count()
@@ -342,9 +343,7 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
                         low = absorbed & -absorbed
                         cut ^= inc[low.bit_length() - 1]
                         absorbed ^= low
-                    count = cut.bit_count()
-                    if count <= cap:
-                        by_size[count].append(cut)
+                    by_size[cut.bit_count()].append(cut)
             fresh = frontier & ~barred
             while fresh:
                 low = fresh & -fresh

@@ -444,6 +444,21 @@ def test_enumerate_bonds_matches_definition_past_10_vertices():
             assert enumerate_bonds(G, max_size=k) == [F for F in want if len(F) <= k]
 
 
+def test_enumerate_bonds_size_bound_past_the_edge_count():
+    # no cut holds more than m edges, so any bound of at least m lists
+    # every bond, however large, and a bound below 1 lists none
+    rng = seeded(2112)
+    hosts = [make_graph(range(3), []), bowtie()]
+    hosts += [gnp_graph(n, 0.4, rng) for n in (5, 8, 11)]
+    for G in hosts:
+        every = enumerate_bonds(G)
+        m = len(G.edges)
+        for k in (m, m + 1, 10**12):
+            assert enumerate_bonds(G, max_size=k) == every
+        for k in (0, -1, -(10**12)):
+            assert enumerate_bonds(G, max_size=k) == []
+
+
 # SHA-256 of the bond lists below, recorded from the kernel that flooded
 # the complement of every connected side it grew
 BOND_LIST_DIGEST = "96e2259e4c948194a26c6857fb157e0325a871857cf0e5df5bea55318d17607c"
