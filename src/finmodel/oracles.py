@@ -3,8 +3,9 @@
 Each function here recomputes something the fast path also computes, by
 a deliberately different route lifted straight from the definitions:
 cuts come from explicit bipartitions, minimality from subset scans,
-connectivity from separator enumeration.  The CLI ``--validate`` mode
-and the test suite compare fast paths against these.
+connectivity from separator enumeration, truth from Tarski's
+definition.  The CLI ``--validate`` mode and the test suite compare
+fast paths against these.
 """
 
 from __future__ import annotations
@@ -14,11 +15,64 @@ from typing import Iterable, Sequence
 
 from .combinatorics import DeltaSystem, SetFamily, is_delta_system
 from .errors import InputError
+from .formula import BoundedExists, Const, Disjunction, Equality, Exists, Formula, Membership, Negation
 from .graph import Edge, Graph, components, delete_edges, edge
 
 BIPARTITION_GATE = 16
 DOUBLE_COVER_GATE = 14
 PARTITION_GATE = 12
+
+
+def satisfies(N, phi: Formula, valuation, scope: Iterable[int] | None = None) -> bool:
+    """Tarski's truth definition of phi in the structure N under
+    *valuation* (names to elements), membership read from ``N.pairs``:
+    an atom holds when its pair is in the relation or its terms are
+    equal, ``~`` and ``|`` are read classically, ``Ex`` holds when some
+    element of N satisfies its body, and a relativized quantifier when
+    some element of *scope* does.  It shares nothing with the compiled
+    evaluators but the formula nodes, charges nothing, and runs from an
+    explicit stack, so formulas of any depth are read.
+
+    The stack holds tasks: a formula to evaluate under an environment,
+    whose truth value joins ``values``, or the rest of a connective or
+    quantifier waiting on the value of its last operand."""
+    universe = range(N.size)
+    elements = None if scope is None else list(scope)
+    values: list[bool] = []
+    stack: list[tuple] = [("eval", phi, dict(valuation))]
+    while stack:
+        task = stack.pop()
+        if task[0] == "eval":
+            _, f, env = task
+            kind = type(f)
+            if kind is Membership or kind is Equality:
+                a, b = (t.ident if type(t) is Const else env[t.name] for t in (f.left, f.right))
+                values.append((a, b) in N.pairs if kind is Membership else a == b)
+            elif kind is Negation:
+                stack += [("not",), ("eval", f.body, env)]
+            elif kind is Disjunction:
+                stack += [("or", f.right, env), ("eval", f.left, env)]
+            elif kind is Exists or kind is BoundedExists:
+                if kind is BoundedExists and elements is None:
+                    raise InputError("a relativized quantifier needs a scope")
+                stack.append(("some", f, env, iter(universe if kind is Exists else elements)))
+                values.append(False)
+            else:
+                raise InputError(f"cannot evaluate node {kind.__name__}")
+        elif task[0] == "not":
+            values.append(not values.pop())
+        elif task[0] == "or":
+            if not values[-1]:
+                values.pop()
+                stack.append(("eval", task[1], task[2]))
+        else:  # "some": the value on top is the last candidate's
+            _, f, env, candidates = task
+            if not values[-1]:
+                e = next(candidates, None)
+                if e is not None:
+                    values.pop()
+                    stack += [task, ("eval", f.body, {**env, f.var: e})]
+    return values.pop()
 
 
 def all_cuts(G: Graph) -> set[frozenset[Edge]]:

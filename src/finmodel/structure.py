@@ -70,6 +70,7 @@ from .formula import (
     FormulaPack,
     Membership,
     Negation,
+    Var,
     constants,
     free_vars,
     subformulas,
@@ -137,6 +138,21 @@ class FinStructure:
             masks[b] |= 1 << a
         return tuple(masks)
 
+    @functools.cached_property
+    def containers(self) -> tuple[int, ...]:
+        """Per element a, the mask whose bit b is set when (a, b) is a
+        pair: the elements a is a member of.  Set-at-a-time scans read
+        ``a in z`` from these."""
+        masks = [0] * self.size
+        for a, b in self.pairs:
+            masks[a] |= 1 << b
+        return tuple(masks)
+
+    @functools.cached_property
+    def loops(self) -> int:
+        """The mask of the elements that are members of themselves."""
+        return sum(1 << a for a, b in self.pairs if a == b)
+
 
 class Budget:
     """A count of evaluation steps, spent by every evaluation it is passed
@@ -158,6 +174,37 @@ def _exhausted(budget: Budget, left: int) -> NoReturn:
 # 100 indentation levels in one function.
 _SPLIT_DEPTH = 12
 
+# The shape of a quantifier-free subformula, read through ``~~`` pairs:
+# an atom, a negated atom, a tree of ``|`` whose leaves are those, or
+# ``~`` of such a tree.  A ``~`` flips the low bit.
+_ATOM, _NEGATED_ATOM, _DISJUNCTION, _CONJUNCTION = range(4)
+
+
+def _conjuncts(body: Formula) -> list[tuple[Formula, bool]]:
+    """The literals of *body*, shaped an atom, a negated atom or a
+    conjunction, left to right, each as its atom and whether it stands
+    unnegated: the body itself, or the leaves of the ``|`` tree under its
+    ``~``, each negated."""
+    negated = False
+    while type(body) is Negation:
+        body, negated = body.body, not negated
+    if type(body) is not Disjunction:
+        return [(body, not negated)]
+    literals, stack = [], [(body, False)]
+    while stack:
+        f, negated = stack.pop()
+        while type(f) is Negation:
+            f, negated = f.body, not negated
+        if type(f) is Disjunction:
+            stack += ((f.right, negated), (f.left, negated))
+        else:
+            literals.append((f, negated))
+    return literals
+
+
+def _is_var(t, name: str) -> bool:
+    return type(t) is Var and t.name == name
+
 
 class _Generator:
     """Python source for one formula: an entry function ``_f0`` and the
@@ -165,13 +212,40 @@ class _Generator:
 
     Besides its variables, the code reads a *context*: names for the
     structure's ``members``, ``size`` and ``universe``, for the relativized
-    scope and for each constant.  :meth:`emit` takes the context as an
-    argument, so the sweep emits the body once over N and once with the
-    scans over M, and a split function is handed the context it was
-    split from."""
+    scope and for each constant, and for the masks that set-at-a-time
+    scans read.  :meth:`emit` takes the context as an argument, so the
+    sweep emits the body once over N and once with the scans over M, and
+    a split function is handed the context it was split from.
+
+    One pass over the subformulas, innermost first, finds the shape of
+    each quantifier-free one and so the quantifiers whose body is a
+    conjunction of literals (:attr:`conjuncts`), and what the context
+    must hold for them (:attr:`uses`)."""
 
     def __init__(self, phi: Formula, constants: tuple[int, ...]):
-        self.kinds = {type(f) for f in subformulas(phi)}
+        self.kinds: set[type] = set()
+        self.uses: set[str] = set()
+        self.conjuncts: dict[Formula, list[tuple[Formula, bool]]] = {}
+        shape: dict[Formula, int] = {}
+        for f in reversed(list(subformulas(phi))):
+            kind = type(f)
+            self.kinds.add(kind)
+            if kind is Negation:
+                if f.body in shape:
+                    shape[f] = shape[f.body] ^ 1
+            elif kind is Disjunction:
+                if max(shape.get(f.left, _CONJUNCTION), shape.get(f.right, _CONJUNCTION)) <= _DISJUNCTION:
+                    shape[f] = _DISJUNCTION
+            elif kind is Membership or kind is Equality:
+                shape[f] = _ATOM
+            elif shape.get(f.body, _DISJUNCTION) != _DISJUNCTION:
+                literals = self.conjuncts[f] = _conjuncts(f.body)
+                self.uses.add("full" if kind is Exists else "scopemask")
+                for atom, _ in literals:
+                    if type(atom) is Membership and _is_var(atom.right, f.var):
+                        self.uses.add("loops" if _is_var(atom.left, f.var) else "containers")
+            elif kind is Exists:
+                self.uses.add("universe")
         self.relativized = BoundedExists in self.kinds
         self.constants = constants
         self.fresh = itertools.count()
@@ -180,20 +254,36 @@ class _Generator:
 
     def context(self) -> tuple[dict, list[str]]:
         """The context for the structure ``N``, keyed by ``"members"``,
-        ``"size"``, ``"universe"``, ``"scope"``, ``"nscope"`` and each
-        constant's identifier, as far as the formula uses them, and the
-        statements that set it from ``N`` and ``consts`` (the elements
-        the constants denote)."""
+        ``"containers"``, ``"loops"``, ``"size"``, ``"universe"``,
+        ``"full"`` (the mask of N), ``"scope"``, ``"nscope"``,
+        ``"scopemask"`` and each constant's identifier, as far as the
+        formula uses them, and the statements that set it from ``N``,
+        ``scope`` and ``consts`` (the elements the constants denote).
+        The scope's mask is taken on every call, from the scope that
+        call is given."""
         ctx, setup = {}, []
         if Membership in self.kinds:
             ctx["members"] = "members"
             setup.append("members = N.members")
+        for name in ("containers", "loops"):
+            if name in self.uses:
+                ctx[name] = name
+                setup.append(f"{name} = N.{name}")
         if Exists in self.kinds:
-            ctx["size"], ctx["universe"] = "size", "universe"
-            setup += ["size = N.size", "universe = range(size)"]
+            ctx["size"] = "size"
+            setup.append("size = N.size")
+            if "universe" in self.uses:
+                ctx["universe"] = "universe"
+                setup.append("universe = range(size)")
+            if "full" in self.uses:
+                ctx["full"] = "full"
+                setup.append("full = (1 << size) - 1")
         if self.relativized:
             ctx["scope"], ctx["nscope"] = "scope", "nscope"
             setup.append("nscope = len(scope) or 1")
+            if "scopemask" in self.uses:
+                ctx["scopemask"] = "scopemask"
+                setup.append("scopemask = sum(map((1).__lshift__, scope))")
         if self.constants:
             names = [f"k{i}" for i in range(len(self.constants))]
             ctx.update(zip(self.constants, names))
@@ -210,8 +300,8 @@ class _Generator:
         lines = [f"def _f0({', '.join(['consts', 'N', 'scope', 'budget', *env.values()])}):"]
         lines += [f"    {line}" for line in setup]
         lines.append("    left = budget.left")
-        var = self.emit(phi, env, ctx, lines, 1)
-        lines += ["    budget.left = left", f"    return {var} if r else None" if witness else "    return bool(r)"]
+        found = self.emit(phi, env, ctx, lines, 1)
+        lines += ["    budget.left = left", f"    return {found} if r else None" if witness else "    return bool(r)"]
         return self.finish(lines)
 
     def sweep(self, phi: Formula, names: list[str]) -> Callable:
@@ -224,8 +314,13 @@ class _Generator:
         ctx, setup = self.context()
         sub = dict(ctx)
         if Exists in self.kinds:
-            sub.update(size="ssize", universe="S")
+            sub["size"] = "ssize"
             setup.append("ssize = len(S)")
+            if "universe" in ctx:
+                sub["universe"] = "S"
+            if "full" in ctx:
+                sub["full"] = "smask"
+                setup.append("smask = sum(map((1).__lshift__, S))")
         env = {name: self.variable() for name in names}
         values = "".join(f"{v}, " for v in env.values())
         lines = ["def _f0(S, N, consts, budget):"]
@@ -281,12 +376,14 @@ class _Generator:
         """Statements, indented *depth* levels, that leave phi's truth
         value in ``r`` and spend its steps from ``left``, reading the
         variables in *env* and the context names in *ctx*.  When phi is a
-        quantifier, return its loop variable, which holds the smallest
-        witness once ``r`` is true.
+        quantifier, return an expression for its smallest witness, valid
+        once ``r`` is true.
 
-        Chains of ``~`` and right-nested ``|`` are followed in a loop, not
-        by recursion, so a long chain costs no Python stack."""
-        negations, var = [], None
+        A quantifier is a ``for`` loop over its scan, except where its
+        body is a conjunction of literals (:meth:`scan`).  Chains of ``~``
+        and right-nested ``|`` are followed in a loop, not by recursion,
+        so a long chain costs no Python stack."""
+        negations, found = [], None
         while True:
             pad = "    " * depth
             if isinstance(phi, Negation):
@@ -309,20 +406,65 @@ class _Generator:
             # a plain quantifier is charged its scan of N; a bounded one
             # its scope, and at least one step
             charge, scan = ("size", "universe") if isinstance(phi, Exists) else ("nscope", "scope")
-            var = self.variable()
-            lines += [
-                f"{pad}left -= {ctx[charge]}",
-                f"{pad}if left < 0: _exhausted(budget, left)",
-                f"{pad}r = False",
-                f"{pad}for {var} in {ctx[scan]}:",
-            ]
-            self.emit(phi.body, {**env, phi.var: var}, ctx, lines, depth + 1)
-            lines.append(f"{pad}    if r: break")
+            lines += [f"{pad}left -= {ctx[charge]}", f"{pad}if left < 0: _exhausted(budget, left)"]
+            if phi in self.conjuncts:
+                found = self.scan(phi, env, ctx, lines, pad)
+            else:
+                found = self.variable()
+                lines += [f"{pad}r = False", f"{pad}for {found} in {ctx[scan]}:"]
+                self.emit(phi.body, {**env, phi.var: found}, ctx, lines, depth + 1)
+                lines.append(f"{pad}    if r: break")
         else:
             raise EvalError(f"cannot evaluate node {type(phi).__name__}")
         # each negation applies where its operand ends, innermost first
         lines += reversed(negations)
-        return var
+        return found
+
+    def literal(self, atom: Formula, z: str, env: dict[str, str], ctx: dict) -> str:
+        """The mask of the elements z at which *atom* holds."""
+        x, y = _is_var(atom.left, z), _is_var(atom.right, z)
+        left = None if x else self.term(atom.left, env, ctx)
+        right = None if y else self.term(atom.right, env, ctx)
+        if isinstance(atom, Equality):
+            if x and y:
+                return "-1"
+            return f"(1 << {left or right})" if x or y else f"-({left} == {right})"
+        if x and y:
+            return ctx["loops"]
+        if x:
+            return f"{ctx['members']}[{right}]"
+        return f"{ctx['containers']}[{left}]" if y else f"-({ctx['members']}[{right}] >> {left} & 1)"
+
+    def scan(self, phi: Formula, env: dict[str, str], ctx: dict, lines: list[str], pad: str) -> str:
+        """Statements that scan the quantifier *phi*, whose body is a
+        conjunction of literals, set-at-a-time, after its own charge.
+
+        The body holds at the elements of the AND of its literals' masks,
+        each complemented where the literal is negated, and the scan's
+        range: N, M's elements on the sweep's M side, or the scope.  The
+        witness is the lowest set bit.  The loop would evaluate the body
+        at each element of the range up to the witness, or at all of
+        them, and charge the i-th literal at the elements where every
+        literal before it holds, so the steps are exactly the bits of
+        that prefix in the range ANDed with each proper prefix of the
+        literals.  They are charged at once: a budget that runs out
+        inside the scan ends, as the loop's one-step charges would,
+        at -1."""
+        z, masks = phi.var, [ctx["full" if isinstance(phi, Exists) else "scopemask"]]
+        for atom, positive in self.conjuncts[phi]:
+            mask = self.literal(atom, z, env, ctx)
+            masks.append(self.variable())
+            lines.append(f"{pad}{masks[-1]} = {masks[-2]} & {mask if positive else f'~{mask}'}")
+        low, prefix = self.variable(), self.variable()
+        steps = " + ".join(f"({mask} & {prefix}).bit_count()" for mask in masks[:-1])
+        lines += [
+            f"{pad}{low} = {masks[-1]} & -{masks[-1]}",
+            f"{pad}{prefix} = ({low} << 1) - 1",
+            f"{pad}left -= {steps}",
+            f"{pad}if left < 0: _exhausted(budget, -1)",
+            f"{pad}r = {low} != 0",
+        ]
+        return f"{low}.bit_length() - 1"
 
 
 _NO_SCOPE = "relativized quantifier encountered in plain evaluation"
