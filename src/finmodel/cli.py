@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .combinatorics import (
     free_set,
@@ -556,57 +557,53 @@ def _bind(p: argparse.ArgumentParser, name: str, handler) -> None:
     p.set_defaults(handler=handler, route=name)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="fm",
-        description="workbench for finite structures, hulls and graph decomposition",
-    )
-    top.add_argument("--budget", type=int, help="evaluation step budget")
-    top.add_argument("--format", choices=["json", "dot", "text"], default="json")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a formula")
+def _parse_args(p):
     p.add_argument("--formula", required=True)
     _bind(p, "parse", cmd_parse)
 
-    p = sub.add_parser("eval", help="evaluate a formula over a structure")
+
+def _eval_args(p):
     p.add_argument("--structure", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--valuation", help='JSON object, e.g. {"x": 0}')
     p.add_argument("--relativize-to", help="comma list of elements; relativize and bound quantifiers to it")
     _bind(p, "eval", cmd_eval)
 
-    p = sub.add_parser("relativize", help="bound every quantifier to the distinguished subset")
+
+def _relativize_args(p):
     p.add_argument("--formula", required=True)
     _bind(p, "relativize", cmd_relativize)
 
-    p = sub.add_parser("universe", help="hereditarily finite universe views")
-    usub = p.add_subparsers(dest="action", required=True)
-    d = usub.add_parser("dump", help="list rank / code / set notation")
+
+def _universe_dump_args(d):
     d.add_argument("--rank", type=int, required=True)
     d.add_argument("--limit", type=int)
     d.add_argument("--allow-rank5", action="store_true")
     _bind(d, "universe dump", cmd_universe_dump)
 
-    p = sub.add_parser("hull", help="witness-closure hull of a seed")
+
+def _hull_args(p):
     p.add_argument("--structure", required=True)
     p.add_argument("--pack", required=True)
     p.add_argument("--seed-elems", default="")
     _bind(p, "hull", cmd_hull)
 
-    p = sub.add_parser("chain", help="increasing hull chain reaching a cover")
+
+def _chain_args(p):
     p.add_argument("--structure", required=True)
     p.add_argument("--pack", required=True)
     p.add_argument("--seed-elems", default="")
     p.add_argument("--cover-elems", default="all")
     _bind(p, "chain", cmd_chain)
 
-    p = sub.add_parser("slice", help="slice a code-labelled graph along stages")
+
+def _slice_args(p):
     p.add_argument("--graph", required=True)
     p.add_argument("--stages", required=True, help="JSON file: list of code lists")
     _bind(p, "slice", cmd_slice)
 
-    p = sub.add_parser("probe", help="reflection probe over a corpus")
+
+def _probe_args(p):
     p.add_argument("--corpus", help="corpus spec JSON file")
     p.add_argument("--graph", help="single graph file instead of a corpus")
     p.add_argument("--pack", required=True)
@@ -615,49 +612,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     _bind(p, "probe", cmd_probe)
 
-    p = sub.add_parser("graph", help="graph analysis")
-    gsub = p.add_subparsers(dest="action", required=True)
 
-    g = gsub.add_parser("bonds")
+def _graph_bonds_args(g):
     g.add_argument("--graph", required=True)
     g.add_argument("--max-size", type=int)
     _bind(g, "graph bonds", cmd_graph_bonds)
 
-    g = gsub.add_parser("gamma")
+
+def _graph_gamma_args(g):
     g.add_argument("--graph", required=True)
     g.add_argument("--x", type=int, required=True)
     g.add_argument("--y", type=int, required=True)
     g.add_argument("--paths", type=int)
     _bind(g, "graph gamma", cmd_graph_gamma)
 
-    g = gsub.add_parser("nw")
+
+def _graph_nw_args(g):
     g.add_argument("--graph", required=True)
     g.add_argument("--mode", choices=["fast", "exhaustive"], default="fast")
     _bind(g, "graph nw", cmd_graph_nw)
 
-    g = gsub.add_parser("veblen")
+
+def _graph_veblen_args(g):
     g.add_argument("--graph", required=True)
     _bind(g, "graph veblen", cmd_graph_veblen)
 
-    g = gsub.add_parser("bridges")
+
+def _graph_bridges_args(g):
     g.add_argument("--graph", required=True)
     _bind(g, "graph bridges", cmd_graph_bridges)
 
-    g = gsub.add_parser("dcc")
+
+def _graph_dcc_args(g):
     g.add_argument("--graph", required=True)
     g.add_argument("--search-budget", type=int, default=200_000)
     _bind(g, "graph dcc", cmd_graph_dcc)
 
-    p = sub.add_parser("bondfaithful", help="bond-faithful decompositions")
-    bsub = p.add_subparsers(dest="action", required=True)
 
-    b = bsub.add_parser("check")
+def _bondfaithful_check_args(b):
     b.add_argument("--graph", required=True)
     b.add_argument("--parts", required=True, help="JSON file: list of graph objects")
     b.add_argument("--kappa", type=int, required=True)
     _bind(b, "bondfaithful check", cmd_bondfaithful_check)
 
-    b = bsub.add_parser("search")
+
+def _bondfaithful_search_args(b):
     b.add_argument("--graph", required=True)
     b.add_argument("--kappa", type=int, required=True)
     b.add_argument(
@@ -668,21 +667,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _bind(b, "bondfaithful search", cmd_bondfaithful_search)
 
-    p = sub.add_parser("sunflower", help="delta-system finders")
+
+def _sunflower_args(p):
     p.add_argument("action", choices=["find", "max", "trace"])
     p.add_argument("--family", required=True, help="JSON file: list of element lists")
     p.add_argument("--petals", type=int)
     p.add_argument("--m", help="JSON file: {elements: [...], members: [indices]}")
     _bind(p, "sunflower", cmd_sunflower)
 
-    p = sub.add_parser("freeset", help="greedy free set for a set mapping")
+
+def _freeset_args(p):
     p.add_argument("--map", required=True, help="JSON file: {element: [image...]}")
     p.add_argument("--ground", help="comma list; defaults to the mapping keys")
     _bind(p, "freeset", cmd_freeset)
 
-    p = sub.add_parser("corpus", help="corpus generation")
-    csub = p.add_subparsers(dest="action", required=True)
-    c = csub.add_parser("gen")
+
+def _corpus_gen_args(c):
     c.add_argument("--spec", help="corpus spec JSON file")
     c.add_argument("--model", choices=["gnp", "regular", "union-of-cycles"], default="gnp")
     c.add_argument("--n", type=int, default=6)
@@ -693,11 +693,80 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     _bind(c, "corpus gen", cmd_corpus_gen)
 
+
+# The subcommands in the order help lists them: each name with its help
+# (None lists it without one) and either the function that adds its
+# arguments or the table of its own subcommands.
+_SUBCOMMANDS: dict = {
+    "parse": ("parse a formula", _parse_args),
+    "eval": ("evaluate a formula over a structure", _eval_args),
+    "relativize": ("bound every quantifier to the distinguished subset", _relativize_args),
+    "universe": ("hereditarily finite universe views", {
+        "dump": ("list rank / code / set notation", _universe_dump_args),
+    }),
+    "hull": ("witness-closure hull of a seed", _hull_args),
+    "chain": ("increasing hull chain reaching a cover", _chain_args),
+    "slice": ("slice a code-labelled graph along stages", _slice_args),
+    "probe": ("reflection probe over a corpus", _probe_args),
+    "graph": ("graph analysis", {
+        "bonds": (None, _graph_bonds_args),
+        "gamma": (None, _graph_gamma_args),
+        "nw": (None, _graph_nw_args),
+        "veblen": (None, _graph_veblen_args),
+        "bridges": (None, _graph_bridges_args),
+        "dcc": (None, _graph_dcc_args),
+    }),
+    "bondfaithful": ("bond-faithful decompositions", {
+        "check": (None, _bondfaithful_check_args),
+        "search": (None, _bondfaithful_search_args),
+    }),
+    "sunflower": ("delta-system finders", _sunflower_args),
+    "freeset": ("greedy free set for a set mapping", _freeset_args),
+    "corpus": ("corpus generation", {
+        "gen": (None, _corpus_gen_args),
+    }),
+}
+
+
+def _parser(built: bool = True, **kwargs) -> argparse.ArgumentParser | None:
+    # a subcommand the command line does not name is listed, but its
+    # parser is never made: argparse reads the parser of a name only
+    # when it runs that name
+    return argparse.ArgumentParser(**kwargs) if built else None
+
+
+def _add_subcommands(parser, table: dict, dest: str, words) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_parser)
+    for name, (text, build) in table.items():
+        options = {} if text is None else {"help": text}
+        p = sub.add_parser(name, built=words is None or name in words, **options)
+        if p is None:
+            continue
+        if isinstance(build, dict):
+            _add_subcommands(p, build, "action", words)
+        else:
+            build(p)
+
+
+def build_parser(words: Iterable[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``fm``.  Given the command line *words*, only the
+    subcommands named among them are built, which includes the one it
+    runs; the others are listed, so every help and usage message is the
+    same as the full parser's, which is built without *words*."""
+    top = argparse.ArgumentParser(
+        prog="fm",
+        description="workbench for finite structures, hulls and graph decomposition",
+    )
+    top.add_argument("--budget", type=int, help="evaluation step budget")
+    top.add_argument("--format", choices=["json", "dot", "text"], default="json")
+    _add_subcommands(top, _SUBCOMMANDS, "command", None if words is None else set(words))
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
