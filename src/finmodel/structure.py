@@ -7,7 +7,21 @@ core formula, once per formula, into one straight-line Python
 function, a :class:`CompiledFormula`: each quantifier is a ``for`` loop,
 each atom an inline ``members[b] >> a & 1`` bit test on the structure's
 member masks (:attr:`FinStructure.members`) or an ``a == b`` test, and
-``|`` and ``~`` short-circuit as Python's ``or`` and ``not`` do.  The
+``|`` and ``~`` short-circuit as Python's ``or`` and ``not`` do.
+
+A quantifier whose body is a conjunction of literals (membership and
+equality atoms, each maybe negated, as ``Ez (x in z & y in z)``) scans
+set-at-a-time instead (Ngo, Re and Rudra, "Skew Strikes Back", SIGMOD
+Record 2013): the elements satisfying each literal form one mask (the
+members of a set, its containers (:attr:`FinStructure.containers`), a
+single element, or all or none), the body holds on their AND, and the
+smallest witness is its lowest set bit.  The loop's charge follows
+exactly from the masks: it evaluates the body at each element up to the
+witness, and there reaches each literal where the literals before it
+hold, so it charges the bits of that prefix in each partial AND.  Any
+other body, with a ``|`` between literals or a quantifier, keeps its
+loop: the loop stops at the first element that satisfies it, where a
+mask would be built from every element.  The
 structure, the scope of the relativized quantifiers, the budget and the
 free-variable values are arguments of each call, so one compiled formula
 serves every structure.  Nothing from the formula is pasted into the
@@ -43,7 +57,9 @@ Evaluation is exponential in quantifier depth, so every call spends a
 one step per atom reached; ``size`` steps when a plain ``Ex`` starts to
 scan N; ``len(scope)`` steps, and at least one, when a relativized one
 starts to scan its scope.  The error is raised as soon as the steps
-spent exceed the budget.
+spent exceed the budget; a set-at-a-time scan charges its atoms at
+once, and leaves the budget at -1 when they overdraw it, as one-step
+charges would.
 
 Valuations are plain dicts from variable names to element identifiers.
 :class:`FinStructure` is a frozen plain class, which validates its
@@ -283,7 +299,7 @@ class _Generator:
             setup.append("nscope = len(scope) or 1")
             if "scopemask" in self.uses:
                 ctx["scopemask"] = "scopemask"
-                setup.append("scopemask = sum(map((1).__lshift__, scope))")
+                setup += ["scopemask = 0", "for e in scope: scopemask |= 1 << e"]
         if self.constants:
             names = [f"k{i}" for i in range(len(self.constants))]
             ctx.update(zip(self.constants, names))
@@ -320,7 +336,7 @@ class _Generator:
                 sub["universe"] = "S"
             if "full" in ctx:
                 sub["full"] = "smask"
-                setup.append("smask = sum(map((1).__lshift__, S))")
+                setup += ["smask = 0", "for e in S: smask |= 1 << e"]
         env = {name: self.variable() for name in names}
         values = "".join(f"{v}, " for v in env.values())
         lines = ["def _f0(S, N, consts, budget):"]
@@ -476,8 +492,12 @@ class CompiledFormula(functools.partial):
     ``cf(N, scope, budget, *values)`` is the formula's truth value in the
     structure N, with its free variables taking *values* in the order of
     :attr:`free_vars`.  A relativized quantifier scans *scope*, a sized
-    iterable of elements, which is None for plain evaluation (see
-    :meth:`require_scope`); a :class:`Budget` pays for the steps.  The
+    iterable of elements, ascending and without repeats, read afresh on
+    every call, which is None for plain evaluation (see
+    :meth:`require_scope`): a set-at-a-time scan reads the scope as one
+    mask, which visits its elements in ascending order, once each, so it
+    agrees with a loop over the scope only for such a scope.  A
+    :class:`Budget` pays for the steps.  The
     constants denote the elements in :attr:`constants`.  Arguments are
     not validated: the entry points below check valuations and constants
     against the structure first.
