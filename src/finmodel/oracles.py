@@ -52,13 +52,11 @@ def satisfies(N, phi: Formula, valuation, scope: Iterable[int] | None = None) ->
                 stack += [("not",), ("eval", f.body, env)]
             elif kind is Disjunction:
                 stack += [("or", f.right, env), ("eval", f.left, env)]
-            elif kind is Exists or kind is BoundedExists:
+            else:  # a quantifier
                 if kind is BoundedExists and elements is None:
                     raise InputError("a relativized quantifier needs a scope")
                 stack.append(("some", f, env, iter(universe if kind is Exists else elements)))
                 values.append(False)
-            else:
-                raise InputError(f"cannot evaluate node {kind.__name__}")
         elif task[0] == "not":
             values.append(not values.pop())
         elif task[0] == "or":

@@ -16,6 +16,7 @@ import itertools
 import pytest
 
 from finmodel.corpus import random_structure
+from finmodel.errors import InputError
 from finmodel.formula import (
     Const,
     Disjunction,
@@ -265,3 +266,13 @@ def test_a_scope_list_refilled_between_calls_is_read_afresh():
     scope.clear()
     held = Budget(100)
     assert not compiled(N, scope, held, 0) and held.left == 99
+
+
+def test_the_oracle_reads_any_depth_and_wants_a_scope_for_a_relativized_formula():
+    N = build_hierarchy(3).structure
+    deep = parse("Ex (x in y)")
+    for _ in range(3000):
+        deep = Negation(deep)
+    assert satisfies(N, deep, {"y": 1}) is True  # 0 is in 1, under an even count of ~
+    with pytest.raises(InputError, match="scope"):
+        satisfies(N, relativize(parse("Ex (x = x)")), {})
