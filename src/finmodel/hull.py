@@ -21,13 +21,20 @@ valuation each round and searches each one only the first time.  The
 memory of the sweeps lasts a whole chain, whose every stage starts from
 a superset of the previous one, so each (formula, valuation) pair is
 searched at most once per hull or chain.
+
+A sweep is one call of the existential's batched witness search over
+all its fresh valuations.  The search returns the valuations at which
+the existential holds, in order, with their smallest witnesses; those
+not yet in the set join it, and the trace, in that order, as they would
+had each valuation been searched alone, since a witness joining the set
+changes neither the host nor the valuations of the sweep under way.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import InputError
 from .formula import (
@@ -101,20 +108,24 @@ class _WitnessOracle:
         self.swept: list[list[int] | None] = [None] * len(self.exists)
 
 
-def _fresh_valuations(ordered: list[int], new: set[int], k: int) -> Iterator[tuple[int, ...]]:
+def _fresh_valuations(ordered: list[int], new: set[int], k: int) -> Iterable[tuple[int, ...]]:
     """The k-tuples over *ordered* that hold an element of *new*, in the
     order ``itertools.product(ordered, repeat=k)`` yields them: after an
     old first element the rest must hold a new one, after a new one the
-    rest is free."""
+    rest is free.
+
+    They come in runs, each the product of a few pools: one element per
+    position of an old prefix, then a new element and free positions, or
+    the new elements last.  The runs for the rests of each length are
+    listed once, from those one shorter, and the tuples are made by
+    ``itertools.product`` as they are read."""
     if k == 0:
-        return
-    if k == 1:
-        yield from ((a,) for a in ordered if a in new)
-        return
-    for a in ordered:
-        rests = itertools.product(ordered, repeat=k - 1) if a in new else _fresh_valuations(ordered, new, k - 1)
-        for rest in rests:
-            yield (a, *rest)
+        return ()
+    runs = [([a for a in ordered if a in new],)]
+    for length in range(1, k):
+        free = (ordered,) * length
+        runs = [((a,), *run) for a in ordered for run in ([free] if a in new else runs)]
+    return itertools.chain.from_iterable(itertools.starmap(itertools.product, runs))
 
 
 def _close(
@@ -128,19 +139,19 @@ def _close(
     while changed:
         changed = False
         for idx, (phi, names, search) in enumerate(zip(oracle.exists, oracle.names, oracle.searches)):
-            ordered = sorted(current)
             swept = oracle.swept[idx]
-            if swept is None:
-                valuations = itertools.product(ordered, repeat=len(names))
-            else:
+            if swept is not None:
                 new = current.difference(swept)
                 if not new:
                     continue
+            ordered = oracle.swept[idx] = sorted(current)
+            if swept is None:
+                valuations = itertools.product(ordered, repeat=len(names))
+            else:
                 valuations = _fresh_valuations(ordered, new, len(names))
-            oracle.swept[idx] = ordered
-            for values in valuations:
-                w = search(N, None, budget, *values)
-                if w is not None and w not in current:
+            # one search per sweep; its witnesses join in valuation order
+            for values, w in search(N, budget, valuations):
+                if w not in current:
                     current.add(w)
                     if trace is not None:
                         trace.append(TraceStep(phi, tuple(zip(names, values)), w))

@@ -46,10 +46,15 @@ sides then read N's own atoms and agree, and a valuation charges each
 side at most one step per atom, so the sweep could neither find a
 mismatch nor run out.
 
-The hulls' witness search, :func:`witness_search`, is no kind of its
-own: it is an existential's evaluator whose last line returns the
-quantifier's loop variable, the smallest witness, instead of the truth
-value, so it charges exactly what evaluating the existential does.
+The hulls' witness search, :func:`witness_search`, is the third kind,
+and works vector-at-a-time (Boncz, Zukowski and Nes, "MonetDB/X100:
+Hyper-Pipelining Query Execution", CIDR 2005): one call takes an
+existential's whole list of valuations, sets up the structure once, and
+runs the existential's evaluator code in the sweep's loop over them,
+keeping each valuation at which it holds with the quantifier's loop
+variable, the smallest witness.  So it charges exactly what evaluating
+the existential at each valuation in turn does, and runs out at the same
+step, while the interpreter's cost of a call is paid once per list.
 
 Evaluation is exponential in quantifier depth, so every call spends a
 :class:`Budget` (by default ``10**8`` steps) and fails with
@@ -306,19 +311,49 @@ class _Generator:
             setup.append(f"{', '.join(names)}, = consts")
         return ctx, setup
 
-    def evaluator(self, phi: Formula, names: list[str], witness: bool = False) -> Callable:
+    def evaluator(self, phi: Formula, names: list[str]) -> Callable:
         """``f(consts, N, scope, budget, *values)``, phi's truth value in
-        N with its free variables *names* at *values*.  With *witness*,
-        phi is an existential and f returns the smallest x that satisfies
-        its body, or None, having spent what the truth value costs."""
+        N with its free variables *names* at *values*."""
         ctx, setup = self.context()
         env = {name: self.variable() for name in names}
         lines = [f"def _f0({', '.join(['consts', 'N', 'scope', 'budget', *env.values()])}):"]
         lines += [f"    {line}" for line in setup]
         lines.append("    left = budget.left")
-        found = self.emit(phi, env, ctx, lines, 1)
-        lines += ["    budget.left = left", f"    return {found} if r else None" if witness else "    return bool(r)"]
+        self.emit(phi, env, ctx, lines, 1)
+        lines += ["    budget.left = left", "    return bool(r)"]
         return self.finish(lines)
+
+    def loop(self, params: str, setup: list[str], names: list[str], valuations: str, body: Callable, result: str) -> Callable:
+        """``_f0(params)``: the statements *setup*, then one ``for`` loop,
+        whatever the number of *names*, over *valuations*, an expression
+        for an iterable of tuples of values for *names*, then *result*
+        returned.  ``body(env, values, lines)`` writes the loop's body
+        into *lines* at depth 2, with *env* mapping *names* to the loop
+        variables and *values* the expression of their tuple.  The steps
+        are spent from the local ``left``, written back to the budget
+        when the loop ends; the body writes them back itself before it
+        returns from within the loop."""
+        env = {name: self.variable() for name in names}
+        values = "".join(f"{v}, " for v in env.values())
+        lines = [f"def _f0({params}):"]
+        lines += [f"    {line}" for line in setup]
+        lines += ["    left = budget.left", f"    for {values.rstrip() or '_'} in {valuations}:"]
+        body(env, f"({values})", lines)
+        lines += ["    budget.left = left", f"    return {result}"]
+        return self.finish(lines)
+
+    def search(self, phi: Exists, names: list[str]) -> Callable:
+        """``f(consts, N, budget, valuations)``: for each tuple of values
+        for *names* in the iterable *valuations*, in order, phi's truth
+        value in N, and the list of the ``(values, witness)`` pairs at
+        which it holds, each with phi's smallest witness there."""
+        ctx, setup = self.context()
+
+        def body(env, values, lines):
+            found = self.emit(phi, env, ctx, lines, 2)
+            lines.append(f"        if r: hits.append(({values}, {found}))")
+
+        return self.loop("consts, N, budget, valuations", [*setup, "hits = []"], names, "valuations", body, "hits")
 
     def sweep(self, phi: Formula, names: list[str]) -> Callable:
         """``f(S, N, consts, budget)``, the first tuple of values for
@@ -337,26 +372,14 @@ class _Generator:
             if "full" in ctx:
                 sub["full"] = "smask"
                 setup += ["smask = 0", "for e in S: smask |= 1 << e"]
-        env = {name: self.variable() for name in names}
-        values = "".join(f"{v}, " for v in env.values())
-        lines = ["def _f0(S, N, consts, budget):"]
-        lines += [f"    {line}" for line in setup]
-        lines += [
-            "    left = budget.left",
-            # one loop whatever the arity
-            f"    for {values.rstrip() or '_'} in product(S, repeat={len(names)}):",
-        ]
-        self.emit(phi, env, ctx, lines, 2)
-        lines.append("        h = r")
-        self.emit(phi, env, sub, lines, 2)
-        lines += [
-            "        if r != h:",
-            "            budget.left = left",
-            f"            return ({values})",
-            "    budget.left = left",
-            "    return None",
-        ]
-        return self.finish(lines)
+
+        def body(env, values, lines):
+            self.emit(phi, env, ctx, lines, 2)
+            lines.append("        h = r")
+            self.emit(phi, env, sub, lines, 2)
+            lines += ["        if r != h:", "            budget.left = left", f"            return {values}"]
+
+        return self.loop("S, N, consts, budget", setup, names, f"product(S, repeat={len(names)})", body, "None")
 
     def finish(self, entry: list[str]) -> Callable:
         """Compile the entry function *entry* (the lines of ``_f0``)
@@ -503,15 +526,13 @@ class CompiledFormula(functools.partial):
     against the structure first.
 
     The call is the generated function itself, with the constants bound
-    as its first argument, so it costs no Python frame of its own.  With
-    *witness*, phi is an existential and the call returns its smallest
-    witness, or None, instead of the truth value (:func:`witness_search`).
+    as its first argument, so it costs no Python frame of its own.
     """
 
-    def __new__(cls, phi: Formula, witness: bool = False) -> "CompiledFormula":
+    def __new__(cls, phi: Formula) -> "CompiledFormula":
         names, consts = free_vars(phi), tuple(constants(phi))
         gen = _Generator(phi, consts)
-        self = super().__new__(cls, gen.evaluator(phi, names, witness), consts)
+        self = super().__new__(cls, gen.evaluator(phi, names), consts)
         self.free_vars = names
         self.constants = consts
         self.relativized = gen.relativized
@@ -539,7 +560,7 @@ def _sweep(phi: Formula) -> tuple[list[str], tuple[int, ...], int | None, Callab
 
 _COMPILED: weakref.WeakKeyDictionary[Formula, CompiledFormula] = weakref.WeakKeyDictionary()
 _SWEEPS: weakref.WeakKeyDictionary[Formula, tuple] = weakref.WeakKeyDictionary()
-_WITNESSES: weakref.WeakKeyDictionary[Formula, CompiledFormula] = weakref.WeakKeyDictionary()
+_SEARCHES: weakref.WeakKeyDictionary[Formula, functools.partial] = weakref.WeakKeyDictionary()
 
 
 def _per_formula(cache: weakref.WeakKeyDictionary, phi: Formula, make: Callable):
@@ -555,18 +576,32 @@ def compile_formula(phi: Formula) -> CompiledFormula:
     return _per_formula(_COMPILED, phi, CompiledFormula)
 
 
-def witness_search(phi: Exists) -> CompiledFormula:
-    """``search(N, None, budget, *values)``: the smallest witness in N
-    for the existential *phi*, with its free variables taking *values* in
-    the order of ``free_vars(phi)``, or None if phi fails there.  It is
-    phi's compiled evaluator returning the loop variable of its
-    quantifier instead of the truth value, so it spends exactly the steps
-    that evaluating phi would.  Made once per formula; arguments
-    are not validated.  A relativized phi has no search and raises
-    :class:`EvalError`."""
-    search = _per_formula(_WITNESSES, phi, functools.partial(CompiledFormula, witness=True))
-    search.require_scope(None)
+def _search(phi: Exists) -> functools.partial:
+    names, consts = free_vars(phi), tuple(constants(phi))
+    gen = _Generator(phi, consts)
+    if gen.relativized:
+        raise EvalError(_NO_SCOPE)
+    search = functools.partial(gen.search(phi, names), consts)
+    search.free_vars, search.constants = names, consts
     return search
+
+
+def witness_search(phi: Exists) -> functools.partial:
+    """``search(N, budget, valuations)``: the existential *phi* in N at
+    each tuple of values in the iterable *valuations*, taken in order as
+    values of ``free_vars(phi)``, and the list of the ``(values,
+    witness)`` pairs at which it holds, each with its smallest witness,
+    in the order of *valuations*.
+
+    One generated function per formula, with the constants bound as its
+    first argument: it sets up the structure once and loops over the
+    valuations, each running phi's evaluator code, so it spends exactly
+    the steps that evaluating phi at each valuation in turn would, and
+    runs out at the same step.  The search carries :attr:`free_vars` and
+    :attr:`constants` as :class:`CompiledFormula` does.  Arguments are
+    not validated.  A relativized phi has no search and raises
+    :class:`EvalError`."""
+    return _per_formula(_SEARCHES, phi, _search)
 
 
 def _evaluate(

@@ -1,12 +1,14 @@
 import itertools
+import sys
 
 import pytest
 
-from finmodel.corpus import random_formula, random_structure
-from finmodel.formula import FormulaPack, parse, subformula_closure
-from finmodel.hull import PACKS, Hull, _fresh_valuations, chain, get_pack, hull, verify_hull
+from finmodel.corpus import gnp_graph, random_formula, random_structure
+from finmodel.formula import Exists, FormulaPack, free_vars, parse, subformula_closure
+from finmodel.hull import PACKS, Hull, TraceStep, _fresh_valuations, chain, get_pack, hull, verify_hull
+from finmodel.oracles import satisfies
 from finmodel.structure import EvalError, FinStructure, is_sigma_elementary
-from finmodel.universe import build_hierarchy, hf_encode
+from finmodel.universe import build_hierarchy, hf_encode, membership_structure, recode_graph
 
 from conftest import seeded
 
@@ -62,9 +64,104 @@ def test_fresh_valuations_are_the_product_tuples_touching_a_new_element():
     for k in range(4):
         for _ in range(25):
             ordered = sorted(rng.sample(range(10), rng.randint(0, 5)))
-            for new in ({a for a in ordered if rng.random() < 0.4}, set(), set(ordered)):
+            news = [{a for a in ordered if rng.random() < 0.4}, set(), set(ordered)]
+            news += [{a} for a in ordered]
+            for new in news:
                 want = [t for t in itertools.product(ordered, repeat=k) if new.intersection(t)]
                 assert list(_fresh_valuations(ordered, new, k)) == want
+
+
+def _coded_ambients(sizes, rng):
+    """The membership ambients of coded gnp graphs, one per size."""
+    ambients = []
+    for n in sizes:
+        coded, codes = recode_graph(gnp_graph(n, 0.5, rng))
+        ambients.append(membership_structure(codes.all_codes()))
+    return ambients
+
+
+def test_a_chain_searches_each_valuation_once(monkeypatch):
+    """The semi-naive closure hands each (existential, valuation) pair to
+    a search at most once per chain, and by the end has searched every
+    valuation into the last stage."""
+    searched = []
+
+    def recording(phi):
+        search = witness_search(phi)
+
+        def spy(N, budget, valuations):
+            valuations = list(valuations)
+            searched.extend((phi, values) for values in valuations)
+            return search(N, budget, valuations)
+
+        spy.free_vars, spy.constants = search.free_vars, search.constants
+        return spy
+
+    module = sys.modules["finmodel.hull"]  # ``finmodel.hull`` names the function
+    witness_search = module.witness_search
+    rng = seeded(7)
+    for N in [V4.structure, *_coded_ambients((5, 6, 7), rng)]:
+        for name in ("pairing,members", "path-existence"):
+            pack = get_pack(name)
+            want = chain(N, pack, frozenset(), range(N.size))
+            searched.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "witness_search", recording)
+                got = chain(N, pack, frozenset(), range(N.size))
+            assert got == want
+            assert len(searched) == len(set(searched))
+            last = sorted(got.stages[-1])
+            every = {
+                (phi, values)
+                for phi in pack.formulas
+                if isinstance(phi, Exists)
+                for values in itertools.product(last, repeat=len(free_vars(phi)))
+            }
+            assert set(searched) == every
+
+
+def _naive_hull(N, pack, seed):
+    """The closure the hull module documents, read from Tarski's truth
+    definition: each round sweeps the pack's existentials in order, each
+    over every valuation of its free variables into the current set, in
+    lexicographic order, and records a smallest witness when it first
+    joins the set.  A valuation's smallest witness is kept once found,
+    as the host does not change."""
+    exists = [phi for phi in pack.formulas if isinstance(phi, Exists)]
+    least = {}
+    current, trace = set(seed), []
+    changed = True
+    while changed:
+        changed = False
+        for phi in exists:
+            names = free_vars(phi)
+            for values in itertools.product(sorted(current), repeat=len(names)):
+                if (phi, values) not in least:
+                    env = dict(zip(names, values))
+                    least[phi, values] = next(
+                        (e for e in range(N.size) if satisfies(N, phi.body, {**env, phi.var: e})), None
+                    )
+                w = least[phi, values]
+                if w is not None and w not in current:
+                    current.add(w)
+                    trace.append(TraceStep(phi, tuple(zip(names, values)), w))
+                    changed = True
+    return frozenset(current), tuple(trace)
+
+
+def test_hull_is_the_naive_closure_on_the_oracle():
+    rng = seeded(2005)
+    hosts = [V3.structure, V4.structure, *_coded_ambients((5, 6, 7), rng)]
+    compared = 0
+    for N in hosts:
+        seeds = [set(), set(rng.sample(range(N.size), 2)), set(rng.sample(range(N.size), 3))]
+        for name in ("pairing", "members", "path-existence"):
+            pack = get_pack(name)
+            for seed in seeds:
+                h = hull(N, pack, seed)
+                assert (h.carrier, h.trace) == _naive_hull(N, pack, seed), (N.size, name, seed)
+                compared += len(h.trace)
+    assert compared > 100
 
 
 def test_hull_soundness_random():

@@ -9,6 +9,9 @@ its step charge against :func:`_spend`, which follows the rules the
 ``structure`` module documents (one step per atom reached, ``|``
 short-circuiting; a plain quantifier charges the size of its scan, a
 relativized one its scope, and at least one step) by plain recursion.
+The hulls' batched witness search is checked against the oracle's least
+witnesses and against the compiled existential called at each valuation
+in turn.
 """
 
 import itertools
@@ -30,6 +33,7 @@ from finmodel.formula import (
     parse,
     relativize,
 )
+from finmodel.hull import PACKS, get_pack
 from finmodel.oracles import satisfies
 from finmodel.structure import (
     Budget,
@@ -180,8 +184,14 @@ def test_masked_scans_agree_with_the_oracle_and_the_charge_rules():
             compared += _check_budgets(compiled, (N, None, *values), charges, truth, disagreements, "eval")
             if isinstance(phi, Exists):
                 least = next((e for e in range(N.size) if satisfies(N, phi.body, {**env, phi.var: e})), None)
+                search = witness_search(phi)
                 compared += _check_budgets(
-                    witness_search(phi), (N, None, *values), charges, least, disagreements, "witness"
+                    lambda N, _, budget, *values: dict(search(N, budget, [values])).get(values),
+                    (N, None, *values),
+                    charges,
+                    least,
+                    disagreements,
+                    "witness",
                 )
             # every quantifier relativized, to an empty or a nonempty scope
             for scope in scopes:
@@ -209,19 +219,19 @@ def test_exhaustion_inside_a_scan_leaves_minus_one():
     N = build_hierarchy(4).structure  # 16 elements, 5 = {0, 2} the first with 0 and 2
     phi = parse("Ez ((x in z) & (y in z))")
     search = witness_search(phi)
-    assert search(N, None, Budget(100), 0, 2) == 5
+    assert search(N, Budget(100), [(0, 2)]) == [((0, 2), 5)]
     # 16 for the scan, then 6 + 3 atoms up to the witness 5: the first
     # literal at 0..5, the second where 0 is a member, at 1, 3 and 5
     for budget in range(16, 25):
         held = Budget(budget)
         with pytest.raises(BudgetExceededError):
-            search(N, None, held, 0, 2)
+            search(N, held, [(0, 2)])
         assert held.left == -1
     held = Budget(25)
-    assert search(N, None, held, 0, 2) == 5 and held.left == 0
+    assert search(N, held, [(0, 2)]) == [((0, 2), 5)] and held.left == 0
     held = Budget(5)  # the quantifier's own charge overdraws by its size
     with pytest.raises(BudgetExceededError):
-        search(N, None, held, 0, 2)
+        search(N, held, [(0, 2)])
     assert held.left == -11
 
 
@@ -276,3 +286,70 @@ def test_the_oracle_reads_any_depth_and_wants_a_scope_for_a_relativized_formula(
     assert satisfies(N, deep, {"y": 1}) is True  # 0 is in 1, under an even count of ~
     with pytest.raises(InputError, match="scope"):
         satisfies(N, relativize(parse("Ex (x = x)")), {})
+
+
+# beside the shipped packs' existentials: no free variable, one, two,
+# constants in a scan and in a loop
+_BATCHED = [
+    "Ez (z in z)",
+    "Ez (x in z)",
+    "Ez ((x in z) & ~(z = y))",
+    "Ez ((#1 in z) & ~(z = x))",
+    "Ez ((z in x) | (z = #0))",
+]
+
+
+def _in_turn(compiled, N, budget, valuations, hits):
+    """compiled called at each valuation in turn from one budget: *hits*,
+    or BudgetExceededError when a call runs out."""
+    try:
+        for values in valuations:
+            compiled(N, None, budget, *values)
+    except BudgetExceededError:
+        return BudgetExceededError
+    return hits
+
+
+def test_batched_search_agrees_with_the_oracle_and_per_valuation_evaluation():
+    """One batched search over a list of valuations finds the least
+    witnesses Tarski's definition gives, and at every budget up to the
+    list's whole charge runs out where evaluating the existential at each
+    valuation in turn does, leaving the same steps."""
+    rng = seeded(23)
+    existentials = {parse(text): None for text in _BATCHED}
+    for name in PACKS:
+        existentials.update((phi, None) for phi in get_pack(name) if isinstance(phi, Exists))
+    structures = [FinStructure(0, frozenset()), build_hierarchy(3).structure]
+    structures += [random_structure(n, rng, density=0.4) for n in (1, 2, 3, 3, 4)]
+    disagreements, budgets, kinds = [], 0, set()
+    for phi in existentials:
+        search, compiled = witness_search(phi), compile_formula(phi)
+        names = free_vars(phi)
+        for N in structures:
+            if any(c >= N.size for c in constants(phi)):
+                continue
+            every = list(itertools.product(range(N.size), repeat=len(names)))
+            for count in (0, 1, 3, 8):
+                valuations = rng.choices(every, k=count) if every else []
+                hits = []
+                for values in valuations:
+                    env = dict(zip(names, values))
+                    least = next((e for e in range(N.size) if satisfies(N, phi.body, {**env, phi.var: e})), None)
+                    hits += [(values, least)] * (least is not None)
+                plenty = Budget(10**9)
+                assert search(N, plenty, iter(valuations)) == hits
+                total = 10**9 - plenty.left
+                kinds.add((len(names), count))
+                for steps in range(total + 1):
+                    alone, batch = Budget(steps), Budget(steps)
+                    want = _in_turn(compiled, N, alone, valuations, hits)
+                    try:
+                        got = search(N, batch, iter(valuations))
+                    except BudgetExceededError:
+                        got = BudgetExceededError
+                    if (got, batch.left) != (want, alone.left):
+                        disagreements.append((phi, N.size, valuations, steps, got, want, batch.left, alone.left))
+                budgets += total + 1
+    assert disagreements == []
+    assert budgets > 20_000
+    assert kinds >= {(k, count) for k in (0, 1, 2, 3) for count in (0, 1, 3, 8)}

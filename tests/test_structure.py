@@ -473,7 +473,8 @@ def test_witness_search_is_the_least_witness_at_the_evaluator_cost():
                 )
                 plain, budget = Budget(10**6), Budget(10**6)
                 truth = compiled(N, None, plain, *values)
-                assert search(N, None, budget, *values) == least
+                hits = [] if least is None else [(values, least)]
+                assert search(N, budget, [values]) == hits
                 assert truth == (least is not None)
                 assert budget.left == plain.left
                 spent = 10**6 - budget.left
@@ -481,11 +482,11 @@ def test_witness_search_is_the_least_witness_at_the_evaluator_cost():
                 for steps in (spent - 1, spent // 2, 0):
                     short, short_plain = Budget(steps), Budget(steps)
                     with pytest.raises(BudgetExceededError):
-                        search(N, None, short, *values)
+                        search(N, short, [values])
                     with pytest.raises(BudgetExceededError):
                         compiled(N, None, short_plain, *values)
                     assert short.left == short_plain.left
-                assert search(N, None, Budget(spent), *values) == least
+                assert search(N, Budget(spent), [values]) == hits
 
 
 def test_witness_search_refuses_a_relativized_formula():
