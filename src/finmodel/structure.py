@@ -324,15 +324,14 @@ class _Generator:
         return self.finish(lines)
 
     def loop(self, params: str, setup: list[str], names: list[str], valuations: str, body: Callable, result: str) -> Callable:
-        """``_f0(params)``: the statements *setup*, then one ``for`` loop,
-        whatever the number of *names*, over *valuations*, an expression
-        for an iterable of tuples of values for *names*, then *result*
-        returned.  ``body(env, values, lines)`` writes the loop's body
-        into *lines* at depth 2, with *env* mapping *names* to the loop
-        variables and *values* the expression of their tuple.  The steps
-        are spent from the local ``left``, written back to the budget
-        when the loop ends; the body writes them back itself before it
-        returns from within the loop."""
+        """``_f0(params)``: *setup*, then one ``for`` loop, whatever the
+        number of *names*, over the tuples of their values that the
+        expression *valuations* yields, then *result* returned.  The
+        loop's body is written at depth 2 by ``body(env, values, lines)``,
+        with *env* mapping *names* to the loop variables and *values* the
+        expression of their tuple.  Steps are spent from the local
+        ``left``, written back when the loop ends, or by the body before
+        it returns from inside the loop."""
         env = {name: self.variable() for name in names}
         values = "".join(f"{v}, " for v in env.values())
         lines = [f"def _f0({params}):"]
@@ -343,10 +342,8 @@ class _Generator:
         return self.finish(lines)
 
     def search(self, phi: Exists, names: list[str]) -> Callable:
-        """``f(consts, N, budget, valuations)``: for each tuple of values
-        for *names* in the iterable *valuations*, in order, phi's truth
-        value in N, and the list of the ``(values, witness)`` pairs at
-        which it holds, each with phi's smallest witness there."""
+        """``f(consts, N, budget, valuations)``, the generated function of
+        :func:`witness_search`, with phi's free variables *names*."""
         ctx, setup = self.context()
 
         def body(env, values, lines):
@@ -587,20 +584,15 @@ def _search(phi: Exists) -> functools.partial:
 
 
 def witness_search(phi: Exists) -> functools.partial:
-    """``search(N, budget, valuations)``: the existential *phi* in N at
-    each tuple of values in the iterable *valuations*, taken in order as
-    values of ``free_vars(phi)``, and the list of the ``(values,
-    witness)`` pairs at which it holds, each with its smallest witness,
-    in the order of *valuations*.
-
-    One generated function per formula, with the constants bound as its
-    first argument: it sets up the structure once and loops over the
-    valuations, each running phi's evaluator code, so it spends exactly
-    the steps that evaluating phi at each valuation in turn would, and
-    runs out at the same step.  The search carries :attr:`free_vars` and
-    :attr:`constants` as :class:`CompiledFormula` does.  Arguments are
-    not validated.  A relativized phi has no search and raises
-    :class:`EvalError`."""
+    """``search(N, budget, valuations)``: the ``(values, witness)``
+    pairs, in the order of the iterable *valuations*, at which the
+    existential *phi* holds in N with ``free_vars(phi)`` at *values*,
+    each with its smallest witness.  One generated function, made once
+    per formula, runs phi's evaluator code at each valuation in turn and
+    spends exactly what those evaluations would.  Like a
+    :class:`CompiledFormula`, the search carries ``free_vars`` and
+    ``constants``; arguments are not validated.  A relativized phi has
+    no search and raises :class:`EvalError`."""
     return _per_formula(_SEARCHES, phi, _search)
 
 
