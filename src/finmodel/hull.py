@@ -28,6 +28,13 @@ the existential holds, in order, with their smallest witnesses; those
 not yet in the set join it, and the trace, in that order, as they would
 had each valuation been searched alone, since a witness joining the set
 changes neither the host nor the valuations of the sweep under way.
+
+The closure is bounded.  A search of an existential phi with k free
+variables charges at most ``B(phi, |N|)`` steps per valuation (see
+:mod:`finmodel.structure`), and a hull or chain searches each of its
+``|N|**k`` valuations at most once, so it charges at most the sum over
+the pack's existentials of ``|N|**k * B(phi, |N|)``.  Where that fits
+the budget, the searches run unmetered for the whole call.
 """
 
 from __future__ import annotations
@@ -99,12 +106,15 @@ class _WitnessOracle:
         self.N = N
         self.budget = Budget(budget)
         self.exists = [phi for phi in pack.formulas if isinstance(phi, Exists)]
-        self.searches = [witness_search(phi) for phi in self.exists]
-        self.names = [search.free_vars for search in self.searches]
-        for search in self.searches:
+        searches = [witness_search(phi) for phi in self.exists]
+        self.names = [search.free_vars for search in searches]
+        for search in searches:
             for c in search.constants:
                 if not (0 <= c < N.size):
                     raise EvalError(f"dangling constant #{c}")
+        m = N.size  # the closure bound: each valuation is searched once
+        covered = sum(m ** len(search.free_vars) * search.bound(m) for search in searches) <= budget
+        self.searches = [search.unmetered if covered else search for search in searches]
         self.swept: list[list[int] | None] = [None] * len(self.exists)
 
 

@@ -26,9 +26,10 @@ structure, the scope of the relativized quantifiers, the budget and the
 free-variable values are arguments of each call, so one compiled formula
 serves every structure.  Nothing from the formula is pasted into the
 source: variables become generated identifiers and constants call
-arguments.  Generated code is cached by formula, in weak-keyed
-dictionaries: formula nodes are interned, so an equal formula finds the
-same code, and the code goes when the formula does.
+arguments.  Generated code is cached by formula, in a weak-keyed
+dictionary, each kind compiled on first use: formula nodes are
+interned, so an equal formula finds the same code, and the code goes
+when the formula does.
 
 :func:`is_absolute` runs the second generated kind, the formula's
 *sweep*, also made once per formula: one ``for`` loop over the
@@ -56,15 +57,39 @@ variable, the smallest witness.  So it charges exactly what evaluating
 the existential at each valuation in turn does, and runs out at the same
 step, while the interpreter's cost of a call is paid once per list.
 
-Evaluation is exponential in quantifier depth, so every call spends a
-:class:`Budget` (by default ``10**8`` steps) and fails with
-:class:`BudgetExceededError` instead of hanging.  The charge is exact:
-one step per atom reached; ``size`` steps when a plain ``Ex`` starts to
-scan N; ``len(scope)`` steps, and at least one, when a relativized one
-starts to scan its scope.  The error is raised as soon as the steps
-spent exceed the budget; a set-at-a-time scan charges its atoms at
-once, and leaves the budget at -1 when they overdraw it, as one-step
-charges would.
+Evaluation is exponential in quantifier depth, so every call has a
+budget of steps (by default ``10**8``) and fails with
+:class:`BudgetExceededError` instead of hanging.  Each kind of code
+comes from one emitter in two variants.  *Metered* code spends a
+:class:`Budget`, and the charge is exact: one step per atom reached;
+``size`` steps when a plain ``Ex`` starts to scan N; ``len(scope)``
+steps, and at least one, when a relativized one starts to scan its
+scope.  The error is raised as soon as the steps spent exceed the
+budget; a set-at-a-time scan charges its atoms at once, and leaves the
+budget at -1 when they overdraw it, as one-step charges would.
+*Unmetered* code is the same control flow with no step count, no
+charges and no checks.
+
+No evaluation of phi in a structure of m elements charges more than
+``B(phi, m) = nodes(phi) * (m + 1) ** depth(phi)`` steps, where nodes
+counts phi's subformula occurrences and depth is its quantifier depth.
+By induction on phi: an atom costs 1; ``~`` and ``|`` cost at most
+what their parts do, within the sum of the parts' bounds; a quantifier
+charges at most m + 1 (``size``, or ``len(scope) or 1``, the scope
+lying in N) and then evaluates its body at most m times, so it costs at
+most (m + 1) + m * nodes(body) * (m + 1) ** depth(body), within
+(nodes(body) + 1) * (m + 1) ** (depth(body) + 1); and a scan charges at
+most (m + 1) + m * (its literals), within the same bound, its literals
+being nodes of its body.  The entry points :func:`eval_formula`,
+:func:`eval_relativized` and :func:`is_absolute` take a budget as an
+integer, so all a caller sees of it is whether they raise: they run
+unmetered code where the bound shows that metered code could not run
+out (``B(phi, |N|)`` steps for an evaluation, ``2 * B(phi, |N|)`` for
+each of the sweep's ``|M|**k`` valuations, whose M side scans no more
+than N's), and metered code otherwise.
+:class:`CompiledFormula` and :func:`witness_search`, whose callers read
+what is left of their :class:`Budget`, are metered; a search also has
+an unmetered form, for :mod:`hull` to run under its closure bound.
 
 Valuations are plain dicts from variable names to element identifiers.
 :class:`FinStructure` is a frozen plain class, which validates its
@@ -78,7 +103,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn
+from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple, NoReturn
 
 from .errors import InputError, read_only
 from .formula import (
@@ -94,6 +119,7 @@ from .formula import (
     Var,
     constants,
     free_vars,
+    quantifier_depth,
     subformulas,
 )
 
@@ -246,9 +272,12 @@ class _Generator:
     def __init__(self, phi: Formula, constants: tuple[int, ...]):
         self.kinds: set[type] = set()
         self.uses: set[str] = set()
-        self.conjuncts: dict[Formula, list[tuple[Formula, bool]]] = {}
+        # weak-keyed, so that a generator kept for its formula does not keep it
+        self.conjuncts: weakref.WeakKeyDictionary[Formula, list[tuple[Formula, bool]]] = weakref.WeakKeyDictionary()
         shape: dict[Formula, int] = {}
-        for f in reversed(list(subformulas(phi))):
+        nodes = list(subformulas(phi))
+        self.nodes, self.atoms = len(nodes), 0
+        for f in reversed(nodes):
             kind = type(f)
             self.kinds.add(kind)
             if kind is Negation:
@@ -259,6 +288,7 @@ class _Generator:
                     shape[f] = _DISJUNCTION
             elif kind is Membership or kind is Equality:
                 shape[f] = _ATOM
+                self.atoms += 1
             elif shape.get(f.body, _DISJUNCTION) != _DISJUNCTION:
                 literals = self.conjuncts[f] = _conjuncts(f.body)
                 self.uses.add("full" if kind is Exists else "scopemask")
@@ -269,19 +299,20 @@ class _Generator:
                 self.uses.add("universe")
         self.relativized = BoundedExists in self.kinds
         self.constants = constants
-        self.fresh = itertools.count()
-        self.splits = itertools.count(1)
-        self.pending: list[tuple[list[str], Formula, dict[str, str], dict]] = []
 
-    def context(self) -> tuple[dict, list[str]]:
+    def context(self, metered: bool) -> tuple[dict, list[str]]:
         """The context for the structure ``N``, keyed by ``"members"``,
         ``"containers"``, ``"loops"``, ``"size"``, ``"universe"``,
         ``"full"`` (the mask of N), ``"scope"``, ``"nscope"``,
         ``"scopemask"`` and each constant's identifier, as far as the
-        formula uses them, and the statements that set it from ``N``,
+        formula uses them (``"size"`` and ``"nscope"``, which only charges
+        read, in metered code alone), and the statements that set it from ``N``,
         ``scope`` and ``consts`` (the elements the constants denote).
         The scope's mask is taken on every call, from the scope that
-        call is given."""
+        call is given.  Each generated function starts here."""
+        self.metered = metered
+        self.fresh, self.splits = itertools.count(), itertools.count(1)
+        self.pending: list[tuple[list[str], Formula, dict[str, str], dict]] = []
         ctx, setup = {}, []
         if Membership in self.kinds:
             ctx["members"] = "members"
@@ -291,8 +322,9 @@ class _Generator:
                 ctx[name] = name
                 setup.append(f"{name} = N.{name}")
         if Exists in self.kinds:
-            ctx["size"] = "size"
             setup.append("size = N.size")
+            if metered:
+                ctx["size"] = "size"
             if "universe" in self.uses:
                 ctx["universe"] = "universe"
                 setup.append("universe = range(size)")
@@ -300,8 +332,10 @@ class _Generator:
                 ctx["full"] = "full"
                 setup.append("full = (1 << size) - 1")
         if self.relativized:
-            ctx["scope"], ctx["nscope"] = "scope", "nscope"
-            setup.append("nscope = len(scope) or 1")
+            ctx["scope"] = "scope"
+            if metered:
+                ctx["nscope"] = "nscope"
+                setup.append("nscope = len(scope) or 1")
             if "scopemask" in self.uses:
                 ctx["scopemask"] = "scopemask"
                 setup += ["scopemask = 0", "for e in scope: scopemask |= 1 << e"]
@@ -311,16 +345,21 @@ class _Generator:
             setup.append(f"{', '.join(names)}, = consts")
         return ctx, setup
 
-    def evaluator(self, phi: Formula, names: list[str]) -> Callable:
+    def meter(self, pad: str, *statements: str) -> list[str]:
+        """*statements*, indented by *pad*, in metered code; none in
+        unmetered code."""
+        return [pad + line for line in statements] if self.metered else []
+
+    def evaluator(self, phi: Formula, names: list[str], metered: bool) -> Callable:
         """``f(consts, N, scope, budget, *values)``, phi's truth value in
         N with its free variables *names* at *values*."""
-        ctx, setup = self.context()
+        ctx, setup = self.context(metered)
         env = {name: self.variable() for name in names}
         lines = [f"def _f0({', '.join(['consts', 'N', 'scope', 'budget', *env.values()])}):"]
         lines += [f"    {line}" for line in setup]
-        lines.append("    left = budget.left")
+        lines += self.meter("    ", "left = budget.left")
         self.emit(phi, env, ctx, lines, 1)
-        lines += ["    budget.left = left", "    return bool(r)"]
+        lines += [*self.meter("    ", "budget.left = left"), "    return bool(r)"]
         return self.finish(lines)
 
     def loop(self, params: str, setup: list[str], names: list[str], valuations: str, body: Callable, result: str) -> Callable:
@@ -336,15 +375,15 @@ class _Generator:
         values = "".join(f"{v}, " for v in env.values())
         lines = [f"def _f0({params}):"]
         lines += [f"    {line}" for line in setup]
-        lines += ["    left = budget.left", f"    for {values.rstrip() or '_'} in {valuations}:"]
+        lines += [*self.meter("    ", "left = budget.left"), f"    for {values.rstrip() or '_'} in {valuations}:"]
         body(env, f"({values})", lines)
-        lines += ["    budget.left = left", f"    return {result}"]
+        lines += [*self.meter("    ", "budget.left = left"), f"    return {result}"]
         return self.finish(lines)
 
-    def search(self, phi: Exists, names: list[str]) -> Callable:
+    def search(self, phi: Exists, names: list[str], metered: bool) -> Callable:
         """``f(consts, N, budget, valuations)``, the generated function of
         :func:`witness_search`, with phi's free variables *names*."""
-        ctx, setup = self.context()
+        ctx, setup = self.context(metered)
 
         def body(env, values, lines):
             found = self.emit(phi, env, ctx, lines, 2)
@@ -352,18 +391,19 @@ class _Generator:
 
         return self.loop("consts, N, budget, valuations", [*setup, "hits = []"], names, "valuations", body, "hits")
 
-    def sweep(self, phi: Formula, names: list[str]) -> Callable:
+    def sweep(self, phi: Formula, names: list[str], metered: bool) -> Callable:
         """``f(S, N, consts, budget)``, the first tuple of values for
         *names* from the sorted tuple S, in lexicographic order, on which
         phi's truth value in N differs from its value in the substructure
         S induces, or None.  Each tuple evaluates N's side, then S's, from
         one step count; S's side reads N's member masks, each quantifier
         scanning S for ``len(S)`` steps."""
-        ctx, setup = self.context()
+        ctx, setup = self.context(metered)
         sub = dict(ctx)
         if Exists in self.kinds:
-            sub["size"] = "ssize"
-            setup.append("ssize = len(S)")
+            if metered:
+                sub["size"] = "ssize"
+                setup.append("ssize = len(S)")
             if "universe" in ctx:
                 sub["universe"] = "S"
             if "full" in ctx:
@@ -374,7 +414,7 @@ class _Generator:
             self.emit(phi, env, ctx, lines, 2)
             lines.append("        h = r")
             self.emit(phi, env, sub, lines, 2)
-            lines += ["        if r != h:", "            budget.left = left", f"            return {values}"]
+            lines += ["        if r != h:", *self.meter("            ", "budget.left = left"), f"            return {values}"]
 
         return self.loop("S, N, consts, budget", setup, names, f"product(S, repeat={len(names)})", body, "None")
 
@@ -387,9 +427,9 @@ class _Generator:
         functions = ["\n".join(entry)]
         while self.pending:
             lines, phi, env, ctx = self.pending.pop()
-            lines.append("    left = budget.left")
+            lines += self.meter("    ", "left = budget.left")
             self.emit(phi, env, ctx, lines, 1)
-            lines += ["    budget.left = left", "    return r"]
+            lines += [*self.meter("    ", "budget.left = left"), "    return r"]
             functions.append("\n".join(lines))
         namespace = {"_exhausted": _exhausted, "product": itertools.product}
         exec(compile("\n".join(functions) + "\n", "<formula>", "exec"), namespace)
@@ -410,8 +450,9 @@ class _Generator:
 
     def emit(self, phi: Formula, env: dict[str, str], ctx: dict, lines: list[str], depth: int) -> str | None:
         """Statements, indented *depth* levels, that leave phi's truth
-        value in ``r`` and spend its steps from ``left``, reading the
-        variables in *env* and the context names in *ctx*.  When phi is a
+        value in ``r`` and, in metered code, spend its steps from
+        ``left``, reading the variables in *env* and the context names in
+        *ctx*.  When phi is a
         quantifier, return an expression for its smallest witness, valid
         once ``r`` is true.
 
@@ -434,15 +475,16 @@ class _Generator:
         if isinstance(phi, (Membership, Equality)):
             left, right = self.term(phi.left, env, ctx), self.term(phi.right, env, ctx)
             test = f"{ctx['members']}[{right}] >> {left} & 1" if isinstance(phi, Membership) else f"{left} == {right}"
-            lines += [f"{pad}left -= 1", f"{pad}if left < 0: _exhausted(budget, left)", f"{pad}r = {test}"]
+            lines += [*self.meter(pad, "left -= 1", "if left < 0: _exhausted(budget, left)"), f"{pad}r = {test}"]
         elif depth > _SPLIT_DEPTH:
             call = self.split(phi, env, ctx)
-            lines += [f"{pad}budget.left = left", f"{pad}r = {call}", f"{pad}left = budget.left"]
+            lines += [*self.meter(pad, "budget.left = left"), f"{pad}r = {call}", *self.meter(pad, "left = budget.left")]
         elif isinstance(phi, (Exists, BoundedExists)):
             # a plain quantifier is charged its scan of N; a bounded one
             # its scope, and at least one step
             charge, scan = ("size", "universe") if isinstance(phi, Exists) else ("nscope", "scope")
-            lines += [f"{pad}left -= {ctx[charge]}", f"{pad}if left < 0: _exhausted(budget, left)"]
+            if self.metered:
+                lines += [f"{pad}left -= {ctx[charge]}", f"{pad}if left < 0: _exhausted(budget, left)"]
             if phi in self.conjuncts:
                 found = self.scan(phi, env, ctx, lines, pad)
             else:
@@ -485,21 +527,26 @@ class _Generator:
         that prefix in the range ANDed with each proper prefix of the
         literals.  They are charged at once: a budget that runs out
         inside the scan ends, as the loop's one-step charges would,
-        at -1."""
+        at -1.  Of N's own mask, the elements 0 to size - 1, the bits up
+        to the witness are its bit length, and all of them without one."""
         z, masks = phi.var, [ctx["full" if isinstance(phi, Exists) else "scopemask"]]
         for atom, positive in self.conjuncts[phi]:
             mask = self.literal(atom, z, env, ctx)
             masks.append(self.variable())
             lines.append(f"{pad}{masks[-1]} = {masks[-2]} & {mask if positive else f'~{mask}'}")
-        low, prefix = self.variable(), self.variable()
-        steps = " + ".join(f"({mask} & {prefix}).bit_count()" for mask in masks[:-1])
-        lines += [
-            f"{pad}{low} = {masks[-1]} & -{masks[-1]}",
-            f"{pad}{prefix} = ({low} << 1) - 1",
-            f"{pad}left -= {steps}",
-            f"{pad}if left < 0: _exhausted(budget, -1)",
-            f"{pad}r = {low} != 0",
-        ]
+        low = self.variable()
+        lines.append(f"{pad}{low} = {masks[-1]} & -{masks[-1]}")
+        if self.metered:
+            prefix = self.variable()
+            counts = [f"({mask} & {prefix}).bit_count()" for mask in masks[:-1]]
+            if masks[0] == "full":
+                counts[0] = f"({low}.bit_length() or {ctx['size']})"
+            lines += [
+                f"{pad}{prefix} = ({low} << 1) - 1",
+                f"{pad}left -= {' + '.join(counts)}",
+                f"{pad}if left < 0: _exhausted(budget, -1)",
+            ]
+        lines.append(f"{pad}r = {low} != 0")
         return f"{low}.bit_length() - 1"
 
 
@@ -527,12 +574,9 @@ class CompiledFormula(functools.partial):
     """
 
     def __new__(cls, phi: Formula) -> "CompiledFormula":
-        names, consts = free_vars(phi), tuple(constants(phi))
-        gen = _Generator(phi, consts)
-        self = super().__new__(cls, gen.evaluator(phi, names), consts)
-        self.free_vars = names
-        self.constants = consts
-        self.relativized = gen.relativized
+        code = _code(phi)
+        self = super().__new__(cls, code.variant(phi, "evaluator", True), code.constants)
+        self.free_vars, self.constants, self.relativized = code.free_vars, code.constants, code.relativized
         return self
 
     def require_scope(self, scope) -> None:
@@ -541,26 +585,40 @@ class CompiledFormula(functools.partial):
             raise EvalError(_NO_SCOPE)
 
 
-def _sweep(phi: Formula) -> tuple[list[str], tuple[int, ...], int | None, Callable | None]:
-    """:func:`is_absolute`'s generated check for one formula: its free
-    variables, its constants, the most steps one valuation can charge when
-    phi has no quantifier (one per atom occurrence on each side), else
-    None, and the entry of :meth:`_Generator.sweep`, or None for a
-    relativized formula, which has no value in a substructure."""
-    names, consts = free_vars(phi), tuple(constants(phi))
-    gen = _Generator(phi, consts)
-    steps = None
-    if not gen.kinds & {Exists, BoundedExists}:
-        steps = 2 * sum(isinstance(f, (Membership, Equality)) for f in subformulas(phi))
-    return names, consts, steps, None if gen.relativized else gen.sweep(phi, names)
+class _Code:
+    """One formula's record: its free variables, constants and step
+    bound, the most steps one valuation of :func:`is_absolute`'s sweep
+    charges if it has no quantifier (else None), and each generated
+    function, compiled on first use from the formula the caller hands
+    in: the record keeps no reference to it."""
+
+    def __init__(self, phi: Formula):
+        self.free_vars, self.constants = free_vars(phi), tuple(constants(phi))
+        self.gen = _Generator(phi, self.constants)
+        self.relativized = self.gen.relativized
+        self.steps = None if self.gen.kinds & {Exists, BoundedExists} else 2 * self.gen.atoms
+        self.nodes, self.depth = self.gen.nodes, quantifier_depth(phi)
+        self.made: dict[tuple[str, bool], Callable] = {}
+
+    def bound(self, m: int) -> int:
+        """``B(phi, m)``: no evaluation of phi in a structure of m
+        elements charges more steps (see the module docstring)."""
+        return self.nodes * (m + 1) ** self.depth
+
+    def variant(self, phi: Formula, kind: str, metered: bool) -> Callable:
+        """phi's generated ``"evaluator"``, ``"sweep"`` or ``"search"``,
+        metered or not."""
+        made = self.made.get((kind, metered))
+        if made is None:
+            made = self.made[kind, metered] = getattr(self.gen, kind)(phi, self.free_vars, metered)
+        return made
 
 
+_CODE: weakref.WeakKeyDictionary[Formula, _Code] = weakref.WeakKeyDictionary()
 _COMPILED: weakref.WeakKeyDictionary[Formula, CompiledFormula] = weakref.WeakKeyDictionary()
-_SWEEPS: weakref.WeakKeyDictionary[Formula, tuple] = weakref.WeakKeyDictionary()
-_SEARCHES: weakref.WeakKeyDictionary[Formula, functools.partial] = weakref.WeakKeyDictionary()
 
 
-def _per_formula(cache: weakref.WeakKeyDictionary, phi: Formula, make: Callable):
+def _per_formula(cache: MutableMapping, phi: Formula, make: Callable):
     """``make(phi)``, made once per formula and kept in *cache*."""
     made = cache.get(phi)
     if made is None:
@@ -568,22 +626,40 @@ def _per_formula(cache: weakref.WeakKeyDictionary, phi: Formula, make: Callable)
     return made
 
 
+def _code(phi: Formula) -> _Code:
+    return _per_formula(_CODE, phi, _Code)
+
+
 def compile_formula(phi: Formula) -> CompiledFormula:
     """The compiled form of *phi*, made once per formula."""
     return _per_formula(_COMPILED, phi, CompiledFormula)
 
 
-def _search(phi: Exists) -> functools.partial:
-    names, consts = free_vars(phi), tuple(constants(phi))
-    gen = _Generator(phi, consts)
-    if gen.relativized:
-        raise EvalError(_NO_SCOPE)
-    search = functools.partial(gen.search(phi, names), consts)
-    search.free_vars, search.constants = names, consts
-    return search
+class _Search:
+    """What :func:`witness_search` returns: called, the metered search;
+    :meth:`unmetered`, the same code with no charges, for a caller that
+    has shown with :attr:`bound` that the budget covers the call.  It
+    keeps its formula, to compile each on first use."""
+
+    def __init__(self, phi: Exists):
+        code = _code(phi)
+        if code.relativized:
+            raise EvalError(_NO_SCOPE)
+        self.phi, self.code = phi, code
+        self.free_vars, self.constants, self.bound = code.free_vars, code.constants, code.bound
+
+    def __call__(self, N: FinStructure, budget: Budget, valuations: Iterable[tuple[int, ...]]) -> list:
+        return self.code.variant(self.phi, "search", True)(self.constants, N, budget, valuations)
+
+    def unmetered(self, N: FinStructure, budget: Budget | None, valuations: Iterable[tuple[int, ...]]) -> list:
+        return self.code.variant(self.phi, "search", False)(self.constants, N, budget, valuations)
 
 
-def witness_search(phi: Exists) -> functools.partial:
+# weak-valued: a search keeps its formula, so it lives while it is used
+_SEARCHES: weakref.WeakValueDictionary[Formula, _Search] = weakref.WeakValueDictionary()
+
+
+def witness_search(phi: Exists) -> _Search:
     """``search(N, budget, valuations)``: the ``(values, witness)``
     pairs, in the order of the iterable *valuations*, at which the
     existential *phi* holds in N with ``free_vars(phi)`` at *values*,
@@ -591,9 +667,11 @@ def witness_search(phi: Exists) -> functools.partial:
     per formula, runs phi's evaluator code at each valuation in turn and
     spends exactly what those evaluations would.  Like a
     :class:`CompiledFormula`, the search carries ``free_vars`` and
-    ``constants``; arguments are not validated.  A relativized phi has
-    no search and raises :class:`EvalError`."""
-    return _per_formula(_SEARCHES, phi, _search)
+    ``constants``; also ``bound(m)``, ``B(phi, m)``, which no valuation's
+    search in a structure of m elements exceeds, and ``unmetered``.
+    Arguments are not validated.  A relativized phi has no search and
+    raises :class:`EvalError`."""
+    return _per_formula(_SEARCHES, phi, _Search)
 
 
 def _evaluate(
@@ -606,30 +684,33 @@ def _evaluate(
     """Check the entry valuation and constants, then evaluate; with a
     *subset*, both must lie in it and ``BoundedExists`` scans it."""
     valuation = dict(valuation or {})
-    compiled = compile_formula(phi)
-    for name in compiled.free_vars:
+    code = _code(phi)
+    for name in code.free_vars:
         if name not in valuation:
             raise EvalError(f"unbound free variable {name!r}")
     for name, value in valuation.items():
         if not (0 <= value < N.size):
             raise EvalError(f"valuation sends {name!r} to {value}, outside the universe")
-    for c in compiled.constants:
+    for c in code.constants:
         if not (0 <= c < N.size):
             raise EvalError(f"dangling constant #{c}")
     if subset is not None:
         for name, value in valuation.items():
             if value not in subset:
                 raise EvalError(f"valuation sends {name!r} outside the designated subset")
-        for c in compiled.constants:
+        for c in code.constants:
             if c not in subset:
                 raise EvalError(f"constant #{c} lies outside the designated subset")
     scope = None if subset is None else tuple(sorted(subset))
     if scope and not (0 <= scope[0] and scope[-1] < N.size):
         bad = scope[0] if scope[0] < 0 else scope[-1]
         raise EvalError(f"designated subset element {bad} outside the universe")
-    compiled.require_scope(scope)
-    values = [valuation[name] for name in compiled.free_vars]
-    return compiled(N, scope, Budget(budget), *values)
+    if scope is None and code.relativized:
+        raise EvalError(_NO_SCOPE)
+    values = [valuation[name] for name in code.free_vars]
+    metered = code.bound(N.size) > budget
+    run = code.variant(phi, "evaluator", metered)
+    return run(code.constants, N, scope, Budget(budget) if metered else None, *values)
 
 
 def eval_formula(
@@ -721,6 +802,8 @@ def is_absolute(
     The steps are charged to one budget in that order, as two
     compiled-formula calls per valuation would charge them, and the
     sweep stops at the first valuation on which the two sides differ.
+    Where ``2 * B(phi, |N|)`` steps for each valuation fit the budget,
+    the sweep runs unmetered.
 
     A quantifier-free phi with a atom occurrences and k free variables
     holds without its sweep when ``2a * |M|**k`` steps fit the budget:
@@ -728,15 +811,18 @@ def is_absolute(
     valuation charges at most ``2a`` steps, so the sweep cannot run out.
     """
     S = _elements(M, N)
-    names, consts, steps, sweep = _per_formula(_SWEEPS, phi, _sweep)
+    code = _code(phi)
+    names, consts = code.free_vars, code.constants
     for c in consts:
         if c not in S:
             raise EvalError(f"constant #{c} lies outside M")
-    if sweep is None:
+    if code.relativized:
         raise EvalError(_NO_SCOPE)
-    if steps is not None and steps * len(S) ** len(names) <= budget:
+    valuations = len(S) ** len(names)
+    if code.steps is not None and code.steps * valuations <= budget:
         return AbsoluteCheck(True)
-    found = sweep(S, N, consts, Budget(budget))
+    metered = 2 * code.bound(N.size) * valuations > budget
+    found = code.variant(phi, "sweep", metered)(S, N, consts, Budget(budget) if metered else None)
     if found is None:
         return AbsoluteCheck(True)
     return AbsoluteCheck(False, dict(zip(names, found)))

@@ -89,12 +89,18 @@ def test_a_chain_searches_each_valuation_once(monkeypatch):
     def recording(phi):
         search = witness_search(phi)
 
-        def spy(N, budget, valuations):
-            valuations = list(valuations)
-            searched.extend((phi, values) for values in valuations)
-            return search(N, budget, valuations)
+        def spying(run):
+            def spy(N, budget, valuations):
+                valuations = list(valuations)
+                searched.extend((phi, values) for values in valuations)
+                return run(N, budget, valuations)
 
-        spy.free_vars, spy.constants = search.free_vars, search.constants
+            return spy
+
+        # the metered search and the unmetered one hull runs under its bound
+        spy = spying(search)
+        spy.free_vars, spy.constants, spy.bound = search.free_vars, search.constants, search.bound
+        spy.unmetered = spying(search.unmetered)
         return spy
 
     module = sys.modules["finmodel.hull"]  # ``finmodel.hull`` names the function

@@ -238,14 +238,16 @@ def test_is_absolute_is_the_definition_at_the_steps_of_both_sides():
 
 
 def _fail_on_sweep(monkeypatch, phi):
-    """Replace phi's cached sweep with one that fails if it is called."""
+    """Replace phi's cached sweeps, metered and not, with one that fails
+    if it is called."""
     from finmodel import structure
 
     def untouched(*args):
         raise AssertionError("the sweep ran")
 
-    entry = structure._per_formula(structure._SWEEPS, phi, structure._sweep)
-    monkeypatch.setitem(structure._SWEEPS, phi, (*entry[:-1], untouched))
+    made = structure._code(phi).made
+    for metered in (True, False):
+        monkeypatch.setitem(made, ("sweep", metered), untouched)
 
 
 def test_is_absolute_skips_the_sweep_only_where_it_could_not_fail(monkeypatch):
@@ -437,12 +439,15 @@ def test_is_absolute_compiles_one_sweep_per_formula(monkeypatch):
     assert len(compiled) == 1  # kept for the formula
     is_absolute([1], V2, parse("Ey (y in x)"))
     assert len(compiled) == 1  # an equal formula is the same object
-    # a formula of arity 25 is one loop, not 25 nested ones
+    # a formula of arity 25 is one loop, not 25 nested ones; below its
+    # quantifier-free bound (2 steps for each of its 24 atoms) its sweep
+    # is built, and on a loop the first atom holds: one step a side
     xs = [Var(f"x{i}") for i in range(25)]
     wide = Membership(xs[0], xs[1])
     for a, b in zip(xs[1:], xs[2:]):
         wide = Disjunction(wide, Membership(a, b))
-    assert is_absolute([1], V2, wide).ok
+    loop = FinStructure(1, frozenset({(0, 0)}))
+    assert is_absolute([0], loop, wide, budget=2 * 24 - 1).ok
     assert compiled[-1].count("for ") == 1
 
 
