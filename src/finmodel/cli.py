@@ -412,7 +412,7 @@ def _bond_report_json(report):
 
 def cmd_bondfaithful_search(args):
     G = _load_graph(args.graph)
-    outcome = search_bond_faithful(G, args.kappa, budget=args.search_budget)
+    outcome = search_bond_faithful(G, args.kappa)
     result = {"status": outcome.status}
     if outcome.decomposition is not None:
         code = _bond_verdict_exit(outcome.report)
@@ -421,8 +421,6 @@ def cmd_bondfaithful_search(args):
         if args.format == "dot":
             return code, graph_to_dot(G, outcome.decomposition.parts)
         return code, result, G, outcome
-    if outcome.status == "budget-exhausted":
-        return EXIT_BUDGET, result
     return EXIT_VIOLATION, result, G, outcome
 
 
@@ -659,12 +657,6 @@ def _bondfaithful_check_args(b):
 def _bondfaithful_search_args(b):
     b.add_argument("--graph", required=True)
     b.add_argument("--kappa", type=int, required=True)
-    b.add_argument(
-        "--search-budget", type=int, default=50_000,
-        help="units of exact-search work once the graph's blocks fail: one per "
-        "candidate block of at most KAPPA edges examined and one per node of the "
-        "cover search (exit 3 when spent)",
-    )
     _bind(b, "bondfaithful search", cmd_bondfaithful_search)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .graph import (
@@ -337,103 +337,36 @@ def check_bond_faithful(
     Size: every member has at most kappa edges.  Containment: every
     host bond with at most kappa edges lies inside one member's edge
     set.  Preservation: every member bond with fewer than kappa edges is
-    a bond of the host.
+    a bond of the host: looked up among the host bonds when they are all
+    known, else tested one by one.  Past the enumeration cap a member's
+    bonds are sampled, and then so are the host's (one of its components
+    holds the member's).
     """
+    if kappa < 1:
+        raise InputError("kappa must be at least 1")
     members = tuple(parts.parts) if isinstance(parts, Decomposition) else tuple(parts)
-    return _Clauses(G, kappa).check(members)
-
-
-class _Clauses:
-    """The clauses of :func:`check_bond_faithful` against one host, for
-    any number of decompositions and blocks: the host's bonds are
-    enumerated once, and each member edge set's foreign bonds are kept
-    for its next use."""
-
-    def __init__(self, G: Graph, kappa: int):
-        if kappa < 1:
-            raise InputError("kappa must be at least 1")
-        self.G, self.kappa = G, kappa
-        self.host_bonds, self.sampled = _bonds_upto(G, kappa)
-        self._host_bond_set = frozenset(self.host_bonds)
-        self._foreign_of: dict[frozenset[Edge], list[frozenset[Edge]]] = {}
-
-    def foreign(self, edges: frozenset[Edge]) -> list[frozenset[Edge]]:
-        """The bonds with fewer than kappa edges of the subgraph on
-        ``edges`` that are no bonds of the host: looked up among the
-        host bonds when they are all known, else tested one by one.  Past
-        the cap the subgraph's bonds are sampled, and then so are the
-        host's (one of its components holds the subgraph's)."""
-        found = self._foreign_of.get(edges)
-        if found is None:
-            found = self._foreign_of[edges] = [
-                F
-                for F in _bonds_upto(_subgraph_of(edges), self.kappa - 1)[0]
-                if not (
-                    is_bond(self.G, F) if self.sampled else F in self._host_bond_set
-                )
-            ]
-        return found
-
-    def check(self, members: Sequence[Graph]) -> BondFaithfulReport:
-        G, kappa = self.G, self.kappa
-        if not is_decomposition(G, members):
-            raise InputError("parts do not form a decomposition of the host")
-        oversized = tuple(
-            i for i, part in enumerate(members) if len(part.edges) > kappa
-        )
-        split = tuple(
-            F for F in self.host_bonds
-            if not any(F <= part.edges for part in members)
-        )
-        foreign = tuple(
-            (i, F) for i, part in enumerate(members) for F in self.foreign(part.edges)
-        )
-        return BondFaithfulReport(
-            kappa=kappa,
-            size_ok=not oversized,
-            containment_ok=not split,
-            bond_preservation_ok=not foreign,
-            oversized_members=oversized,
-            split_bonds=split,
-            foreign_bonds=foreign,
-            sampled=self.sampled,
-        )
-
-    def admissible_blocks(self, edges: list[Edge], spend: Callable[[], None]) -> list[int]:
-        """The edge sets that can be members of a bond-faithful
-        decomposition, as masks (edge k of ``edges`` is bit k): the
-        nonempty B with at most kappa edges and no foreign bonds.  A
-        decomposition passes :meth:`check` exactly when its members'
-        edge sets are admissible blocks.  ``spend`` is called once per
-        subset examined.
-
-        Containment needs no test of its own.  If B meets a host bond F
-        of at most kappa edges without holding it, F ∩ B is a cut of B
-        with fewer than kappa edges, and the bonds it splits into lie
-        strictly inside the bond F, so none is a host bond.  A cheap
-        test runs first: an edge of B with an end that no other edge of
-        B touches is a bond of B with one edge, which for kappa > 1 must
-        be a host bond, that is a bridge (found exactly, even when the
-        host bonds are sampled).  It spares building the subgraph of
-        most B."""
-        bit = {e: 1 << k for k, e in enumerate(edges)}
-        host_bridges = sum(bit[e] for e in bridges(self.G))
-        incident: dict[int, int] = {}
-        for e, b in bit.items():
-            for v in e:
-                incident[v] = incident.get(v, 0) | b
-        out = []
-        for size in range(1, min(self.kappa, len(edges)) + 1):
-            for picked in itertools.combinations(range(len(edges)), size):
-                spend()
-                block = sum(1 << k for k in picked)
-                if self.kappa > 1:
-                    ends = (incident[v] & block for k in picked for v in edges[k])
-                    if any(at & ~host_bridges and not at & (at - 1) for at in ends):
-                        continue
-                if not self.foreign(frozenset(edges[k] for k in picked)):
-                    out.append(block)
-        return out
+    if not is_decomposition(G, members):
+        raise InputError("parts do not form a decomposition of the host")
+    host_bonds, sampled = _bonds_upto(G, kappa)
+    known = frozenset(host_bonds)
+    oversized = tuple(i for i, part in enumerate(members) if len(part.edges) > kappa)
+    split = tuple(F for F in host_bonds if not any(F <= part.edges for part in members))
+    foreign = tuple(
+        (i, F)
+        for i, part in enumerate(members)
+        for F in _bonds_upto(_subgraph_of(part.edges), kappa - 1)[0]
+        if not (is_bond(G, F) if sampled else F in known)
+    )
+    return BondFaithfulReport(
+        kappa=kappa,
+        size_ok=not oversized,
+        containment_ok=not split,
+        bond_preservation_ok=not foreign,
+        oversized_members=oversized,
+        split_bonds=split,
+        foreign_bonds=foreign,
+        sampled=sampled,
+    )
 
 
 class BondFaithfulSearch(NamedTuple):
@@ -441,7 +374,7 @@ class BondFaithfulSearch(NamedTuple):
     host bonds only, because a component exceeded the enumeration cap: a
     candidate, not a proof."""
 
-    status: str  # found | sampled | budget-exhausted | proven-absent
+    status: str  # found | sampled | proven-absent
     decomposition: Decomposition | None = None
     report: BondFaithfulReport | None = None
 
@@ -452,126 +385,54 @@ def _subgraph_of(edges: Iterable[Edge]) -> Graph:
     return Graph(vs, es)
 
 
-class _Spent(Exception):
-    """The search budget is spent."""
+def search_bond_faithful(G: Graph, kappa: int) -> BondFaithfulSearch:
+    """A decomposition of G into parts of at most kappa edges that is
+    bond-faithful, or ``proven-absent``, decided by the finite form of
+    Laviolette's theorem (JCTB 94, 2005): for kappa >= 2, such a
+    partition is bond-faithful exactly when every block of G
+    (:func:`biconnected_blocks`) lies inside one part.  So one exists
+    exactly when every block has at most kappa edges, and the blocks are
+    one.  At kappa = 1 the single edges always are one: each host bond
+    of one edge is one of them, and they have no bond of fewer edges.
 
+    *If.*  Two edges of a bond lie on a common cycle (both sides are
+    connected), so every bond lies inside one block, and hence one part:
+    containment.  Let P be a part and F a bond of P.  So F lies in one
+    block B of G, inside P, and is a nonempty cut of B; it holds a bond F'
+    of B.  By B's maximality each component of G minus B's edges meets B
+    in at most one vertex; put on that vertex's side, it extends F' to a
+    bond of G.  F' is then a cut of P inside the bond F, so F' = F:
+    preservation.
 
-def search_bond_faithful(
-    G: Graph, kappa: int, budget: int = 50_000
-) -> BondFaithfulSearch:
-    """G's blocks when they pass the check, else an exact search.
+    *Only if* (kappa >= 2).  Say a bond-faithful partition splits a
+    block B, which so is 2-connected.  Call a component K of some part
+    P's edges in B a *piece*; there are at least two.
+    (a) Each block of P lies in one block of G, so K is a connected union
+    of P's blocks and every other component of P minus K's edges meets K
+    in at most one vertex.  So a bond of K is one of P, and with fewer
+    than kappa edges, by preservation, of G, and so of B: it is a cut of
+    B, whose bonds are bonds of G, as above.
+    (b) A bridge of K would be a one-edge bond of B, so K is bridgeless,
+    with a cycle.  A vertex u of K in another piece is a cut vertex of K:
+    else the star of u in K, missing an edge of that cycle, is a bond of
+    K with fewer than kappa edges, so of B, all of whose edges are at u,
+    while u keeps an edge of the other piece on its side; so u would cut
+    B.  (c) If K has no cut vertex, it meets no other piece, so B, which
+    has edges outside K, is not connected.  Else a leaf block of K with its cut vertex c has no other
+    vertex in another piece or block of K, so c cuts B.
 
-    The blocks (:func:`biconnected_blocks`) are bond-faithful whenever
-    each has at most kappa edges.  Containment: both sides of a bond are
-    connected, so any two of its edges lie on a common cycle, hence in
-    one block.  Preservation: by B's maximality, each component of G
-    minus a block B's edges meets B in at most one vertex; put on that
-    vertex's side, it extends a bond of B to a bond of G with the same
-    edges.
-
-    Blocks over kappa edges prove nothing, though in every search
-    measured no decomposition existed then.  So the search lists the
-    admissible blocks, the edge sets that can be members
-    (:meth:`_Clauses.admissible_blocks`), and decides by exact cover
-    (Knuth, "Dancing Links", 2000): a depth-first search that covers
-    the uncovered edge with the fewest fitting blocks first.  No cover
-    is ``proven-absent``; any cover passes the check, so the cover found
-    is returned, its parts listed by smallest edge.
-
-    ``budget`` counts the exact search's work: each candidate block
-    examined and each node of the cover search; past it the
-    search gives up as ``budget-exhausted``.  A decomposition that
-    passes only against sampled host bonds, because a component exceeds
-    the enumeration cap, comes back as ``sampled``, not ``found``.
-    Which blocks are admissible does not rest on the host's sample (a
-    block's bonds are tested with :func:`is_bond` then), and a block's
-    own sampled bonds only admit more blocks, so no cover still proves
-    absence."""
-    clauses = _Clauses(G, kappa)
-
-    def verdict(parts: list[frozenset[Edge]]) -> BondFaithfulSearch | None:
-        members = [_subgraph_of(part) for part in sorted(parts, key=min)]
-        report = clauses.check(members)
-        if not report.verdict:
-            return None
-        status = "sampled" if report.sampled else "found"
-        return BondFaithfulSearch(status, Decomposition(tuple(members)), report)
-
-    outcome = verdict(biconnected_blocks(G))
-    if outcome:
-        return outcome
-    left = budget
-
-    def spend() -> None:
-        nonlocal left
-        left -= 1
-        if left < 0:
-            raise _Spent
-
-    edges = sorted(G.edges)
-    try:
-        by_bit = _by_bit(clauses.admissible_blocks(edges, spend))
-        cover = _cover(by_bit, (1 << len(edges)) - 1, spend)
-    except _Spent:
-        return BondFaithfulSearch("budget-exhausted")
-    if cover is None:
+    The parts, listed by smallest edge, go through
+    :func:`check_bond_faithful`, whose report is returned; against
+    sampled host bonds the status is ``sampled``.  No bond is enumerated
+    for an absent decomposition."""
+    if kappa < 1:
+        raise InputError("kappa must be at least 1")
+    parts = biconnected_blocks(G) if kappa > 1 else [frozenset([e]) for e in G.edges]
+    if any(len(part) > kappa for part in parts):
         return BondFaithfulSearch("proven-absent")
-    outcome = verdict(
-        [frozenset(e for k, e in enumerate(edges) if b >> k & 1) for b in cover]
-    )
-    if outcome is None:
-        raise AssertionError("a partition into admissible blocks failed the check")
-    return outcome
-
-
-def _by_bit(blocks: list[int]) -> dict[int, list[int]]:
-    """The masks ``blocks`` that hold each one-bit mask, in their order."""
-    by_bit: dict[int, list[int]] = {}
-    for block in blocks:
-        rest = block
-        while rest:
-            low = rest & -rest
-            by_bit.setdefault(low, []).append(block)
-            rest ^= low
-    return by_bit
-
-
-def _cover(
-    by_bit: dict[int, list[int]], full: int, spend: Callable[[], None]
-) -> list[int] | None:
-    """Blocks indexed in ``by_bit`` that partition ``full``, or None when
-    there are none.  Depth-first, branching on the uncovered bit that the
-    fewest blocks fit; a set of uncovered bits once refuted is not
-    searched again.  The stack holds each open node's uncovered bits, so
-    the block taken at a node is its bits less the next node's."""
-    refuted: set[int] = set()
-    stack: list[tuple[int, Iterator[int]]] = []
-    uncovered = full
-    while True:
-        spend()
-        if not uncovered:
-            nodes = [node for node, _ in stack]
-            return [a ^ b for a, b in zip(nodes, nodes[1:] + [0])]
-        if uncovered not in refuted:
-            fewest = None
-            rest = uncovered
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                fitting = [b for b in by_bit.get(low, ()) if not b & ~uncovered]
-                if fewest is None or len(fitting) < len(fewest):
-                    fewest = fitting
-                    if not fitting:
-                        break
-            stack.append((uncovered, iter(fewest)))
-        while stack:  # the next untried block of the deepest open node
-            node, options = stack[-1]
-            b = next(options, None)
-            if b is not None:
-                uncovered = node ^ b
-                break
-            refuted.add(node)
-            stack.pop()
-        else:
-            return None
-
+    members = [_subgraph_of(part) for part in sorted(parts, key=min)]
+    report = check_bond_faithful(G, members, kappa)
+    if not report.verdict:
+        raise AssertionError("the blocks of the host failed the check")
+    status = "sampled" if report.sampled else "found"
+    return BondFaithfulSearch(status, Decomposition(tuple(members)), report)

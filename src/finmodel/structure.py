@@ -267,7 +267,7 @@ class _Generator:
     One pass over the subformulas, innermost first, finds the shape of
     each quantifier-free one and so the quantifiers whose body is a
     conjunction of literals (:attr:`conjuncts`), and what the context
-    must hold for them (:attr:`uses`)."""
+    must hold (:attr:`uses`): ``members`` only where code reads it."""
 
     def __init__(self, phi: Formula, constants: tuple[int, ...]):
         self.kinds: set[type] = set()
@@ -275,6 +275,9 @@ class _Generator:
         # weak-keyed, so that a generator kept for its formula does not keep it
         self.conjuncts: weakref.WeakKeyDictionary[Formula, list[tuple[Formula, bool]]] = weakref.WeakKeyDictionary()
         shape: dict[Formula, int] = {}
+        # the subformulas whose code reads ``members``: a node is emitted
+        # alike wherever it occurs, so this holds at each occurrence
+        reads: set[Formula] = set()
         nodes = list(subformulas(phi))
         self.nodes, self.atoms = len(nodes), 0
         for f in reversed(nodes):
@@ -283,20 +286,33 @@ class _Generator:
             if kind is Negation:
                 if f.body in shape:
                     shape[f] = shape[f.body] ^ 1
+                read = f.body in reads
             elif kind is Disjunction:
                 if max(shape.get(f.left, _CONJUNCTION), shape.get(f.right, _CONJUNCTION)) <= _DISJUNCTION:
                     shape[f] = _DISJUNCTION
+                read = f.left in reads or f.right in reads
             elif kind is Membership or kind is Equality:
                 shape[f] = _ATOM
                 self.atoms += 1
+                read = kind is Membership
             elif shape.get(f.body, _DISJUNCTION) != _DISJUNCTION:
                 literals = self.conjuncts[f] = _conjuncts(f.body)
                 self.uses.add("full" if kind is Exists else "scopemask")
+                read = False
                 for atom, _ in literals:
-                    if type(atom) is Membership and _is_var(atom.right, f.var):
-                        self.uses.add("loops" if _is_var(atom.left, f.var) else "containers")
-            elif kind is Exists:
-                self.uses.add("universe")
+                    if type(atom) is Membership:
+                        if _is_var(atom.right, f.var):
+                            self.uses.add("loops" if _is_var(atom.left, f.var) else "containers")
+                        else:  # a member mask, or one member bit
+                            read = True
+            else:
+                if kind is Exists:
+                    self.uses.add("universe")
+                read = f.body in reads
+            if read:
+                reads.add(f)
+        if phi in reads:
+            self.uses.add("members")
         self.relativized = BoundedExists in self.kinds
         self.constants = constants
 
@@ -314,7 +330,7 @@ class _Generator:
         self.fresh, self.splits = itertools.count(), itertools.count(1)
         self.pending: list[tuple[list[str], Formula, dict[str, str], dict]] = []
         ctx, setup = {}, []
-        if Membership in self.kinds:
+        if "members" in self.uses:
             ctx["members"] = "members"
             setup.append("members = N.members")
         for name in ("containers", "loops"):

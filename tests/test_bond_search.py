@@ -1,11 +1,13 @@
-"""The cut-mask bond kernel and the exact bond-faithful search, each
-against its brute-force route in ``finmodel.oracles``."""
+"""The cut-mask bond kernel and the bond-faithful search, each against
+its brute-force route in ``finmodel.oracles``."""
 
+import functools
 import itertools
 
 import pytest
 
 import finmodel.decompose as decompose
+from finmodel import oracles
 from finmodel.corpus import gnp_graph
 from finmodel.decompose import check_bond_faithful, search_bond_faithful
 from finmodel.graph import (
@@ -40,36 +42,30 @@ def test_enumerate_bonds_matches_definition_at_every_size_bound():
     assert disconnected >= 10
 
 
-def _assert_search_matches_walk(G, kappa, monkeypatch):
-    """Status against the oracle; with the blocks replaced by the whole
-    edge set, which passes only where that one block is admissible, the
-    exact route's parts too: they partition the edges and pass the
-    definition."""
+def _assert_search_matches_walk(G, kappa):
+    """Status against the oracle; found parts partition the edges and
+    pass the definition."""
     first = first_bond_faithful_partition(G, kappa)
     out = search_bond_faithful(G, kappa)
     assert out.status == ("proven-absent" if first is None else "found")
-    with monkeypatch.context() as m:
-        m.setattr(decompose, "biconnected_blocks", lambda H: [frozenset(H.edges)])
-        exact = search_bond_faithful(G, kappa)
-    assert exact.status == out.status
     if first is not None:
-        parts = exact.decomposition.parts
+        parts = out.decomposition.parts
         assert all(p.edges for p in parts)
         assert sorted(e for p in parts for e in p.edges) == sorted(G.edges)
         assert bond_faithful_by_definition(G, parts, kappa)
-        assert exact.report.verdict
+        assert out.report.verdict
 
 
-def test_search_matches_partition_walk_on_5_vertices_7_edges(monkeypatch):
+def test_search_matches_partition_walk_on_5_vertices_7_edges():
     # all 120 labelled graphs on 5 vertices with 7 edges, kappa 1..3
     slots = list(itertools.combinations(range(5), 2))
     for edges in itertools.combinations(slots, 7):
         G = make_graph(range(5), edges)
         for kappa in (1, 2, 3):
-            _assert_search_matches_walk(G, kappa, monkeypatch)
+            _assert_search_matches_walk(G, kappa)
 
 
-def test_search_matches_partition_walk_on_connected_gnp(monkeypatch):
+def test_search_matches_partition_walk_on_connected_gnp():
     # connected gnp graphs on 6..8 vertices with at most 10 edges, kappa 1..3
     rng = seeded(2024)
     graphs = []
@@ -81,20 +77,17 @@ def test_search_matches_partition_walk_on_connected_gnp(monkeypatch):
     statuses = set()
     for G in graphs:
         for kappa in (1, 2, 3):
-            _assert_search_matches_walk(G, kappa, monkeypatch)
+            _assert_search_matches_walk(G, kappa)
             statuses.add(search_bond_faithful(G, kappa).status)
     assert statuses == {"found", "proven-absent"}
 
 
-def test_exact_search_over_sampled_host_bonds_stays_sampled(monkeypatch):
+def test_exact_search_over_sampled_host_bonds_stays_sampled():
     # a 22-vertex path exceeds the enumeration cap, so its host bonds are
-    # sampled, and most of its bridges are missing from the sample; with
-    # the blocks replaced by an oversized candidate, the exact search must
-    # still cover the path by admissible blocks and call the result sampled
+    # sampled, and most of its bridges are missing from the sample; its
+    # blocks, the single edges, fit kappa 2, so the answer is sampled
     edges = [(i, i + 1) for i in range(21)]
     path22 = make_graph(range(22), edges)
-    oversized = [frozenset(edges[:3])] + [frozenset([e]) for e in edges[3:]]
-    monkeypatch.setattr(decompose, "biconnected_blocks", lambda H: oversized)
     out = search_bond_faithful(path22, 2)
     assert out.status == "sampled"
     assert out.report.verdict and out.report.sampled
@@ -103,45 +96,10 @@ def test_exact_search_over_sampled_host_bonds_stays_sampled(monkeypatch):
     assert sorted(e for p in parts for e in p.edges) == edges
 
 
-def _partitions_exist(masks, full):
-    """Does some subfamily of ``masks`` partition ``full``?  Each mask in
-    turn is left out or, when disjoint from those taken, put in."""
-    def extend(i, taken):
-        if taken == full:
-            return True
-        if i == len(masks):
-            return False
-        fits = not masks[i] & taken and not masks[i] & ~full
-        return (fits and extend(i + 1, taken | masks[i])) or extend(i + 1, taken)
-
-    return extend(0, 0)
-
-
-def test_cover_matches_brute_force_on_random_families():
-    rng = seeded(4242)
-    outcomes = {True: 0, False: 0}
-    for _ in range(600):
-        bits = rng.randint(1, 9)
-        masks = [rng.randrange(1, 1 << bits) for _ in range(rng.randint(0, 14))]
-        full = (1 << bits) - 1 if rng.random() < 0.7 else rng.randrange(1 << bits)
-        cover = decompose._cover(decompose._by_bit(masks), full, lambda: None)
-        exists = _partitions_exist(masks, full)
-        outcomes[exists] += 1
-        assert (cover is not None) == exists
-        if cover is not None:
-            assert all(b in masks for b in cover)
-            union = 0
-            for b in cover:
-                assert not b & union
-                union |= b
-            assert union == full
-    assert min(outcomes.values()) >= 100
-
-
 def test_blocks_within_kappa_are_bond_faithful():
-    # the lemma of search_bond_faithful: once every block has at most
-    # kappa edges, the blocks pass the definition, and the search returns
-    # them without its exact route
+    # the "if" half of the theorem in search_bond_faithful: once every
+    # block has at most kappa edges, the blocks pass the definition, and
+    # the search returns them
     rng = seeded(1973)
     bridged = 0
     for _ in range(40):
@@ -152,15 +110,15 @@ def test_blocks_within_kappa_are_bond_faithful():
         largest = max(map(len, blocks), default=1)
         for kappa in (largest, largest + 1):
             assert bond_faithful_by_definition(G, parts, kappa)
-            out = search_bond_faithful(G, kappa, budget=0)
+            out = search_bond_faithful(G, kappa)
             assert out.status == "found"
             assert [p.edges for p in out.decomposition.parts] == blocks
     assert bridged >= 5
 
 
 def test_blocks_decide_where_the_subset_listing_runs_out_of_budget():
-    # C(16, <=10) edge subsets overrun the default budget, but the blocks
-    # (9 edges and seven bridges) pass at kappa 10
+    # 16 edges on 20 vertices: the blocks (9 edges and seven bridges) pass
+    # at kappa 10
     G = make_graph(range(20), [
         (0, 9), (0, 13), (1, 11), (2, 5), (4, 12), (5, 6), (5, 16), (6, 15),
         (6, 16), (6, 17), (7, 15), (8, 19), (9, 17), (11, 18), (13, 18), (16, 18),
@@ -176,13 +134,27 @@ def test_blocks_decide_where_the_subset_listing_runs_out_of_budget():
 
 
 def test_search_budget_counts_candidate_blocks():
-    # K4 with a 3-edge tail: 129 candidate blocks at kappa 3, then one
-    # node of the cover search, which finds no cover
+    # K4 with a 3-edge tail: the 6-edge block of K4 decides, absent at
+    # kappa 3 and found at kappa 6, where K4 and each tail edge are parts
     k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     G = make_graph(range(7), k4 + [(3, 4), (4, 5), (5, 6)])
-    assert search_bond_faithful(G, 3, budget=130).status == "proven-absent"
-    assert search_bond_faithful(G, 3, budget=129).status == "budget-exhausted"
-    assert search_bond_faithful(G, 3, budget=10).status == "budget-exhausted"
+    assert search_bond_faithful(G, 3) == ("proven-absent", None, None)
+    found = search_bond_faithful(G, 6)
+    assert found.status == "found"
+    assert [sorted(p.edges) for p in found.decomposition.parts] == [
+        k4, [(3, 4)], [(4, 5)], [(5, 6)]
+    ]
+
+
+def test_one_oversized_block_proves_absence_at_once():
+    # the 3x4 grid and K7 are single blocks, of 17 and 21 edges
+    rows = [(v, v + 1) for v in range(12) if v % 4 < 3]
+    grid = make_graph(range(12), rows + [(v, v + 4) for v in range(8)])
+    k7 = make_graph(range(7), itertools.combinations(range(7), 2))
+    for G, kappa in ((grid, 8), (grid, 16), (k7, 10), (k7, 20)):
+        assert search_bond_faithful(G, kappa) == ("proven-absent", None, None)
+    whole = search_bond_faithful(grid, 17)
+    assert whole.status == "found" and whole.decomposition.parts == (grid,)
 
 
 def test_a_fault_in_bond_enumeration_is_not_sampling(monkeypatch):
@@ -196,4 +168,48 @@ def test_a_fault_in_bond_enumeration_is_not_sampling(monkeypatch):
     with pytest.raises(ValueError, match="injected"):
         check_bond_faithful(c4, [c4], 4)
     with pytest.raises(ValueError, match="injected"):
-        search_bond_faithful(c4, 2)
+        search_bond_faithful(c4, 4)  # the block fits, so the check runs
+
+
+def _graphs_on_5_vertices_upto_8_edges():
+    """One graph per isomorphism class: the first labelled graph met
+    whose edge list, relabelled by the least permutation, is new."""
+    slots = list(itertools.combinations(range(5), 2))
+    seen = {}
+    for r in range(9):
+        for edges in itertools.combinations(slots, r):
+            key = min(
+                tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges))
+                for p in itertools.permutations(range(5))
+            )
+            seen.setdefault(key, edges)
+    return [make_graph(range(5), edges) for edges in seen.values()]
+
+
+def test_partition_is_bond_faithful_exactly_when_no_block_is_split(monkeypatch):
+    # the theorem of search_bond_faithful, both directions, against the
+    # definition: every partition into parts of at most kappa edges, for
+    # kappa from 2 to the edge count, of every 5-vertex graph with at most
+    # 8 edges up to isomorphism; the search finds one exactly where one
+    # passes.  The oracle's bond lists are memoized, not changed.
+    monkeypatch.setattr(oracles, "bonds_by_definition", functools.cache(oracles.bonds_by_definition))
+    graphs = _graphs_on_5_vertices_upto_8_edges()
+    assert len(graphs) == 32
+    compared = 0
+    for G in graphs:
+        blocks = biconnected_blocks(G)
+        m = len(G.edges)
+        passing = set()
+        for partition in oracles._edge_partitions(sorted(G.edges), m):
+            parts = [frozenset(p) for p in partition]
+            whole = all(any(B <= p for p in parts) for B in blocks)
+            members = [Graph(frozenset(v for e in p for v in e), p) for p in parts]
+            for kappa in range(max([2, *map(len, parts)]), m + 1):
+                passes = oracles.bond_faithful_by_definition(G, members, kappa)
+                assert passes == whole, (sorted(G.edges), parts, kappa)
+                passing.update([kappa] * passes)
+                compared += 1
+        for kappa in range(2, m + 1):
+            found = search_bond_faithful(G, kappa).status == "found"
+            assert found == (kappa in passing) == all(len(B) <= kappa for B in blocks)
+    assert compared == 71_362

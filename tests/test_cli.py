@@ -177,20 +177,19 @@ def test_member_bonds_past_the_cap_are_sampled(fixtures):
 
 
 def test_bondfaithful_search_spends_its_budget(fixtures):
-    # K4 plus a 3-edge tail has 9 edges and no bond-faithful decomposition
-    # at kappa 3; its exhaustive search runs until the budget says stop
+    # K4 plus a 3-edge tail has 9 edges; its 6-edge block decides: no
+    # bond-faithful decomposition at kappa 3, and K4 with the tail edges
+    # at kappa 6
     k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     G = make_graph(range(7), k4 + [(3, 4), (4, 5), (5, 6)])
     (fixtures / "k4tail.json").write_text(json.dumps(graph_to_json(G)))
     absent = run_fm(["bondfaithful", "search", "--graph", "k4tail.json", "--kappa", "3"], fixtures)
     assert absent.returncode == 1
     assert json.loads(absent.stdout)["result"]["status"] == "proven-absent"
-    starved = run_fm(
-        ["bondfaithful", "search", "--graph", "k4tail.json", "--kappa", "3", "--search-budget", "10"],
-        fixtures,
-    )
-    assert starved.returncode == 3
-    assert json.loads(starved.stdout)["result"]["status"] == "budget-exhausted"
+    found = run_fm(["bondfaithful", "search", "--graph", "k4tail.json", "--kappa", "6"], fixtures)
+    assert found.returncode == 0
+    result = json.loads(found.stdout)["result"]
+    assert result["status"] == "found" and len(result["parts"]) == 4
 
 
 # each --validate handler, with the oracle name it calls replaced by a
@@ -254,8 +253,8 @@ def test_exactly_the_routed_subcommands_take_validate():
 
 def test_bondfaithful_search_validates_status_and_parts(fixtures, monkeypatch, capsys):
     # proven-absent is judged by the oracle's existence answer alone,
-    # found parts by the definition too; budget-exhausted and DOT output
-    # carry no answer to judge
+    # found parts by the definition too; DOT output carries no answer to
+    # judge
     monkeypatch.chdir(fixtures)
     search = ["bondfaithful", "search", "--graph", "c4.json", "--validate", "--kappa"]
     assert cli.main(search + ["2"]) == 1
@@ -274,8 +273,6 @@ def test_bondfaithful_search_validates_status_and_parts(fixtures, monkeypatch, c
     monkeypatch.setattr(cli, "bond_faithful_by_definition", lambda *a: False)
     assert cli.main(search + ["1"]) == 1
     assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
-    assert cli.main(search + ["2", "--search-budget", "0"]) == 3
-    assert json.loads(capsys.readouterr().out)["result"] == {"status": "budget-exhausted"}
     assert cli.main(["--format", "dot"] + search + ["1"]) == 0
     assert capsys.readouterr().out.startswith("graph G {")
 
@@ -617,8 +614,8 @@ _DENSE_HOSTS = {
 @pytest.mark.parametrize("kappa", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(_DENSE_HOSTS))
 def test_bondfaithful_search_proves_dense_hosts_absent(fixtures, name, kappa):
-    # no block of K5, K6 or the Petersen graph with at most 4 edges is
-    # admissible, so the exact search refutes every decomposition
+    # K5, K6 and the Petersen graph are each one block of more than 4
+    # edges, so no decomposition exists
     (fixtures / f"{name}.json").write_text(json.dumps(graph_to_json(_DENSE_HOSTS[name])))
     start = time.perf_counter()
     proc = run_fm(["bondfaithful", "search", "--graph", f"{name}.json", "--kappa", str(kappa)], fixtures)

@@ -4,9 +4,9 @@ recorded from an earlier version of the code.
 
 The list covers the acceptance suite's CLI subcommands, every README
 example, ``--validate`` on each ``graph`` subcommand, bond-faithful
-checks and searches (absent, budget-exhausted and sampled outcomes
-included), ``hull`` and ``chain`` on V_4, ``--format text|dot`` and
-missing and broken input files.  The fixtures are written to a
+checks and searches (found, absent and sampled outcomes included),
+``hull`` and ``chain`` on V_4, ``--format text|dot`` and missing and
+broken input files.  The fixtures are written to a
 temporary directory, which is also the working directory, so no
 absolute path reaches the output.  A change that is meant to alter one
 of these outputs records a new digest and says why.
@@ -20,7 +20,7 @@ from finmodel.graph import complete_graph, cycle_graph, make_graph
 from finmodel.serialize import graph_to_json, structure_to_json
 from finmodel.universe import build_hierarchy
 
-DIGEST = "82c82245278f52bff79200e3833ba8f666d6745790431e1da51e89bf8649f593"
+DIGEST = "8d0a6d00af7da96c55b72e861937d523b4c1524b50735b965149285e57ed6980"
 
 K4_TAIL = list(complete_graph(4).edges) + [(3, 4), (4, 5), (5, 6)]
 BOWTIE = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
@@ -143,8 +143,7 @@ _MORE = [
     ["bondfaithful", "check", "--graph", "path22.json", "--parts", "pairs22.json",
      "--kappa", "1"],
     ["bondfaithful", "search", "--graph", "k4tail.json", "--kappa", "3"],
-    ["bondfaithful", "search", "--graph", "k4tail.json", "--kappa", "3",
-     "--search-budget", "10"],
+    ["bondfaithful", "search", "--graph", "k4tail.json", "--kappa", "6"],
     ["bondfaithful", "search", "--graph", "path22.json", "--kappa", "1"],
     ["bondfaithful", "search", "--graph", "k4.json", "--kappa", "2"],
     ["bondfaithful", "search", "--graph", "diamond.json", "--kappa", "3"],

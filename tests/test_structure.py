@@ -498,3 +498,25 @@ def test_witness_search_refuses_a_relativized_formula():
     phi = relativize(parse("Ex (x in y)"))
     with pytest.raises(EvalError, match="relativized"):
         witness_search(phi)
+
+
+def test_member_masks_are_loaded_only_where_the_code_reads_them(monkeypatch):
+    # a scan that reads its membership literals through containers loads
+    # no member masks; the same interned atoms outside a scan read them
+    from finmodel import structure
+    from finmodel.oracles import satisfies
+
+    sources = []
+
+    def keeping_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(structure, "compile", keeping_compile, raising=False)
+    scan = "Ez ((x in z) & (y in z))"
+    for text, loads in ((scan, False), (f"({scan} | ((x in z) & (y in z)))", True)):
+        phi = relativize(parse(text))
+        for x, y, z in itertools.product(range(V3.size), repeat=3):
+            env = {"x": x, "y": y, "z": z}
+            assert eval_relativized(V3, range(V3.size), phi, env) == satisfies(V3, phi, env, range(V3.size))
+        assert ("members = N.members" in sources[-1]) == loads
