@@ -3,8 +3,8 @@
 One binary, many subcommands; every run writes a JSON report to stdout
 (sorted keys, no timestamps) so identical invocations produce identical
 bytes.  Exit codes: 0 success, 1 a property violation or counterexample
-was found, 2 usage or input error, 3 a work budget ran out or a
-bond-faithful pass rests on sampled host bonds only.  An input error is
+was found, 2 usage or input error, 3 a work budget ran out.  Bond-faithful
+checks and searches are exact, so they never exit 3.  An input error is
 an :class:`~finmodel.errors.InputError`, raised where the input is read
 or checked; any other exception is a fault and ends in a traceback.
 
@@ -383,15 +383,7 @@ def cmd_bondfaithful_check(args):
     G = _load_graph(args.graph)
     parts = _load_json(args.parts, lambda obj: [graph_from_json(p) for p in obj])
     report = check_bond_faithful(G, parts, args.kappa)
-    return _bond_verdict_exit(report), _bond_report_json(report), G, parts, report
-
-
-def _bond_verdict_exit(report) -> int:
-    # a pass against sampled host bonds is unproven, like a spent budget;
-    # a failure names real bonds, so it stands
-    if not report.verdict:
-        return EXIT_VIOLATION
-    return EXIT_BUDGET if report.sampled else EXIT_OK
+    return (EXIT_OK if report.verdict else EXIT_VIOLATION), _bond_report_json(report), G, parts, report
 
 
 def _bond_report_json(report):
@@ -415,12 +407,11 @@ def cmd_bondfaithful_search(args):
     outcome = search_bond_faithful(G, args.kappa)
     result = {"status": outcome.status}
     if outcome.decomposition is not None:
-        code = _bond_verdict_exit(outcome.report)
         result["parts"] = [graph_to_json(p) for p in outcome.decomposition.parts]
         result["report"] = _bond_report_json(outcome.report)
         if args.format == "dot":
-            return code, graph_to_dot(G, outcome.decomposition.parts)
-        return code, result, G, outcome
+            return EXIT_OK, graph_to_dot(G, outcome.decomposition.parts)
+        return EXIT_OK, result, G, outcome
     return EXIT_VIOLATION, result, G, outcome
 
 

@@ -13,21 +13,19 @@ objects, the slices partition the edge set.
 
 from __future__ import annotations
 
-import itertools
 import os
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .graph import (
+    _COMPONENT_CAP,
     Decomposition,
     Edge,
     Graph,
     biconnected_blocks,
     bridges,
     components,
-    cut_of,
     enumerate_bonds,
-    is_bond,
     is_decomposition,
     odd_cut_witness,
     odd_vertices,
@@ -305,28 +303,11 @@ class BondFaithfulReport(NamedTuple):
     oversized_members: tuple[int, ...] = ()
     split_bonds: tuple[frozenset[Edge], ...] = ()
     foreign_bonds: tuple[tuple[int, frozenset[Edge]], ...] = ()
-    sampled: bool = False
+    sampled: bool = False  # always false, as checks are exact; kept for report readers
 
     @property
     def verdict(self) -> bool:
         return self.size_ok and self.containment_ok and self.bond_preservation_ok
-
-
-def _bonds_upto(G: Graph, max_size: int) -> tuple[list[frozenset[Edge]], bool]:
-    """Bonds of G with at most max_size edges; falls back to sampling
-    vertex-star and two-set cuts when a component exceeds the cap."""
-    try:
-        bonds = enumerate_bonds(G, max_size=max_size)
-        return bonds, False
-    except InputError:
-        sampled: dict[frozenset[Edge], None] = {}
-        singles = [{v} for v in sorted(G.vertices)]
-        doubles = [set(p) for p in itertools.combinations(sorted(G.vertices), 2)]
-        for side in singles + doubles:
-            F = cut_of(G, side).edges
-            if F and len(F) <= max_size and is_bond(G, F):
-                sampled.setdefault(F, None)
-        return list(sampled), True
 
 
 def check_bond_faithful(
@@ -337,44 +318,66 @@ def check_bond_faithful(
     Size: every member has at most kappa edges.  Containment: every
     host bond with at most kappa edges lies inside one member's edge
     set.  Preservation: every member bond with fewer than kappa edges is
-    a bond of the host: looked up among the host bonds when they are all
-    known, else tested one by one.  Past the enumeration cap a member's
-    bonds are sampled, and then so are the host's (one of its components
-    holds the member's).
+    a bond of the host.  Bonds are listed in the order of
+    :func:`enumerate_bonds`, the foreign ones member by member, and are
+    enumerated only in the blocks of the host that the members split.
+
+    Let H be the host or a member, B a block of the host and X the graph
+    of H's edges in B.  By B's maximality each component of H minus B's
+    edges meets X in at most one vertex; put on that vertex's side, it
+    extends a cut of X to a cut of H with the same edges, and a cut of H
+    meets X in a cut of X.  So the bonds of H inside B are those of X.
+    Each bond of H lies in one block of the host: two of its edges lie
+    on a cycle of H (both sides are connected), so in one block of H,
+    inside one of the host.  X is B for the host, and for a member that
+    holds B, whose bonds there so meet both clauses; else it is the
+    member's piece of B.  So the enumeration cap bounds a split block,
+    not a component: one of more than 20 vertices raises
+    :class:`InputError`.
     """
     if kappa < 1:
         raise InputError("kappa must be at least 1")
     members = tuple(parts.parts) if isinstance(parts, Decomposition) else tuple(parts)
     if not is_decomposition(G, members):
         raise InputError("parts do not form a decomposition of the host")
-    host_bonds, sampled = _bonds_upto(G, kappa)
-    known = frozenset(host_bonds)
+    owner = {e: i for i, part in enumerate(members) for e in part.edges}
+    # a block that can be split has two edges, so no bond of one edge
+    blocks = biconnected_blocks(G) if kappa > 1 else []
+    split: list[frozenset[Edge]] = []
+    foreign: list[tuple[int, frozenset[Edge]]] = []
+    for B in blocks:
+        holders = {owner[e] for e in B}
+        if len(holders) == 1:
+            continue
+        vertices = frozenset(v for e in B for v in e)
+        if len(vertices) > _COMPONENT_CAP:
+            raise InputError(f"the split block at edge {list(min(B))} has {len(vertices)} "
+                             f"vertices, past the enumeration cap of {_COMPONENT_CAP}")
+        host_bonds = enumerate_bonds(G if len(blocks) == 1 else Graph(vertices, B), kappa)
+        known = frozenset(host_bonds)
+        split += (F for F in host_bonds if len({owner[e] for e in F}) > 1)
+        for i in sorted(holders):
+            piece = members[i].edges & B
+            # a member inside B is its own piece, and keeps its mask view
+            X = members[i] if piece == members[i].edges else _subgraph_of(piece)
+            foreign += ((i, F) for F in enumerate_bonds(X, kappa - 1) if F not in known)
+    if len(blocks) > 1:  # into the order of enumerate_bonds, by size then edges
+        split.sort(key=lambda F: (len(F), sorted(F)))
+        foreign.sort(key=lambda pair: (pair[0], len(pair[1]), sorted(pair[1])))
     oversized = tuple(i for i, part in enumerate(members) if len(part.edges) > kappa)
-    split = tuple(F for F in host_bonds if not any(F <= part.edges for part in members))
-    foreign = tuple(
-        (i, F)
-        for i, part in enumerate(members)
-        for F in _bonds_upto(_subgraph_of(part.edges), kappa - 1)[0]
-        if not (is_bond(G, F) if sampled else F in known)
-    )
     return BondFaithfulReport(
         kappa=kappa,
         size_ok=not oversized,
         containment_ok=not split,
         bond_preservation_ok=not foreign,
         oversized_members=oversized,
-        split_bonds=split,
-        foreign_bonds=foreign,
-        sampled=sampled,
+        split_bonds=tuple(split),
+        foreign_bonds=tuple(foreign),
     )
 
 
 class BondFaithfulSearch(NamedTuple):
-    """``sampled`` is a decomposition that passed a check against sampled
-    host bonds only, because a component exceeded the enumeration cap: a
-    candidate, not a proof."""
-
-    status: str  # found | sampled | proven-absent
+    status: str  # found | proven-absent
     decomposition: Decomposition | None = None
     report: BondFaithfulReport | None = None
 
@@ -422,9 +425,8 @@ def search_bond_faithful(G: Graph, kappa: int) -> BondFaithfulSearch:
     vertex in another piece or block of K, so c cuts B.
 
     The parts, listed by smallest edge, go through
-    :func:`check_bond_faithful`, whose report is returned; against
-    sampled host bonds the status is ``sampled``.  No bond is enumerated
-    for an absent decomposition."""
+    :func:`check_bond_faithful` and are ``found`` with its report; it
+    enumerates no bond for them, as no block is split or kappa is 1."""
     if kappa < 1:
         raise InputError("kappa must be at least 1")
     parts = biconnected_blocks(G) if kappa > 1 else [frozenset([e]) for e in G.edges]
@@ -434,5 +436,4 @@ def search_bond_faithful(G: Graph, kappa: int) -> BondFaithfulSearch:
     report = check_bond_faithful(G, members, kappa)
     if not report.verdict:
         raise AssertionError("the blocks of the host failed the check")
-    status = "sampled" if report.sampled else "found"
-    return BondFaithfulSearch(status, Decomposition(tuple(members)), report)
+    return BondFaithfulSearch("found", Decomposition(tuple(members)), report)

@@ -598,43 +598,43 @@ def veblen_decomposition(G: Graph) -> CycleDecompositionResult:
 def biconnected_blocks(G: Graph) -> list[frozenset[Edge]]:
     """The edge sets of G's blocks (its maximal 2-connected subgraphs and
     its bridges) by smallest edge: a low-link DFS with an edge stack
-    (Hopcroft and Tarjan, CACM 1973).  When no back edge below v reaches
-    above its parent p, the edges from the tree edge pv on are a block."""
-    adj = G.adjacency()
-    preorder: dict[int, int] = {}
-    low: dict[int, int] = {}
-    pending: list[Edge] = []
+    (Hopcroft and Tarjan, CACM 1973) over the bit positions of G's mask
+    view.  When no back edge below v reaches above its parent p, the
+    edges from the tree edge pv on are a block."""
+    order, _, adj = G._view
+    preorder = [-1] * len(adj)
+    low = [0] * len(adj)
+    pending: list[tuple[int, int]] = []
     out: list[frozenset[Edge]] = []
     counter = itertools.count()
-
-    for root in sorted(G.vertices):
-        if root in preorder:
+    for root in range(len(adj)):
+        if preorder[root] >= 0:
             continue
-        # iterative DFS, tracking the vertex each vertex was entered from
-        # and where its tree edge stands on the edge stack
-        stack: list[tuple[int, int | None, Iterable[int], int]] = []
         preorder[root] = low[root] = next(counter)
-        stack.append((root, None, iter(sorted(adj[root])), 0))
+        # a DFS frame: a vertex, the vertex it was entered from, its unseen
+        # neighbours and where its tree edge stands on the edge stack
+        stack = [[root, -1, adj[root], 0]]
         while stack:
-            v, parent, it, mark = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in preorder:
+            v, parent, rest, mark = frame = stack[-1]
+            while rest:
+                w = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if preorder[w] < 0:
+                    frame[2] = rest
                     preorder[w] = low[w] = next(counter)
-                    stack.append((w, v, iter(sorted(adj[w])), len(pending)))
-                    pending.append(edge(v, w))
-                    advanced = True
+                    stack.append([w, v, adj[w], len(pending)])
+                    pending.append((v, w))
                     break
                 if w != parent and preorder[w] < preorder[v]:
-                    pending.append(edge(v, w))
+                    pending.append((v, w))
                     low[v] = min(low[v], preorder[w])
-            if not advanced:
+            else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[v])
                     if low[v] >= preorder[p]:
-                        out.append(frozenset(pending[mark:]))
+                        out.append(frozenset(edge(order[a], order[b]) for a, b in pending[mark:]))
                         del pending[mark:]
     return sorted(out, key=min)
 

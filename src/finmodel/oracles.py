@@ -10,6 +10,7 @@ fast paths against these.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -94,7 +95,13 @@ def bonds_by_definition(G: Graph) -> list[frozenset[Edge]]:
     The cuts are taken smallest first, each as a mask over the edges, and
     one is kept when no bond kept before it lies inside it: a cut that is
     not minimal holds a strictly smaller nonempty cut, and a smallest
-    nonempty cut inside that one is a bond, kept first."""
+    nonempty cut inside that one is a bond, kept first.  The last 1,024
+    graphs' answers are kept: callers check many partitions of a host."""
+    return list(_bonds_by_definition(G))
+
+
+@functools.lru_cache(maxsize=1024)
+def _bonds_by_definition(G: Graph) -> tuple[frozenset[Edge], ...]:
     bit = {e: 1 << k for k, e in enumerate(sorted(G.edges))}
     masks: list[int] = []
     bonds = []
@@ -103,7 +110,7 @@ def bonds_by_definition(G: Graph) -> list[frozenset[Edge]]:
         if not any(b & mask == b for b in masks):
             masks.append(mask)
             bonds.append(cut)
-    return sorted(bonds, key=lambda f: (len(f), sorted(f)))
+    return tuple(sorted(bonds, key=lambda f: (len(f), sorted(f))))
 
 
 def is_bond_by_definition(G: Graph, F: Iterable[Edge]) -> bool:

@@ -1,7 +1,6 @@
 """The cut-mask bond kernel and the bond-faithful search, each against
 its brute-force route in ``finmodel.oracles``."""
 
-import functools
 import itertools
 
 import pytest
@@ -83,17 +82,16 @@ def test_search_matches_partition_walk_on_connected_gnp():
 
 
 def test_exact_search_over_sampled_host_bonds_stays_sampled():
-    # a 22-vertex path exceeds the enumeration cap, so its host bonds are
-    # sampled, and most of its bridges are missing from the sample; its
-    # blocks, the single edges, fit kappa 2, so the answer is sampled
+    # a 22-vertex path is one component past the 20-vertex enumeration
+    # cap, which once sampled its host bonds; its blocks, the single
+    # edges, fit kappa 2 and are split by no part, so the answer is found
+    # exactly, with no bond enumerated
     edges = [(i, i + 1) for i in range(21)]
     path22 = make_graph(range(22), edges)
     out = search_bond_faithful(path22, 2)
-    assert out.status == "sampled"
-    assert out.report.verdict and out.report.sampled
-    parts = out.decomposition.parts
-    assert all(1 <= len(p.edges) <= 2 for p in parts)
-    assert sorted(e for p in parts for e in p.edges) == edges
+    assert out.status == "found"
+    assert out.report.verdict and not out.report.sampled
+    assert [sorted(p.edges) for p in out.decomposition.parts] == [[e] for e in edges]
 
 
 def test_blocks_within_kappa_are_bond_faithful():
@@ -127,10 +125,11 @@ def test_blocks_decide_where_the_subset_listing_runs_out_of_budget():
     assert out.status == "found"
     assert sorted(len(p.edges) for p in out.decomposition.parts) == [1] * 7 + [9]
     # past the enumeration cap the blocks of a path are its edges, which
-    # pass against sampled host bonds
+    # the check passes exactly, as it splits no block
     path22 = make_graph(range(22), [(i, i + 1) for i in range(21)])
     out = search_bond_faithful(path22, 6)
-    assert out.status == "sampled" and len(out.decomposition.parts) == 21
+    assert out.status == "found" and len(out.decomposition.parts) == 21
+    assert out.report.verdict and not out.report.sampled
 
 
 def test_search_budget_counts_candidate_blocks():
@@ -158,17 +157,19 @@ def test_one_oversized_block_proves_absence_at_once():
 
 
 def test_a_fault_in_bond_enumeration_is_not_sampling(monkeypatch):
-    # only the enumeration cap (an InputError) turns host bonds into a
-    # sample; any other ValueError is a fault and propagates
+    # a fault in the enumeration of a split block's bonds propagates; the
+    # search splits no block, so it enumerates no bond and never meets it
     def fault(*args, **kwargs):
         raise ValueError("injected")
 
     monkeypatch.setattr(decompose, "enumerate_bonds", fault)
     c4 = make_graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    halves = [make_graph(range(3), [(0, 1), (1, 2)]), make_graph([0, 2, 3], [(2, 3), (0, 3)])]
     with pytest.raises(ValueError, match="injected"):
-        check_bond_faithful(c4, [c4], 4)
-    with pytest.raises(ValueError, match="injected"):
-        search_bond_faithful(c4, 4)  # the block fits, so the check runs
+        check_bond_faithful(c4, halves, 2)
+    assert check_bond_faithful(c4, [c4], 4).verdict
+    for kappa in (1, 4):
+        assert search_bond_faithful(c4, kappa).status == "found"
 
 
 def _graphs_on_5_vertices_upto_8_edges():
@@ -186,18 +187,21 @@ def _graphs_on_5_vertices_upto_8_edges():
     return [make_graph(range(5), edges) for edges in seen.values()]
 
 
-def test_partition_is_bond_faithful_exactly_when_no_block_is_split(monkeypatch):
+def test_partition_is_bond_faithful_exactly_when_no_block_is_split():
     # the theorem of search_bond_faithful, both directions, against the
     # definition: every partition into parts of at most kappa edges, for
     # kappa from 2 to the edge count, of every 5-vertex graph with at most
     # 8 edges up to isomorphism; the search finds one exactly where one
-    # passes.  The oracle's bond lists are memoized, not changed.
-    monkeypatch.setattr(oracles, "bonds_by_definition", functools.cache(oracles.bonds_by_definition))
+    # passes.  The lemma of check_bond_faithful, at list level: its split
+    # and foreign bonds, enumerated in the split blocks only, are those
+    # the definition gives for the whole host and each whole part, in order.
     graphs = _graphs_on_5_vertices_upto_8_edges()
     assert len(graphs) == 32
     compared = 0
     for G in graphs:
         blocks = biconnected_blocks(G)
+        host_bonds = bonds_by_definition(G)
+        known = set(host_bonds)
         m = len(G.edges)
         passing = set()
         for partition in oracles._edge_partitions(sorted(G.edges), m):
@@ -207,6 +211,16 @@ def test_partition_is_bond_faithful_exactly_when_no_block_is_split(monkeypatch):
             for kappa in range(max([2, *map(len, parts)]), m + 1):
                 passes = oracles.bond_faithful_by_definition(G, members, kappa)
                 assert passes == whole, (sorted(G.edges), parts, kappa)
+                report = check_bond_faithful(G, members, kappa)
+                assert list(report.split_bonds) == [
+                    F for F in host_bonds
+                    if len(F) <= kappa and not any(F <= p for p in parts)
+                ]
+                assert list(report.foreign_bonds) == [
+                    (i, F) for i, member in enumerate(members)
+                    for F in bonds_by_definition(member)
+                    if len(F) < kappa and F not in known
+                ]
                 passing.update([kappa] * passes)
                 compared += 1
         for kappa in range(2, m + 1):

@@ -124,6 +124,9 @@ def test_budget_zero_is_honoured(fixtures):
 
 
 def test_sampled_bond_faithful_pass_exits_3(fixtures):
+    # a 22-vertex path is past the 20-vertex enumeration cap, where a pass
+    # once rested on sampled host bonds and exited 3; its blocks are its
+    # edges, split by no partition, so every answer is exact
     (fixtures / "path22.json").write_text(
         json.dumps(graph_to_json(make_graph(range(22), [(i, i + 1) for i in range(21)])))
     )
@@ -136,44 +139,101 @@ def test_sampled_bond_faithful_pass_exits_3(fixtures):
     (fixtures / "pairs.json").write_text(json.dumps(pairs))
 
     search = run_fm(["bondfaithful", "search", "--graph", "path22.json", "--kappa", "1"], fixtures)
-    assert search.returncode == 3
+    assert search.returncode == 0
     result = json.loads(search.stdout)["result"]
-    assert result["status"] == "sampled" and result["report"]["sampled"] is True
+    assert result["status"] == "found" and result["report"]["sampled"] is False
 
     check = run_fm(
         ["bondfaithful", "check", "--graph", "path22.json", "--parts", "singles.json", "--kappa", "1"],
         fixtures,
     )
-    assert check.returncode == 3
-    assert json.loads(check.stdout)["result"]["verdict"] is True
+    assert check.returncode == 0
+    result = json.loads(check.stdout)["result"]
+    assert result["verdict"] is True and result["sampled"] is False
 
-    # a failing verdict names real bonds, sampled or not
+    # the pairs are oversized at kappa 1, and hold whole blocks
     failing = run_fm(
         ["bondfaithful", "check", "--graph", "path22.json", "--parts", "pairs.json", "--kappa", "1"],
         fixtures,
     )
     assert failing.returncode == 1
-    assert json.loads(failing.stdout)["result"]["sampled"] is True
+    result = json.loads(failing.stdout)["result"]
+    assert result["oversized_members"] == list(range(10)) and result["split_bonds"] == []
+    assert result["sampled"] is False
 
 
 def test_member_bonds_past_the_cap_are_sampled(fixtures):
-    # a 22-vertex member's own bonds are sampled, as the host's are,
-    # instead of ending the run at the enumeration cap
+    # a 22-vertex member holding the whole 22-vertex path splits no block,
+    # so neither its bonds nor the host's are enumerated, and the pass is
+    # exact
     path = make_graph(range(22), [(i, i + 1) for i in range(21)])
     (fixtures / "path22.json").write_text(json.dumps(graph_to_json(path)))
     (fixtures / "whole.json").write_text(json.dumps([graph_to_json(path)]))
     search = run_fm(["bondfaithful", "search", "--graph", "path22.json", "--kappa", "25"], fixtures)
-    assert search.returncode == 3, search.stderr
+    assert search.returncode == 0, search.stderr
     result = json.loads(search.stdout)["result"]
-    assert result["status"] == "sampled" and result["report"]["verdict"] is True
-    assert result["report"]["sampled"] is True
+    assert result["status"] == "found" and result["report"]["verdict"] is True
+    assert result["report"]["sampled"] is False
     check = run_fm(
         ["bondfaithful", "check", "--graph", "path22.json", "--parts", "whole.json", "--kappa", "25"],
         fixtures,
     )
-    assert check.returncode == 3, check.stderr
+    assert check.returncode == 0, check.stderr
     result = json.loads(check.stdout)["result"]
-    assert result["verdict"] is True and result["sampled"] is True
+    assert result["verdict"] is True and result["sampled"] is False
+
+
+def test_bond_faithful_checks_past_the_cap_enumerate_split_blocks_only(fixtures):
+    # two 12-cycles sharing vertex 0 make a connected 23-vertex host, past
+    # the 20-vertex enumeration cap, with two blocks of 12 vertices
+    first = [tuple(sorted((i, (i + 1) % 12))) for i in range(12)]
+    ring = [0, *range(12, 23)]
+    second = [tuple(sorted((ring[i], ring[(i + 1) % 12]))) for i in range(12)]
+    host = make_graph(range(23), first + second)
+    (fixtures / "twin.json").write_text(json.dumps(graph_to_json(host)))
+
+    def parts(name, *edge_lists):
+        (fixtures / name).write_text(json.dumps(
+            [graph_to_json(make_graph({v for e in es for v in e}, es)) for es in edge_lists]
+        ))
+
+    def check(graph, parts_file, kappa):
+        return run_fm(["bondfaithful", "check", "--graph", graph, "--parts", parts_file,
+                       "--kappa", str(kappa)], fixtures)
+
+    parts("by_cycle.json", first, second)
+    passed = check("twin.json", "by_cycle.json", 12)
+    assert passed.returncode == 0, passed.stderr
+    assert json.loads(passed.stdout)["result"]["verdict"] is True
+
+    # halving the second cycle splits its block: each of the 36 pairs of
+    # edges, one from each half, is a host bond no part holds, and each
+    # edge of a half is a bond of its part but not of the host
+    parts("halved.json", first, second[:6], second[6:])
+    failed = check("twin.json", "halved.json", 12)
+    assert failed.returncode == 1, failed.stderr
+    result = json.loads(failed.stdout)["result"]
+    assert sorted(sorted(map(tuple, b)) for b in result["split_bonds"]) == sorted(
+        sorted([e, f]) for e in second[:6] for f in second[6:]
+    )
+    assert len(result["foreign_bonds"]) == 12 and result["sampled"] is False
+
+    # a 24-cycle cut in halves splits a block of 24 vertices: an input
+    # error that names the block and the cap; at kappa 1 no block has a
+    # bond to list, and the single edges pass
+    c24 = make_graph(range(24), [(i, (i + 1) % 24) for i in range(24)])
+    (fixtures / "c24.json").write_text(json.dumps(graph_to_json(c24)))
+    half = sorted(c24.edges)
+    parts("c24_halves.json", half[:12], half[12:])
+    usage = check("c24.json", "c24_halves.json", 12)
+    assert usage.returncode == 2
+    assert "split block at edge [0, 1] has 24 vertices" in usage.stderr
+    assert "cap of 20" in usage.stderr
+    parts("c24_singles.json", *[[e] for e in half])
+    assert check("c24.json", "c24_singles.json", 1).returncode == 0
+    search = run_fm(["bondfaithful", "search", "--graph", "c24.json", "--kappa", "1"], fixtures)
+    assert search.returncode == 0
+    assert json.loads(search.stdout)["result"]["status"] == "found"
 
 
 def test_bondfaithful_search_spends_its_budget(fixtures):

@@ -8,6 +8,7 @@ import pytest
 
 from finmodel.decompose import (
     PROPERTIES,
+    BondFaithfulReport,
     chain_slices,
     check_bond_faithful,
     search_bond_faithful,
@@ -327,19 +328,20 @@ def test_search_random_outcomes_always_validated():
 
 
 def test_search_reports_sampled_not_found():
-    # a 22-vertex path exceeds the 20-vertex enumeration cap, so host
-    # bonds are sampled and a passing candidate is not a proof
+    # a 22-vertex path is one component past the 20-vertex enumeration
+    # cap, which once sampled its host bonds; its blocks are single edges,
+    # which no partition splits, so checks and the search answer exactly
     path22 = make_graph(range(22), [(i, i + 1) for i in range(21)])
     out = search_bond_faithful(path22, 1)
-    assert out.status == "sampled"
-    assert out.report.verdict and out.report.sampled
+    assert out.status == "found"
+    assert out.report.verdict and not out.report.sampled
     assert is_decomposition(path22, out.decomposition.parts)
     singles = [make_graph([i, i + 1], [(i, i + 1)]) for i in range(21)]
-    assert check_bond_faithful(path22, singles, 1).sampled
+    assert check_bond_faithful(path22, singles, 1) == BondFaithfulReport(1, True, True, True)
     pairs = [make_graph(range(22), [(i, i + 1), (i + 1, i + 2)]) for i in range(0, 20, 2)]
     pairs.append(make_graph([20, 21], [(20, 21)]))
     failed = check_bond_faithful(path22, pairs, 1)
-    assert failed.sampled and not failed.verdict and failed.oversized_members
+    assert failed == BondFaithfulReport(1, False, True, True, tuple(range(10)))
 
 
 def test_search_sweep_matches_recorded_answers():
