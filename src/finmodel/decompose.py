@@ -119,8 +119,9 @@ def slices_from_chain(G: Graph, ambient: FinStructure, ch: Chain) -> SliceSet:
 
 
 def _prop_nw(G: Graph) -> tuple[bool, object]:
-    # literal reading: no cut has an odd number of edges
-    witness = odd_cut_witness(G, mode="exhaustive")
+    # no cut has an odd number of edges; by degree parity the star of the
+    # smallest odd-degree vertex is one whenever any cut is
+    witness = odd_cut_witness(G)
     if witness is not None:
         return False, {
             "odd_cut_side": sorted(witness.side),

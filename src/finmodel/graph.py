@@ -17,8 +17,8 @@ from .errors import InputError, read_only
 
 Edge = tuple[int, int]
 
-# the largest component that bond enumeration and the exhaustive odd-cut
-# scan take on, and the most edges the cycle double cover search takes on
+# the largest component (or split block) that bond enumeration takes on,
+# and the most edges the cycle double cover search takes on
 _COMPONENT_CAP = 20
 _DOUBLE_COVER_EDGE_GATE = 14
 
@@ -108,9 +108,10 @@ def is_connected(G: Graph) -> bool:
     return len(components(G)) <= 1
 
 
-def _components(adj: list[int]) -> Iterator[int]:
-    """The component masks of the mask graph ``adj``, lowest bit first."""
-    left = (1 << len(adj)) - 1
+def _components(adj: list[int], within: int = -1) -> Iterator[int]:
+    """The component masks of the mask graph ``adj`` restricted to the
+    mask ``within`` (-1 for every vertex), lowest bit first."""
+    left = (1 << len(adj)) - 1 & within
     while left:
         comp = _reach(adj, left & -left, left)
         left ^= comp
@@ -183,14 +184,19 @@ def cut_of(G: Graph, A: Iterable[int]) -> CutWitness:
 
 
 def is_cut(G: Graph, F: Iterable[Edge]) -> bool:
-    """Is F of the form ``E ∩ [A, A-complement]`` for some vertex set A?
+    """Is F of the form ``E ∩ [A, A-complement]`` for some vertex set A?"""
+    return _cut_side(G, frozenset(edge(u, v) for u, v in F)) is not None
 
-    One parity 2-colouring of G: F-edges must join different colours and
-    all other edges equal ones.
+
+def _cut_side(G: Graph, fset: frozenset[Edge]) -> int | None:
+    """The mask of a side A whose cut is fset, or None when fset is no
+    cut of G.
+
+    One parity 2-colouring of G, A being colour 1: F-edges must join
+    different colours and all other edges equal ones.
     """
-    fset = frozenset(edge(u, v) for u, v in F)
     if not fset <= G.edges:
-        return False
+        return None
     _, keep = _masks_without(G, fset)
     adj = G._view[2]
     full = (1 << len(adj)) - 1
@@ -205,12 +211,12 @@ def is_cut(G: Graph, F: Iterable[Edge]) -> bool:
         # the neighbours of i that take colour 1
         want = keep[i] if ones & low else adj[i] ^ keep[i]
         if (ones ^ want) & adj[i] & seen:
-            return False
+            return None
         fresh = adj[i] & ~seen
         ones |= want & fresh
         seen |= fresh
         todo |= fresh
-    return True
+    return ones
 
 
 def is_bond(G: Graph, F: Iterable[Edge]) -> bool:
@@ -236,35 +242,25 @@ def is_bond(G: Graph, F: Iterable[Edge]) -> bool:
 
 
 def cut_to_bonds(G: Graph, F: Iterable[Edge]) -> list[frozenset[Edge]]:
-    """Split a cut into pairwise disjoint bonds whose union is the cut.
-
-    Repeatedly peels off a minimal cut-subset (the first one in
-    size-then-lexicographic order, necessarily a bond); what remains is
-    again a cut because cuts are closed under symmetric difference.
+    """Split a cut into pairwise disjoint bonds whose union is the cut,
+    in the order of :func:`enumerate_bonds` (Diestel, *Graph Theory*,
+    ch. 1).  Take a side A, a component A_i of G[A] and the component K
+    of G that holds it.  No edge joins A_i to the rest of A, and each
+    component C of K - A_i has all its outside neighbours in A_i, so the
+    cut is the disjoint union of the cuts of the C.  Each is a bond: C is
+    connected, and so is K - C, which is A_i with the other components
+    of K - A_i, each of them touching A_i.
     """
-    fset = frozenset(edge(u, v) for u, v in F)
-    if not is_cut(G, fset):
+    side = _cut_side(G, frozenset(edge(u, v) for u, v in F))
+    if side is None:
         raise ValueError("edge set is not a cut")
-    bonds: list[frozenset[Edge]] = []
-    remaining = fset
-    while remaining:
-        if is_bond(G, remaining):
-            bonds.append(remaining)
-            break
-        ordered = sorted(remaining)
-        peeled = None
-        for size in range(1, len(ordered)):
-            for combo in itertools.combinations(ordered, size):
-                if is_cut(G, frozenset(combo)):
-                    peeled = frozenset(combo)
-                    break
-            if peeled:
-                break
-        if peeled is None:  # pragma: no cover - a non-minimal cut has a smaller one
-            raise AssertionError("failed to split a non-minimal cut")
-        bonds.append(peeled)
-        remaining = remaining - peeled
-    return bonds
+    order, _, adj = G._view
+    bonds = [
+        cut_of(G, _members(order, comp)).edges
+        for part in _components(adj, side)
+        for comp in _components(adj, _reach(adj, part, -1) ^ part)
+    ]
+    return sorted(bonds, key=lambda f: (len(f), sorted(f)))
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -485,36 +481,18 @@ def _max_unit_flow(G: Graph, x: int, y: int) -> tuple[int, dict[int, set[int]]]:
 
 
 def odd_vertices(G: Graph) -> list[int]:
-    return sorted(v for v in G.vertices if G.degree(v) % 2 == 1)
+    order, _, adj = G._view
+    return [v for v, nbrs in zip(order, adj) if nbrs.bit_count() & 1]
 
 
-def odd_cut_witness(G: Graph, mode: str = "fast") -> CutWitness | None:
-    """A cut with an odd number of edges, or None.
-
-    Fast mode returns the star of the smallest odd-degree vertex.
-    Exhaustive mode scans every bipartition per component (capped).  The
-    two modes agree on existence: the size of the cut at A has the
-    parity of the sum of degrees over A.
-    """
-    if mode == "fast":
-        odd = odd_vertices(G)
-        if not odd:
-            return None
-        return cut_of(G, {odd[0]})
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-    for comp in components(G):
-        members = sorted(comp)
-        if len(members) > _COMPONENT_CAP:
-            raise InputError(
-                f"component with {len(members)} vertices exceeds the exhaustive cap"
-            )
-        for k in range(1, len(members) + 1):
-            for picked in itertools.combinations(members, k):
-                witness = cut_of(G, picked)
-                if len(witness.edges) % 2 == 1:
-                    return witness
-    return None
+def odd_cut_witness(G: Graph) -> CutWitness | None:
+    """A cut with an odd number of edges, or None: the star of the
+    smallest odd-degree vertex.  The cut at A has the parity of the sum
+    of the degrees over A, so G has an odd cut exactly when it has an
+    odd-degree vertex (:func:`finmodel.oracles.odd_cut_by_definition`
+    scans the bipartitions instead)."""
+    odd = odd_vertices(G)
+    return cut_of(G, {odd[0]}) if odd else None
 
 
 class Decomposition(NamedTuple):

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .combinatorics import DeltaSystem, SetFamily, is_delta_system
 from .errors import InputError
 from .formula import BoundedExists, Const, Disjunction, Equality, Exists, Formula, Membership, Negation
-from .graph import Edge, Graph, components, delete_edges, edge
+from .graph import CutWitness, Edge, Graph, components, cut_of, delete_edges, edge
 
 BIPARTITION_GATE = 16
 DOUBLE_COVER_GATE = 14
@@ -87,6 +87,22 @@ def all_cuts(G: Graph) -> set[frozenset[Edge]]:
                 frozenset(e for e in G.edges if (e[0] in aset) != (e[1] in aset))
             )
     return cuts
+
+
+def odd_cut_by_definition(G: Graph) -> CutWitness | None:
+    """A cut with an odd number of edges, or None, by scanning every
+    bipartition of each component: sides by size, then in lexicographic
+    order."""
+    for comp in components(G):
+        members = sorted(comp)
+        if len(members) > BIPARTITION_GATE:
+            raise InputError(f"component with {len(members)} vertices exceeds the bipartition gate")
+        for k in range(1, len(members) + 1):
+            for picked in itertools.combinations(members, k):
+                witness = cut_of(G, picked)
+                if len(witness.edges) % 2 == 1:
+                    return witness
+    return None
 
 
 def bonds_by_definition(G: Graph) -> list[frozenset[Edge]]:

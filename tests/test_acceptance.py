@@ -39,7 +39,6 @@ from finmodel.graph import (
     is_cycle,
     is_decomposition,
     make_graph,
-    odd_cut_witness,
     veblen_decomposition,
 )
 from finmodel.hull import chain, get_pack, hull
@@ -47,6 +46,7 @@ from finmodel.oracles import (
     all_cuts,
     bond_faithful_by_definition,
     max_sunflower_by_kernels,
+    odd_cut_by_definition,
 )
 from finmodel.serialize import canonical_dumps, graph_to_json, structure_to_json
 from finmodel.structure import Budget, compile_formula, induced_substructure, is_sigma_elementary
@@ -341,7 +341,7 @@ def test_criterion_5_parity_three_way_agreement():
         n = rng.randint(2, 12)
         G = random_bitmask_graph(n, rng.randrange(1 << edge_slot_count(n)))
         odd_degree = any(G.degree(v) % 2 for v in G.vertices)
-        odd_cut = odd_cut_witness(G, mode="exhaustive") is not None
+        odd_cut = odd_cut_by_definition(G) is not None
         peel = veblen_decomposition(G)
         if not (odd_degree == odd_cut == (not peel.ok)):
             failures += 1

@@ -347,6 +347,17 @@ def test_failed_veblen_validation_prints_the_report_not_dot(fixtures, monkeypatc
     assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
 
 
+def test_graph_nw_answers_past_the_old_cap_alike_in_both_modes(fixtures):
+    # odd cuts are decided by degree parity, so a 24-cycle, past the
+    # 20-vertex cap the bipartition scan had, has none in either mode
+    (fixtures / "c24.json").write_text(json.dumps(graph_to_json(cycle_graph(24))))
+    runs = [run_fm(["graph", "nw", "--graph", "c24.json", *mode], fixtures)
+            for mode in ([], ["--mode", "exhaustive"])]
+    for run in runs:
+        assert run.returncode == 0 and json.loads(run.stdout)["result"]["nw"] is True
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_graph_subcommands(fixtures):
     nw = run_fm(["graph", "nw", "--graph", "c4.json"], fixtures)
     assert nw.returncode == 0 and json.loads(nw.stdout)["result"]["nw"] is True
@@ -530,8 +541,6 @@ _CHECKED_INPUTS = [
     (["graph", "gamma", "--graph", "c4.json", "--x", "0", "--y", "9"], "endpoints must be vertices"),
     (["graph", "gamma", "--graph", "c4.json", "--x", "0", "--y", "2", "--paths", "5"],
      "asked for 5 paths but connectivity is 2"),
-    (["graph", "nw", "--graph", "c24.json", "--mode", "exhaustive"],
-     "component with 24 vertices exceeds the exhaustive cap"),
     (["graph", "bonds", "--graph", "c24.json"], "component with 24 vertices exceeds the enumeration cap"),
     (["graph", "bonds", "--graph", "c18.json", "--validate"], "18 vertices exceed the bipartition gate"),
     (["bondfaithful", "search", "--graph", "c4.json", "--kappa", "0"], "kappa must be at least 1"),

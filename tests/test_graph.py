@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import pickle
+import time
 
 import pytest
 
@@ -42,6 +43,7 @@ from finmodel.oracles import (
     edge_connectivity_brute,
     is_bond_by_definition,
     is_double_cover,
+    odd_cut_by_definition,
     separates,
 )
 from finmodel.universe import recode_graph
@@ -159,6 +161,31 @@ def test_cut_to_bonds_properties():
             assert all(is_bond(G, p) for p in parts)
 
 
+def test_cut_to_bonds_lists_bonds_in_enumerate_bonds_order():
+    for G in _random_graphs(40, 6, 17):
+        bonds = enumerate_bonds(G)
+        for cut in all_cuts(G):
+            parts = cut_to_bonds(G, cut)
+            assert parts == [F for F in bonds if F in parts]
+
+
+@pytest.mark.parametrize("k", [10, 20])
+def test_cut_to_bonds_splits_a_two_bond_cut_fast(k):
+    # a path X with a rung from each vertex to a path Y and to a path Z:
+    # the cut of X is the bonds of Y and of Z, of k edges each, so a split
+    # that tries the cut's edge subsets by size takes seconds at k = 10
+    X, Y, Z = range(k), range(k, 2 * k), range(2 * k, 3 * k)
+    paths = [(P[i], P[i + 1]) for P in (X, Y, Z) for i in range(k - 1)]
+    G = make_graph(range(3 * k), paths + [(x, x + k) for x in X] + [(x, x + 2 * k) for x in X])
+    start = time.perf_counter()
+    parts = cut_to_bonds(G, cut_of(G, X).edges)
+    assert time.perf_counter() - start < 1.0
+    assert parts == [cut_of(G, Y).edges, cut_of(G, Z).edges]
+    # enumerate_bonds' order, by size and then sorted edge list; the graph
+    # is past its 20-vertex cap
+    assert sorted(parts[0]) < sorted(parts[1])
+
+
 def test_cut_to_bonds_rejects_non_cuts():
     with pytest.raises(ValueError):
         cut_to_bonds(C4, {(0, 1)})
@@ -263,16 +290,26 @@ def test_odd_cut_witness_known_cases():
     star = odd_cut_witness(K4)
     assert star is not None and len(star.edges) == 3
     assert odd_cut_witness(bowtie()) is None
-    assert odd_cut_witness(bowtie(), mode="exhaustive") is None
+    assert odd_cut_by_definition(bowtie()) is None
 
 
 def test_odd_cut_modes_agree_on_existence():
-    for G in _random_graphs(80, 6, 71):
-        fast = odd_cut_witness(G, mode="fast")
-        slow = odd_cut_witness(G, mode="exhaustive")
+    # degree parity against the literal bipartition scan, on every
+    # labelled graph up to 5 vertices and on random ones up to 6
+    graphs = [G for n in range(6) for G in _every_graph_on(range(n))]
+    for G in graphs + list(_random_graphs(80, 6, 71)):
+        fast = odd_cut_witness(G)
+        slow = odd_cut_by_definition(G)
         assert (fast is None) == (slow is None)
         if slow is not None:
             assert len(slow.edges) % 2 == 1
+            v = min(u for u in G.vertices if G.degree(u) % 2)
+            assert fast == cut_of(G, {v}) and len(fast.edges) % 2 == 1
+    # the scan stops in the first component, by smallest vertex, that has
+    # an odd cut; the parity witness is the smallest odd vertex's star
+    interleaved = make_graph(range(6), [(0, 3), (0, 4), (3, 4), (2, 4), (1, 5)])
+    assert sorted(odd_cut_by_definition(interleaved).side) == [2]
+    assert sorted(odd_cut_witness(interleaved).side) == [1]
 
 
 def test_veblen_known_cases():
