@@ -338,7 +338,7 @@ def cmd_graph_gamma(args):
     result = {"gamma": value}
     if args.paths:
         result["paths"] = edge_disjoint_paths(G, args.x, args.y, args.paths)
-    return EXIT_OK, result, G, value
+    return EXIT_OK, result, G, value, result.get("paths", [])
 
 
 def cmd_graph_nw(args):
@@ -504,6 +504,19 @@ def _dcc_route(args, G, outcome) -> bool:
     )
 
 
+def _gamma_route(args, G, value, paths) -> bool:
+    """γ by brute force, and the paths asked for: that many x-y walks
+    along edges of G, no edge used twice."""
+    steps = [(min(u, v), max(u, v)) for path in paths for u, v in zip(path, path[1:])]
+    return (
+        value == edge_connectivity_brute(G, args.x, args.y)
+        and len(paths) == (args.paths or 0)
+        and all(path[:1] == [args.x] and path[-1:] == [args.y] for path in paths)
+        and set(steps) <= G.edges
+        and len(set(steps)) == len(steps)
+    )
+
+
 def _sunflower_route(args, family, system) -> bool:
     if args.action == "max":
         return max_sunflower_by_kernels(family).indices == system.indices
@@ -517,7 +530,7 @@ ROUTES = {
         [bool(is_sigma_elementary(stage, N, pack, _budget(args))) for stage in ch.stages]
     ),
     "graph bonds": _bonds_route,
-    "graph gamma": lambda args, G, value: value == edge_connectivity_brute(G, args.x, args.y),
+    "graph gamma": _gamma_route,
     "graph veblen": lambda args, G, parts: is_decomposition(G, parts) and all(map(is_cycle, parts)),
     "graph bridges": lambda args, G, found: found == bridges_by_deletion(G),
     "graph dcc": _dcc_route,

@@ -409,6 +409,8 @@ def edge_disjoint_paths(G: Graph, x: int, y: int, k: int) -> list[list[int]]:
     """k pairwise edge-disjoint x-y paths extracted from a maximum flow."""
     if x == y:
         raise InputError("endpoints must differ")
+    if k < 0:
+        raise InputError(f"path count {k} is negative")
     value, used = _max_unit_flow(G, x, y)
     if k > value:
         raise InputError(f"asked for {k} paths but connectivity is {value}")

@@ -57,8 +57,8 @@ from .structure import (
     Budget,
     EvalError,
     FinStructure,
+    _record,
     is_sigma_elementary,
-    witness_search,
 )
 from .universe import Hierarchy, hf_encode
 
@@ -97,24 +97,27 @@ def _ambient(N: Union[FinStructure, Hierarchy]) -> FinStructure:
 
 
 class _WitnessOracle:
-    """The pack's existentials over one host: each one's witness search
-    and the sorted elements its last sweep drew valuations from (None
-    before its first sweep).  That memory makes :func:`_close`
-    semi-naive; a chain shares one oracle between its stages."""
+    """The pack's existentials over one host: each one's witness search,
+    from its compiled-formula record, and the sorted elements its last
+    sweep drew valuations from (None before its first sweep).  That
+    memory makes :func:`_close` semi-naive; a chain shares one oracle
+    between its stages."""
 
     def __init__(self, N: FinStructure, pack: FormulaPack, budget: int):
         self.N = N
         self.budget = Budget(budget)
         self.exists = [phi for phi in pack.formulas if isinstance(phi, Exists)]
-        searches = [witness_search(phi) for phi in self.exists]
-        self.names = [search.free_vars for search in searches]
-        for search in searches:
-            for c in search.constants:
+        records = [_record(phi) for phi in self.exists]
+        self.names = [cf.free_vars for cf in records]
+        for cf in records:
+            cf.require_scope(None)  # a relativized formula has no search
+            for c in cf.constants:
                 if not (0 <= c < N.size):
                     raise EvalError(f"dangling constant #{c}")
         m = N.size  # the closure bound: each valuation is searched once
-        covered = sum(m ** len(search.free_vars) * search.bound(m) for search in searches) <= budget
-        self.searches = [search.unmetered if covered else search for search in searches]
+        covered = sum(m ** len(cf.free_vars) * cf.bound(m) for cf in records) <= budget
+        # each search(N, budget, valuations), bound once to its constants
+        self.searches = [functools.partial(cf.variant("search", not covered), cf.constants) for cf in records]
         self.swept: list[list[int] | None] = [None] * len(self.exists)
 
 

@@ -2,12 +2,13 @@
 relativized satisfaction, induced substructures, absoluteness and
 elementarity for a fixed formula family.
 
-Every evaluation runs generated code.  :func:`compile_formula` turns a
-core formula, once per formula, into one straight-line Python
-function, a :class:`CompiledFormula`: each quantifier is a ``for`` loop,
-each atom an inline ``members[b] >> a & 1`` bit test on the structure's
-member masks (:attr:`FinStructure.members`) or an ``a == b`` test, and
-``|`` and ``~`` short-circuit as Python's ``or`` and ``not`` do.
+Every evaluation runs generated code.  Each core formula has one
+record, a :class:`CompiledFormula`, which holds the formula's generated
+functions, each compiled into straight-line Python on first use.  In
+its *evaluator* each quantifier is a ``for`` loop, each atom an inline
+``members[b] >> a & 1`` bit test on the structure's member masks
+(:attr:`FinStructure.members`) or an ``a == b`` test, and ``|`` and
+``~`` short-circuit as Python's ``or`` and ``not`` do.
 
 A quantifier whose body is a conjunction of literals (membership and
 equality atoms, each maybe negated, as ``Ez (x in z & y in z)``) scans
@@ -26,13 +27,12 @@ structure, the scope of the relativized quantifiers, the budget and the
 free-variable values are arguments of each call, so one compiled formula
 serves every structure.  Nothing from the formula is pasted into the
 source: variables become generated identifiers and constants call
-arguments.  Generated code is cached by formula, in a weak-keyed
-dictionary, each kind compiled on first use: formula nodes are
-interned, so an equal formula finds the same code, and the code goes
-when the formula does.
+arguments.  The records are cached by formula, in one weak-keyed
+dictionary: formula nodes are interned, so an equal formula finds the
+same record, and the record goes when the formula does.
 
 :func:`is_absolute` runs the second generated kind, the formula's
-*sweep*, also made once per formula: one ``for`` loop over the
+*sweep*: one ``for`` loop over the
 valuations into M in lexicographic order, whose body is the formula's
 code twice, first over N and then over the substructure M induces, with
 the first valuation on which they differ returned.  An induced
@@ -47,7 +47,7 @@ sides then read N's own atoms and agree, and a valuation charges each
 side at most one step per atom, so the sweep could neither find a
 mismatch nor run out.
 
-The hulls' witness search, :func:`witness_search`, is the third kind,
+The hulls' witness *search* of an existential is the third kind,
 and works vector-at-a-time (Boncz, Zukowski and Nes, "MonetDB/X100:
 Hyper-Pipelining Query Execution", CIDR 2005): one call takes an
 existential's whole list of valuations, sets up the structure once, and
@@ -87,9 +87,9 @@ unmetered code where the bound shows that metered code could not run
 out (``B(phi, |N|)`` steps for an evaluation, ``2 * B(phi, |N|)`` for
 each of the sweep's ``|M|**k`` valuations, whose M side scans no more
 than N's), and metered code otherwise.
-:class:`CompiledFormula` and :func:`witness_search`, whose callers read
-what is left of their :class:`Budget`, are metered; a search also has
-an unmetered form, for :mod:`hull` to run under its closure bound.
+A :class:`CompiledFormula` called as a function, whose caller reads
+what is left of its :class:`Budget`, is metered; :mod:`hull` runs the
+unmetered search under its closure bound.
 
 Valuations are plain dicts from variable names to element identifiers.
 :class:`FinStructure` is a frozen plain class, which validates its
@@ -103,7 +103,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple, NoReturn
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn
 
 from .errors import InputError, read_only
 from .formula import (
@@ -397,8 +397,11 @@ class _Generator:
         return self.finish(lines)
 
     def search(self, phi: Exists, names: list[str], metered: bool) -> Callable:
-        """``f(consts, N, budget, valuations)``, the generated function of
-        :func:`witness_search`, with phi's free variables *names*."""
+        """``f(consts, N, budget, valuations)``: the ``(values, witness)``
+        pairs, in the order of the iterable *valuations*, at which the
+        existential phi holds in N with its free variables *names* at
+        *values*, each with its smallest witness.  It spends exactly what
+        evaluating phi at each valuation in turn would."""
         ctx, setup = self.context(metered)
 
         def body(env, values, lines):
@@ -566,47 +569,26 @@ class _Generator:
         return f"{low}.bit_length() - 1"
 
 
-_NO_SCOPE = "relativized quantifier encountered in plain evaluation"
+class CompiledFormula:
+    """A core formula's one record: its free variables, constants and
+    step bound, the most steps one valuation of :func:`is_absolute`'s
+    sweep charges if it has no quantifier (else None), and each generated
+    function, by kind and meter (:meth:`variant`), compiled on first use
+    from the formula, which the record holds only weakly.
 
-
-class CompiledFormula(functools.partial):
-    """A core formula compiled to one Python function, for any structure.
-
-    ``cf(N, scope, budget, *values)`` is the formula's truth value in the
-    structure N, with its free variables taking *values* in the order of
-    :attr:`free_vars`.  A relativized quantifier scans *scope*, a sized
-    iterable of elements, ascending and without repeats, read afresh on
-    every call, which is None for plain evaluation (see
-    :meth:`require_scope`): a set-at-a-time scan reads the scope as one
-    mask, which visits its elements in ascending order, once each, so it
-    agrees with a loop over the scope only for such a scope.  A
-    :class:`Budget` pays for the steps.  The
-    constants denote the elements in :attr:`constants`.  Arguments are
-    not validated: the entry points below check valuations and constants
+    ``cf(N, scope, budget, *values)`` runs the metered evaluator: the
+    formula's truth value in the structure N, with its free variables
+    taking *values* in the order of :attr:`free_vars`.  A relativized
+    quantifier scans *scope*, a sized iterable of elements, ascending
+    and without repeats, read afresh on every call, which is None for
+    plain evaluation (see :meth:`require_scope`): a set-at-a-time scan
+    reads the scope as one mask, which visits its elements in ascending
+    order, once each, so it agrees with a loop over the scope only for
+    such a scope.  A :class:`Budget` pays for the steps.  The constants
+    denote the elements in :attr:`constants`.  Arguments are not
+    validated: the entry points below check valuations and constants
     against the structure first.
-
-    The call is the generated function itself, with the constants bound
-    as its first argument, so it costs no Python frame of its own.
     """
-
-    def __new__(cls, phi: Formula) -> "CompiledFormula":
-        code = _code(phi)
-        self = super().__new__(cls, code.variant(phi, "evaluator", True), code.constants)
-        self.free_vars, self.constants, self.relativized = code.free_vars, code.constants, code.relativized
-        return self
-
-    def require_scope(self, scope) -> None:
-        """Raise :class:`EvalError` if a relativized formula gets no scope."""
-        if scope is None and self.relativized:
-            raise EvalError(_NO_SCOPE)
-
-
-class _Code:
-    """One formula's record: its free variables, constants and step
-    bound, the most steps one valuation of :func:`is_absolute`'s sweep
-    charges if it has no quantifier (else None), and each generated
-    function, compiled on first use from the formula the caller hands
-    in: the record keeps no reference to it."""
 
     def __init__(self, phi: Formula):
         self.free_vars, self.constants = free_vars(phi), tuple(constants(phi))
@@ -614,80 +596,52 @@ class _Code:
         self.relativized = self.gen.relativized
         self.steps = None if self.gen.kinds & {Exists, BoundedExists} else 2 * self.gen.atoms
         self.nodes, self.depth = self.gen.nodes, quantifier_depth(phi)
+        self.formula = weakref.ref(phi)
         self.made: dict[tuple[str, bool], Callable] = {}
+
+    def __call__(self, N: FinStructure, scope, budget: Budget, *values: int) -> bool:
+        return self.variant("evaluator", True)(self.constants, N, scope, budget, *values)
+
+    def require_scope(self, scope) -> None:
+        """Raise :class:`EvalError` if a relativized formula gets no scope."""
+        if scope is None and self.relativized:
+            raise EvalError("relativized quantifier encountered in plain evaluation")
 
     def bound(self, m: int) -> int:
         """``B(phi, m)``: no evaluation of phi in a structure of m
         elements charges more steps (see the module docstring)."""
         return self.nodes * (m + 1) ** self.depth
 
-    def variant(self, phi: Formula, kind: str, metered: bool) -> Callable:
-        """phi's generated ``"evaluator"``, ``"sweep"`` or ``"search"``,
-        metered or not."""
+    def variant(self, kind: str, metered: bool) -> Callable:
+        """The formula's generated ``"evaluator"``, ``"sweep"`` or
+        ``"search"`` (:class:`_Generator`), metered or not; one not yet
+        compiled needs the formula alive, else :class:`EvalError`."""
         made = self.made.get((kind, metered))
         if made is None:
+            phi = self.formula()
+            if phi is None:
+                raise EvalError(f"the formula is gone and its {kind} (metered={metered}) was never compiled")
             made = self.made[kind, metered] = getattr(self.gen, kind)(phi, self.free_vars, metered)
         return made
 
 
-_CODE: weakref.WeakKeyDictionary[Formula, _Code] = weakref.WeakKeyDictionary()
 _COMPILED: weakref.WeakKeyDictionary[Formula, CompiledFormula] = weakref.WeakKeyDictionary()
 
 
-def _per_formula(cache: MutableMapping, phi: Formula, make: Callable):
-    """``make(phi)``, made once per formula and kept in *cache*."""
-    made = cache.get(phi)
-    if made is None:
-        made = cache[phi] = make(phi)
-    return made
-
-
-def _code(phi: Formula) -> _Code:
-    return _per_formula(_CODE, phi, _Code)
+def _record(phi: Formula) -> CompiledFormula:
+    """phi's record, made once per formula, with what is compiled so far."""
+    cf = _COMPILED.get(phi)
+    if cf is None:
+        cf = _COMPILED[phi] = CompiledFormula(phi)
+    return cf
 
 
 def compile_formula(phi: Formula) -> CompiledFormula:
-    """The compiled form of *phi*, made once per formula."""
-    return _per_formula(_COMPILED, phi, CompiledFormula)
-
-
-class _Search:
-    """What :func:`witness_search` returns: called, the metered search;
-    :meth:`unmetered`, the same code with no charges, for a caller that
-    has shown with :attr:`bound` that the budget covers the call.  It
-    keeps its formula, to compile each on first use."""
-
-    def __init__(self, phi: Exists):
-        code = _code(phi)
-        if code.relativized:
-            raise EvalError(_NO_SCOPE)
-        self.phi, self.code = phi, code
-        self.free_vars, self.constants, self.bound = code.free_vars, code.constants, code.bound
-
-    def __call__(self, N: FinStructure, budget: Budget, valuations: Iterable[tuple[int, ...]]) -> list:
-        return self.code.variant(self.phi, "search", True)(self.constants, N, budget, valuations)
-
-    def unmetered(self, N: FinStructure, budget: Budget | None, valuations: Iterable[tuple[int, ...]]) -> list:
-        return self.code.variant(self.phi, "search", False)(self.constants, N, budget, valuations)
-
-
-# weak-valued: a search keeps its formula, so it lives while it is used
-_SEARCHES: weakref.WeakValueDictionary[Formula, _Search] = weakref.WeakValueDictionary()
-
-
-def witness_search(phi: Exists) -> _Search:
-    """``search(N, budget, valuations)``: the ``(values, witness)``
-    pairs, in the order of the iterable *valuations*, at which the
-    existential *phi* holds in N with ``free_vars(phi)`` at *values*,
-    each with its smallest witness.  One generated function, made once
-    per formula, runs phi's evaluator code at each valuation in turn and
-    spends exactly what those evaluations would.  Like a
-    :class:`CompiledFormula`, the search carries ``free_vars`` and
-    ``constants``; also ``bound(m)``, ``B(phi, m)``, which no valuation's
-    search in a structure of m elements exceeds, and ``unmetered``.
-    Arguments are not validated.  A relativized phi has no search and
-    raises :class:`EvalError`."""
-    return _per_formula(_SEARCHES, phi, _Search)
+    """phi's record with its metered evaluator compiled, so that it can
+    be called after the formula is gone."""
+    cf = _record(phi)
+    cf.variant("evaluator", True)
+    return cf
 
 
 def _evaluate(
@@ -700,7 +654,7 @@ def _evaluate(
     """Check the entry valuation and constants, then evaluate; with a
     *subset*, both must lie in it and ``BoundedExists`` scans it."""
     valuation = dict(valuation or {})
-    code = _code(phi)
+    code = _record(phi)
     for name in code.free_vars:
         if name not in valuation:
             raise EvalError(f"unbound free variable {name!r}")
@@ -721,11 +675,10 @@ def _evaluate(
     if scope and not (0 <= scope[0] and scope[-1] < N.size):
         bad = scope[0] if scope[0] < 0 else scope[-1]
         raise EvalError(f"designated subset element {bad} outside the universe")
-    if scope is None and code.relativized:
-        raise EvalError(_NO_SCOPE)
+    code.require_scope(scope)
     values = [valuation[name] for name in code.free_vars]
     metered = code.bound(N.size) > budget
-    run = code.variant(phi, "evaluator", metered)
+    run = code.variant("evaluator", metered)
     return run(code.constants, N, scope, Budget(budget) if metered else None, *values)
 
 
@@ -827,18 +780,17 @@ def is_absolute(
     valuation charges at most ``2a`` steps, so the sweep cannot run out.
     """
     S = _elements(M, N)
-    code = _code(phi)
+    code = _record(phi)
     names, consts = code.free_vars, code.constants
     for c in consts:
         if c not in S:
             raise EvalError(f"constant #{c} lies outside M")
-    if code.relativized:
-        raise EvalError(_NO_SCOPE)
+    code.require_scope(None)
     valuations = len(S) ** len(names)
     if code.steps is not None and code.steps * valuations <= budget:
         return AbsoluteCheck(True)
     metered = 2 * code.bound(N.size) * valuations > budget
-    found = code.variant(phi, "sweep", metered)(S, N, consts, Budget(budget) if metered else None)
+    found = code.variant("sweep", metered)(S, N, consts, Budget(budget) if metered else None)
     if found is None:
         return AbsoluteCheck(True)
     return AbsoluteCheck(False, dict(zip(names, found)))

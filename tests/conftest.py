@@ -7,6 +7,8 @@ from pathlib import Path
 
 import finmodel
 from finmodel.graph import Graph, make_graph
+from finmodel.hull import _WitnessOracle
+from finmodel.formula import FormulaPack, constants
 from finmodel.structure import FinStructure
 
 from hypothesis import settings
@@ -74,3 +76,14 @@ def seeded(seed: int) -> random.Random:
 
 def structure_of_pairs(n: int, pairs) -> FinStructure:
     return FinStructure(n, frozenset(pairs))
+
+
+def witness_search(phi, metered=True):
+    """The witness search :mod:`finmodel.hull` runs for the existential
+    *phi*: ``search(N, budget, valuations)``, taken from a hull oracle
+    over *phi* alone, whose budget the static step bound cannot cover
+    (metered) or does (unmetered).  A relativized *phi* has none and
+    raises ``EvalError``."""
+    host = FinStructure(1 + max(constants(phi), default=-1), frozenset())
+    oracle = _WitnessOracle(host, FormulaPack("one", (phi,)), -1 if metered else sys.maxsize)
+    return oracle.searches[0]

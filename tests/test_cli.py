@@ -290,6 +290,27 @@ def test_failed_validation_exits_1(fixtures, monkeypatch, capsys, argv, oracle, 
     assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
 
 
+def test_gamma_validation_checks_the_paths(fixtures, monkeypatch, capsys):
+    # on C4 from 0 to 2, gamma is 2; each stand-in breaks one property of
+    # two edge-disjoint 0-2 paths
+    monkeypatch.chdir(fixtures)
+    argv = ["graph", "gamma", "--graph", "c4.json", "--x", "0", "--y", "2", "--paths", "2", "--validate"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["validated"] is True
+    liars = [
+        [[0, 1, 2], [0, 1, 2]],  # an edge used twice
+        [[0, 1, 2]],  # one path short
+        [[0, 1, 2], [0, 3]],  # a walk that stops short of y
+        [[0, 1, 2], [0, 2]],  # a step along no edge
+        [[0, 1, 2], []],  # an empty walk
+    ]
+    for paths in liars:
+        monkeypatch.setattr(cli, "edge_disjoint_paths", lambda *a, paths=paths: paths)
+        assert cli.main(argv) == 1
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["paths"] == paths and result["validated"] is False
+
+
 def _subcommands(parser, prefix=()):
     """Each leaf subcommand of *parser*, as its words, with its parser."""
     actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -541,6 +562,8 @@ _CHECKED_INPUTS = [
     (["graph", "gamma", "--graph", "c4.json", "--x", "0", "--y", "9"], "endpoints must be vertices"),
     (["graph", "gamma", "--graph", "c4.json", "--x", "0", "--y", "2", "--paths", "5"],
      "asked for 5 paths but connectivity is 2"),
+    (["graph", "gamma", "--graph", "c4.json", "--x", "0", "--y", "2", "--paths", "-1"],
+     "path count -1 is negative"),
     (["graph", "bonds", "--graph", "c24.json"], "component with 24 vertices exceeds the enumeration cap"),
     (["graph", "bonds", "--graph", "c18.json", "--validate"], "18 vertices exceed the bipartition gate"),
     (["bondfaithful", "search", "--graph", "c4.json", "--kappa", "0"], "kappa must be at least 1"),

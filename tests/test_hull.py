@@ -86,25 +86,28 @@ def test_a_chain_searches_each_valuation_once(monkeypatch):
     valuation into the last stage."""
     searched = []
 
-    def recording(phi):
-        search = witness_search(phi)
+    class Recording:
+        """phi's record, whose searches, metered and the unmetered one
+        hull runs under its bound, log the valuations they are handed."""
 
-        def spying(run):
-            def spy(N, budget, valuations):
+        def __init__(self, phi):
+            self.phi, self.cf = phi, record(phi)
+
+        def __getattr__(self, name):
+            return getattr(self.cf, name)
+
+        def variant(self, kind, metered):
+            run, phi = self.cf.variant(kind, metered), self.phi
+
+            def spy(consts, N, budget, valuations):
                 valuations = list(valuations)
                 searched.extend((phi, values) for values in valuations)
-                return run(N, budget, valuations)
+                return run(consts, N, budget, valuations)
 
             return spy
 
-        # the metered search and the unmetered one hull runs under its bound
-        spy = spying(search)
-        spy.free_vars, spy.constants, spy.bound = search.free_vars, search.constants, search.bound
-        spy.unmetered = spying(search.unmetered)
-        return spy
-
     module = sys.modules["finmodel.hull"]  # ``finmodel.hull`` names the function
-    witness_search = module.witness_search
+    record = module._record
     rng = seeded(7)
     for N in [V4.structure, *_coded_ambients((5, 6, 7), rng)]:
         for name in ("pairing,members", "path-existence"):
@@ -112,7 +115,7 @@ def test_a_chain_searches_each_valuation_once(monkeypatch):
             want = chain(N, pack, frozenset(), range(N.size))
             searched.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(module, "witness_search", recording)
+                patch.setattr(module, "_record", Recording)
                 got = chain(N, pack, frozenset(), range(N.size))
             assert got == want
             assert len(searched) == len(set(searched))

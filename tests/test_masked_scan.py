@@ -42,11 +42,10 @@ from finmodel.structure import (
     _Generator,
     compile_formula,
     is_absolute,
-    witness_search,
 )
 from finmodel.universe import build_hierarchy
 
-from conftest import seeded
+from conftest import seeded, witness_search
 
 
 def _spend(N, phi, env, scope, domain, charges):

@@ -22,7 +22,7 @@ from finmodel.oracles import satisfies
 from finmodel.structure import Budget, BudgetExceededError, eval_relativized, is_absolute
 from finmodel.universe import build_hierarchy
 
-from conftest import seeded
+from conftest import seeded, witness_search
 
 PLENTY = 10**12
 
@@ -70,14 +70,14 @@ def test_metered_spend_stays_within_the_bound_and_unmetered_code_agrees():
     worst, checked, kinds = 0.0, 0, set()
     disagreements = []
     for N, phi, scopes in cases:
-        code = structure._code(phi)
+        code = structure._record(phi)
         consts = code.constants
         names = code.free_vars
         bound = code.bound(N.size)
         if any(c >= N.size for c in consts):
             continue
-        metered = code.variant(phi, "evaluator", True)
-        unmetered = code.variant(phi, "evaluator", False)
+        metered = code.variant("evaluator", True)
+        unmetered = code.variant("evaluator", False)
         for values in _sample(rng, N, names, 3):
             env = dict(zip(names, values))
             for scope in scopes if code.relativized else [None]:
@@ -96,7 +96,7 @@ def test_metered_spend_stays_within_the_bound_and_unmetered_code_agrees():
         # the sweep over a random M holding the constants
         S = tuple(sorted({e for e in range(N.size) if rng.random() < 0.6} | set(consts)))
         held = Budget(PLENTY)
-        found = code.variant(phi, "sweep", True)(S, N, consts, held)
+        found = code.variant("sweep", True)(S, N, consts, held)
         spent = PLENTY - held.left
         assert spent <= 2 * bound * len(S) ** len(names), (phi, N, S)
         want = next(
@@ -107,13 +107,13 @@ def test_metered_spend_stays_within_the_bound_and_unmetered_code_agrees():
             ),
             None,
         )
-        if not found == code.variant(phi, "sweep", False)(S, N, consts, None) == want:
+        if not found == code.variant("sweep", False)(S, N, consts, None) == want:
             disagreements.append(("sweep", phi, N, S))
         kinds.add(("sweep", want is None))
         # an existential's search over every valuation
         if isinstance(phi, Exists):
             valuations = list(itertools.product(range(N.size), repeat=len(names)))
-            search = structure.witness_search(phi)
+            search = witness_search(phi)
             held = Budget(PLENTY)
             hits = search(N, held, valuations)
             assert PLENTY - held.left <= bound * len(valuations), (phi, N)
@@ -122,7 +122,7 @@ def test_metered_spend_stays_within_the_bound_and_unmetered_code_agrees():
                 env = dict(zip(names, values))
                 least = next((e for e in range(N.size) if satisfies(N, phi.body, {**env, phi.var: e})), None)
                 want += [(values, least)] * (least is not None)
-            if not hits == search.unmetered(N, None, valuations) == want:
+            if not hits == witness_search(phi, metered=False)(N, None, valuations) == want:
                 disagreements.append(("search", phi, N))
             kinds.add(("search", bool(want)))
     assert disagreements == []
@@ -148,7 +148,7 @@ def test_the_deep_formulas_are_split(monkeypatch):
     monkeypatch.setattr(structure, "compile", counting, raising=False)
     for phi in _deep_formulas():
         for metered in (True, False):
-            structure._Generator(phi, ()).evaluator(phi, structure._code(phi).free_vars, metered)
+            structure._Generator(phi, ()).evaluator(phi, structure._record(phi).free_vars, metered)
             assert "def _f1(" in source[-1]
             assert ("left" in source[-1]) == metered
 
@@ -156,9 +156,9 @@ def test_the_deep_formulas_are_split(monkeypatch):
 def _spy(monkeypatch, phi, kind, ran):
     """Replace phi's generated *kind*, metered and not, with wrappers that
     append to *ran* whether the metered one ran."""
-    code = structure._code(phi)
+    code = structure._record(phi)
     for metered in (True, False):
-        run = code.variant(phi, kind, metered)
+        run = code.variant(kind, metered)
 
         def spy(*args, run=run, metered=metered):
             ran.append(metered)

@@ -30,13 +30,12 @@ from finmodel.structure import (
     induced_substructure,
     is_absolute,
     is_sigma_elementary,
-    witness_search,
 )
 from finmodel.formula import FormulaPack, subformula_closure
-from finmodel.hull import PACKS, get_pack
+from finmodel.hull import PACKS, chain, get_pack, hull
 from finmodel.universe import build_hierarchy
 
-from conftest import seeded
+from conftest import seeded, witness_search
 
 V2 = build_hierarchy(2).structure
 V3 = build_hierarchy(3).structure
@@ -245,7 +244,7 @@ def _fail_on_sweep(monkeypatch, phi):
     def untouched(*args):
         raise AssertionError("the sweep ran")
 
-    made = structure._code(phi).made
+    made = structure._record(phi).made
     for metered in (True, False):
         monkeypatch.setitem(made, ("sweep", metered), untouched)
 
@@ -422,7 +421,31 @@ def test_compiled_formula_lives_as_long_as_its_formula():
     assert ref() is None
 
 
-def test_is_absolute_compiles_one_sweep_per_formula(monkeypatch):
+def test_a_compiled_formula_is_callable_after_its_formula_is_gone():
+    cf = compile_formula(relativize(parse("Ex ((x in y) & ~(x = y))")))
+    gc.collect()
+    assert cf.formula() is None
+    assert cf(V2, (0, 1), Budget(100), 1) is True
+    assert cf(V2, (1,), Budget(100), 1) is False
+    with pytest.raises(EvalError, match="formula is gone"):
+        cf.variant("sweep", True)
+
+
+def test_a_chain_leaves_no_record_once_its_pack_is_gone():
+    from finmodel import structure
+
+    texts = ("Ew ((w in q) & ~(w = q))", "Eq (Ew ((w in q) & (q in w)))")
+    pack = subformula_closure(FormulaPack("fresh", tuple(map(parse, texts))))
+    chain(V3, pack, frozenset(), range(V3.size))
+    refs = [weakref.ref(structure._COMPILED[phi]) for phi in pack.formulas if isinstance(phi, Exists)]
+    assert len(refs) == 3
+    del pack
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+
+
+def _counting_compile(monkeypatch):
+    """The sources the structure module compiles from now on."""
     from finmodel import structure
 
     compiled = []
@@ -432,6 +455,22 @@ def test_is_absolute_compiles_one_sweep_per_formula(monkeypatch):
         return compile(source, *args)
 
     monkeypatch.setattr(structure, "compile", counting_compile, raising=False)
+    return compiled
+
+
+def test_eval_relativized_compiles_one_function_per_formula(monkeypatch):
+    from finmodel import structure
+
+    compiled = _counting_compile(monkeypatch)
+    phi = relativize(parse("Ey ((y in x) & ~(y in y))"))
+    assert phi not in structure._COMPILED
+    assert eval_relativized(V2, [0, 1], phi, {"x": 1}) is True
+    assert eval_relativized(V2, [1], phi, {"x": 1}) is False
+    assert len(compiled) == 1  # the unmetered evaluator alone
+
+
+def test_is_absolute_compiles_one_sweep_per_formula(monkeypatch):
+    compiled = _counting_compile(monkeypatch)
     phi = parse("Ey (y in x)")
     assert not is_absolute([1], V2, phi).ok
     assert len(compiled) == 1  # the sweep alone, not a compiled formula too
@@ -467,7 +506,7 @@ def test_witness_search_is_the_least_witness_at_the_evaluator_cost():
     assert len(existentials) >= 10
     for phi in existentials:
         search, compiled = witness_search(phi), compile_formula(phi)
-        assert witness_search(phi) is search
+        assert witness_search(phi).func is search.func  # compiled once per formula
         names = free_vars(phi)
         for N in structures:
             for values in itertools.product(range(N.size), repeat=len(names)):
@@ -495,9 +534,14 @@ def test_witness_search_is_the_least_witness_at_the_evaluator_cost():
 
 
 def test_witness_search_refuses_a_relativized_formula():
-    phi = relativize(parse("Ex (x in y)"))
+    # an existential over a relativized body: the hull's oracle has no
+    # search for it, and neither does a hull over its pack
+    phi = Exists("y", relativize(parse("Ex (x in y)")))
     with pytest.raises(EvalError, match="relativized"):
         witness_search(phi)
+    pack = subformula_closure(FormulaPack("bounded", (phi,)))
+    with pytest.raises(EvalError, match="relativized"):
+        hull(V2, pack, ())
 
 
 def test_member_masks_are_loaded_only_where_the_code_reads_them(monkeypatch):
