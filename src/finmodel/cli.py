@@ -551,177 +551,92 @@ ROUTES = {
 # argument wiring
 
 
-def _bind(p: argparse.ArgumentParser, name: str, handler) -> None:
-    """``fm <name>`` runs *handler*; a command with an oracle route also
-    takes ``--validate``, added here as its last option."""
-    if name in ROUTES:
-        p.add_argument("--validate", action="store_true")
-    p.set_defaults(handler=handler, route=name)
-
-
-def _parse_args(p):
-    p.add_argument("--formula", required=True)
-    _bind(p, "parse", cmd_parse)
-
-
-def _eval_args(p):
-    p.add_argument("--structure", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--valuation", help='JSON object, e.g. {"x": 0}')
-    p.add_argument("--relativize-to", help="comma list of elements; relativize and bound quantifiers to it")
-    _bind(p, "eval", cmd_eval)
-
-
-def _relativize_args(p):
-    p.add_argument("--formula", required=True)
-    _bind(p, "relativize", cmd_relativize)
-
-
-def _universe_dump_args(d):
-    d.add_argument("--rank", type=int, required=True)
-    d.add_argument("--limit", type=int)
-    d.add_argument("--allow-rank5", action="store_true")
-    _bind(d, "universe dump", cmd_universe_dump)
-
-
-def _hull_args(p):
-    p.add_argument("--structure", required=True)
-    p.add_argument("--pack", required=True)
-    p.add_argument("--seed-elems", default="")
-    _bind(p, "hull", cmd_hull)
-
-
-def _chain_args(p):
-    p.add_argument("--structure", required=True)
-    p.add_argument("--pack", required=True)
-    p.add_argument("--seed-elems", default="")
-    p.add_argument("--cover-elems", default="all")
-    _bind(p, "chain", cmd_chain)
-
-
-def _slice_args(p):
-    p.add_argument("--graph", required=True)
-    p.add_argument("--stages", required=True, help="JSON file: list of code lists")
-    _bind(p, "slice", cmd_slice)
-
-
-def _probe_args(p):
-    p.add_argument("--corpus", help="corpus spec JSON file")
-    p.add_argument("--graph", help="single graph file instead of a corpus")
-    p.add_argument("--pack", required=True)
-    p.add_argument("--property", required=True, choices=sorted(PROPERTIES))
-    p.add_argument("--allow-rank5", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
-    _bind(p, "probe", cmd_probe)
-
-
-def _graph_bonds_args(g):
-    g.add_argument("--graph", required=True)
-    g.add_argument("--max-size", type=int)
-    _bind(g, "graph bonds", cmd_graph_bonds)
-
-
-def _graph_gamma_args(g):
-    g.add_argument("--graph", required=True)
-    g.add_argument("--x", type=int, required=True)
-    g.add_argument("--y", type=int, required=True)
-    g.add_argument("--paths", type=int)
-    _bind(g, "graph gamma", cmd_graph_gamma)
-
-
-def _graph_nw_args(g):
-    g.add_argument("--graph", required=True)
-    # both modes answer alike, by degree parity; the flag is kept because
-    # the benchmark's fm-cli workload passes --mode exhaustive
-    g.add_argument("--mode", choices=["fast", "exhaustive"], default="fast")
-    _bind(g, "graph nw", cmd_graph_nw)
-
-
-def _graph_veblen_args(g):
-    g.add_argument("--graph", required=True)
-    _bind(g, "graph veblen", cmd_graph_veblen)
-
-
-def _graph_bridges_args(g):
-    g.add_argument("--graph", required=True)
-    _bind(g, "graph bridges", cmd_graph_bridges)
-
-
-def _graph_dcc_args(g):
-    g.add_argument("--graph", required=True)
-    g.add_argument("--search-budget", type=int, default=200_000)
-    _bind(g, "graph dcc", cmd_graph_dcc)
-
-
-def _bondfaithful_check_args(b):
-    b.add_argument("--graph", required=True)
-    b.add_argument("--parts", required=True, help="JSON file: list of graph objects")
-    b.add_argument("--kappa", type=int, required=True)
-    _bind(b, "bondfaithful check", cmd_bondfaithful_check)
-
-
-def _bondfaithful_search_args(b):
-    b.add_argument("--graph", required=True)
-    b.add_argument("--kappa", type=int, required=True)
-    _bind(b, "bondfaithful search", cmd_bondfaithful_search)
-
-
-def _sunflower_args(p):
-    p.add_argument("action", choices=["find", "max", "trace"])
-    p.add_argument("--family", required=True, help="JSON file: list of element lists")
-    p.add_argument("--petals", type=int)
-    p.add_argument("--m", help="JSON file: {elements: [...], members: [indices]}")
-    _bind(p, "sunflower", cmd_sunflower)
-
-
-def _freeset_args(p):
-    p.add_argument("--map", required=True, help="JSON file: {element: [image...]}")
-    p.add_argument("--ground", help="comma list; defaults to the mapping keys")
-    _bind(p, "freeset", cmd_freeset)
-
-
-def _corpus_gen_args(c):
-    c.add_argument("--spec", help="corpus spec JSON file")
-    c.add_argument("--model", choices=["gnp", "regular", "union-of-cycles"], default="gnp")
-    c.add_argument("--n", type=int, default=6)
-    c.add_argument("--count", type=int, default=1)
-    c.add_argument("--p", type=float)
-    c.add_argument("--d", type=int)
-    c.add_argument("--cycles", type=int)
-    c.add_argument("--seed", type=int, default=0)
-    _bind(c, "corpus gen", cmd_corpus_gen)
-
-
-# The subcommands in the order help lists them: each name with its help
-# (None lists it without one) and either the function that adds its
-# arguments or the table of its own subcommands.
+# The subcommands in the order help lists them.  A group is its help and
+# the table of its own subcommands; a leaf is its help (None lists it
+# without one), its handler and its options in order, each a flag with
+# the keywords of ``add_argument``.  A leaf whose full name is in
+# :data:`ROUTES` also takes ``--validate``, as its last option.
 _SUBCOMMANDS: dict = {
-    "parse": ("parse a formula", _parse_args),
-    "eval": ("evaluate a formula over a structure", _eval_args),
-    "relativize": ("bound every quantifier to the distinguished subset", _relativize_args),
+    "parse": ("parse a formula", cmd_parse, ("--formula", dict(required=True))),
+    "eval": ("evaluate a formula over a structure", cmd_eval,
+        ("--structure", dict(required=True)),
+        ("--formula", dict(required=True)),
+        ("--valuation", dict(help='JSON object, e.g. {"x": 0}')),
+        ("--relativize-to", dict(help="comma list of elements; relativize and bound quantifiers to it"))),
+    "relativize": ("bound every quantifier to the distinguished subset", cmd_relativize,
+        ("--formula", dict(required=True))),
     "universe": ("hereditarily finite universe views", {
-        "dump": ("list rank / code / set notation", _universe_dump_args),
+        "dump": ("list rank / code / set notation", cmd_universe_dump,
+            ("--rank", dict(type=int, required=True)),
+            ("--limit", dict(type=int)),
+            ("--allow-rank5", dict(action="store_true"))),
     }),
-    "hull": ("witness-closure hull of a seed", _hull_args),
-    "chain": ("increasing hull chain reaching a cover", _chain_args),
-    "slice": ("slice a code-labelled graph along stages", _slice_args),
-    "probe": ("reflection probe over a corpus", _probe_args),
+    "hull": ("witness-closure hull of a seed", cmd_hull,
+        ("--structure", dict(required=True)),
+        ("--pack", dict(required=True)),
+        ("--seed-elems", dict(default=""))),
+    "chain": ("increasing hull chain reaching a cover", cmd_chain,
+        ("--structure", dict(required=True)),
+        ("--pack", dict(required=True)),
+        ("--seed-elems", dict(default="")),
+        ("--cover-elems", dict(default="all"))),
+    "slice": ("slice a code-labelled graph along stages", cmd_slice,
+        ("--graph", dict(required=True)),
+        ("--stages", dict(required=True, help="JSON file: list of code lists"))),
+    "probe": ("reflection probe over a corpus", cmd_probe,
+        ("--corpus", dict(help="corpus spec JSON file")),
+        ("--graph", dict(help="single graph file instead of a corpus")),
+        ("--pack", dict(required=True)),
+        ("--property", dict(required=True, choices=sorted(PROPERTIES))),
+        ("--allow-rank5", dict(action="store_true")),
+        ("--workers", dict(type=int, default=1))),
     "graph": ("graph analysis", {
-        "bonds": (None, _graph_bonds_args),
-        "gamma": (None, _graph_gamma_args),
-        "nw": (None, _graph_nw_args),
-        "veblen": (None, _graph_veblen_args),
-        "bridges": (None, _graph_bridges_args),
-        "dcc": (None, _graph_dcc_args),
+        "bonds": (None, cmd_graph_bonds,
+            ("--graph", dict(required=True)),
+            ("--max-size", dict(type=int))),
+        "gamma": (None, cmd_graph_gamma,
+            ("--graph", dict(required=True)),
+            ("--x", dict(type=int, required=True)),
+            ("--y", dict(type=int, required=True)),
+            ("--paths", dict(type=int))),
+        "nw": (None, cmd_graph_nw,
+            ("--graph", dict(required=True)),
+            # both modes answer alike, by degree parity; the flag is kept
+            # because the benchmark's fm-cli workload passes --mode exhaustive
+            ("--mode", dict(choices=["fast", "exhaustive"], default="fast"))),
+        "veblen": (None, cmd_graph_veblen, ("--graph", dict(required=True))),
+        "bridges": (None, cmd_graph_bridges, ("--graph", dict(required=True))),
+        "dcc": (None, cmd_graph_dcc,
+            ("--graph", dict(required=True)),
+            ("--search-budget", dict(type=int, default=200_000))),
     }),
     "bondfaithful": ("bond-faithful decompositions", {
-        "check": (None, _bondfaithful_check_args),
-        "search": (None, _bondfaithful_search_args),
+        "check": (None, cmd_bondfaithful_check,
+            ("--graph", dict(required=True)),
+            ("--parts", dict(required=True, help="JSON file: list of graph objects")),
+            ("--kappa", dict(type=int, required=True))),
+        "search": (None, cmd_bondfaithful_search,
+            ("--graph", dict(required=True)),
+            ("--kappa", dict(type=int, required=True))),
     }),
-    "sunflower": ("delta-system finders", _sunflower_args),
-    "freeset": ("greedy free set for a set mapping", _freeset_args),
+    "sunflower": ("delta-system finders", cmd_sunflower,
+        ("action", dict(choices=["find", "max", "trace"])),
+        ("--family", dict(required=True, help="JSON file: list of element lists")),
+        ("--petals", dict(type=int)),
+        ("--m", dict(help="JSON file: {elements: [...], members: [indices]}"))),
+    "freeset": ("greedy free set for a set mapping", cmd_freeset,
+        ("--map", dict(required=True, help="JSON file: {element: [image...]}")),
+        ("--ground", dict(help="comma list; defaults to the mapping keys"))),
     "corpus": ("corpus generation", {
-        "gen": (None, _corpus_gen_args),
+        "gen": (None, cmd_corpus_gen,
+            ("--spec", dict(help="corpus spec JSON file")),
+            ("--model", dict(choices=["gnp", "regular", "union-of-cycles"], default="gnp")),
+            ("--n", dict(type=int, default=6)),
+            ("--count", dict(type=int, default=1)),
+            ("--p", dict(type=float)),
+            ("--d", dict(type=int)),
+            ("--cycles", dict(type=int)),
+            ("--seed", dict(type=int, default=0))),
     }),
 }
 
@@ -733,17 +648,21 @@ def _parser(built: bool = True, **kwargs) -> argparse.ArgumentParser | None:
     return argparse.ArgumentParser(**kwargs) if built else None
 
 
-def _add_subcommands(parser, table: dict, dest: str, words) -> None:
+def _add_subcommands(parser, table: dict, dest: str, words, group: str = "") -> None:
     sub = parser.add_subparsers(dest=dest, required=True, parser_class=_parser)
-    for name, (text, build) in table.items():
-        options = {} if text is None else {"help": text}
-        p = sub.add_parser(name, built=words is None or name in words, **options)
+    for name, (text, body, *options) in table.items():
+        listed = {} if text is None else {"help": text}
+        p = sub.add_parser(name, built=words is None or name in words, **listed)
         if p is None:
             continue
-        if isinstance(build, dict):
-            _add_subcommands(p, build, "action", words)
-        else:
-            build(p)
+        if isinstance(body, dict):
+            _add_subcommands(p, body, "action", words, f"{name} ")
+            continue
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        if group + name in ROUTES:
+            p.add_argument("--validate", action="store_true")
+        p.set_defaults(handler=body, route=group + name)
 
 
 def build_parser(words: Iterable[str] | None = None) -> argparse.ArgumentParser:

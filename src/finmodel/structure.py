@@ -117,10 +117,7 @@ from .formula import (
     Membership,
     Negation,
     Var,
-    constants,
-    free_vars,
-    quantifier_depth,
-    subformulas,
+    _walk,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -267,9 +264,11 @@ class _Generator:
     One pass over the subformulas, innermost first, finds the shape of
     each quantifier-free one and so the quantifiers whose body is a
     conjunction of literals (:attr:`conjuncts`), and what the context
-    must hold (:attr:`uses`): ``members`` only where code reads it."""
+    must hold (:attr:`uses`): ``members`` only where code reads it.  The
+    atoms it meets give the formula's free variables, in order of first
+    occurrence, its constants and its quantifier depth."""
 
-    def __init__(self, phi: Formula, constants: tuple[int, ...]):
+    def __init__(self, phi: Formula):
         self.kinds: set[type] = set()
         self.uses: set[str] = set()
         # weak-keyed, so that a generator kept for its formula does not keep it
@@ -278,9 +277,9 @@ class _Generator:
         # the subformulas whose code reads ``members``: a node is emitted
         # alike wherever it occurs, so this holds at each occurrence
         reads: set[Formula] = set()
-        nodes = list(subformulas(phi))
-        self.nodes, self.atoms = len(nodes), 0
-        for f in reversed(nodes):
+        nodes = list(_walk(phi))
+        atoms: list[tuple[Formula, tuple[str, ...]]] = []
+        for f, bound in reversed(nodes):
             kind = type(f)
             self.kinds.add(kind)
             if kind is Negation:
@@ -293,7 +292,7 @@ class _Generator:
                 read = f.left in reads or f.right in reads
             elif kind is Membership or kind is Equality:
                 shape[f] = _ATOM
-                self.atoms += 1
+                atoms.append((f, bound))
                 read = kind is Membership
             elif shape.get(f.body, _DISJUNCTION) != _DISJUNCTION:
                 literals = self.conjuncts[f] = _conjuncts(f.body)
@@ -314,7 +313,10 @@ class _Generator:
         if phi in reads:
             self.uses.add("members")
         self.relativized = BoundedExists in self.kinds
-        self.constants = constants
+        self.nodes, self.atoms, self.depth = len(nodes), len(atoms), max(len(bound) for _, bound in atoms)
+        terms = [(t, bound) for f, bound in reversed(atoms) for t in (f.left, f.right)]  # in preorder
+        self.free_vars = list(dict.fromkeys(t.name for t, bound in terms if type(t) is Var and t.name not in bound))
+        self.constants = tuple({t.ident for t, _ in terms if type(t) is Const})
 
     def context(self, metered: bool) -> tuple[dict, list[str]]:
         """The context for the structure ``N``, keyed by ``"members"``,
@@ -591,11 +593,10 @@ class CompiledFormula:
     """
 
     def __init__(self, phi: Formula):
-        self.free_vars, self.constants = free_vars(phi), tuple(constants(phi))
-        self.gen = _Generator(phi, self.constants)
-        self.relativized = self.gen.relativized
-        self.steps = None if self.gen.kinds & {Exists, BoundedExists} else 2 * self.gen.atoms
-        self.nodes, self.depth = self.gen.nodes, quantifier_depth(phi)
+        self.gen = gen = _Generator(phi)
+        self.free_vars, self.constants, self.relativized = gen.free_vars, gen.constants, gen.relativized
+        self.steps = None if gen.kinds & {Exists, BoundedExists} else 2 * gen.atoms
+        self.nodes, self.depth = gen.nodes, gen.depth
         self.formula = weakref.ref(phi)
         self.made: dict[tuple[str, bool], Callable] = {}
 

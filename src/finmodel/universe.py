@@ -110,16 +110,15 @@ def hf_apply(g: int, x: int) -> int:
     return values.pop()
 
 
-_rank_cache: dict[int, int] = {0: 0}
-
-
 def hf_rank(code: int) -> int:
-    """0 for the empty set, else one more than the largest member rank."""
-    cached = _rank_cache.get(code)
-    if cached is not None:
-        return cached
-    rank = 1 + max(hf_rank(m) for m in hf_members(code))
-    _rank_cache[code] = rank
+    """0 for the empty set, else one more than the largest member rank.
+    The codes of rank below n form a range from 0, so the largest member,
+    the top set bit, has the largest rank."""
+    if code < 0:
+        raise ValueError("codes are nonnegative")
+    rank = 0
+    while code:
+        code, rank = code.bit_length() - 1, rank + 1
     return rank
 
 

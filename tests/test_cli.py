@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -311,25 +312,45 @@ def test_gamma_validation_checks_the_paths(fixtures, monkeypatch, capsys):
         assert result["paths"] == paths and result["validated"] is False
 
 
-def _subcommands(parser, prefix=()):
-    """Each leaf subcommand of *parser*, as its words, with its parser."""
-    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not actions:
-        yield " ".join(prefix), parser
-    for action in actions:
-        for name, sub in action.choices.items():
-            yield from _subcommands(sub, (*prefix, name))
+def _every_command(parser, prefix=()):
+    """The words of the top level, each group and each leaf subcommand
+    of *parser* that is built, each with its parser."""
+    yield list(prefix), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                if sub is not None:
+                    yield from _every_command(sub, (*prefix, name))
 
 
 def test_exactly_the_routed_subcommands_take_validate():
     validated = {
-        name for name, p in _subcommands(cli.build_parser())
+        " ".join(words) for words, p in _every_command(cli.build_parser())
         if any("--validate" in a.option_strings for a in p._actions)
     }
     assert validated == set(cli.ROUTES) == {
         "hull", "chain", "graph bonds", "graph gamma", "graph veblen", "graph bridges",
         "graph dcc", "bondfaithful check", "bondfaithful search", "sunflower", "freeset",
     }
+
+
+HELP_DIGEST = "cc03123bc150f5e99984a59948432304b67e250adeb3fea63d95e7c92e5626ee"
+
+
+def test_help_and_usage_are_pinned_and_parsers_are_built_lazily(monkeypatch, capsys):
+    # argparse wraps help and usage to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [words for words, _ in _every_command(cli.build_parser())]
+    digest = hashlib.sha256()
+    for words in commands:
+        for argv in ([*words, "--help"], [*words, "--no-such-flag"]):
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            digest.update(repr((argv, code, out, err)).encode())
+    assert len(commands) == 1 + 4 + 19
+    assert digest.hexdigest() == HELP_DIGEST
+    lazy = cli.build_parser(["graph", "bonds"])
+    assert [words for words, _ in _every_command(lazy)] == [[], ["graph"], ["graph", "bonds"]]
 
 
 def test_bondfaithful_search_validates_status_and_parts(fixtures, monkeypatch, capsys):

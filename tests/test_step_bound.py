@@ -148,7 +148,7 @@ def test_the_deep_formulas_are_split(monkeypatch):
     monkeypatch.setattr(structure, "compile", counting, raising=False)
     for phi in _deep_formulas():
         for metered in (True, False):
-            structure._Generator(phi, ()).evaluator(phi, structure._record(phi).free_vars, metered)
+            structure._Generator(phi).evaluator(phi, structure._record(phi).free_vars, metered)
             assert "def _f1(" in source[-1]
             assert ("left" in source[-1]) == metered
 

@@ -1,3 +1,6 @@
+import functools
+import random
+
 import pytest
 
 from finmodel.graph import cycle_graph, make_graph
@@ -89,6 +92,19 @@ def test_rank_known_examples():
     assert hf_rank(0) == 0
     assert hf_rank(1) == 1
     assert hf_rank(11) == 3
+
+
+def test_rank_agrees_with_its_recursive_definition():
+    @functools.lru_cache(maxsize=None)
+    def rank(code):
+        members = [i for i in range(code.bit_length()) if code >> i & 1]
+        return 1 + max(map(rank, members)) if members else 0
+
+    rng = random.Random(29)
+    codes = [*range(2**16), *(rng.getrandbits(rng.randint(1, 3000)) for _ in range(200))]
+    assert [hf_rank(c) for c in codes] == [rank(c) for c in codes]
+    with pytest.raises(ValueError):
+        hf_rank(-1)
 
 
 def test_ops_agree_with_decode_recompute_oracle_on_v4():
