@@ -264,6 +264,9 @@ def cut_to_bonds(G: Graph, F: Iterable[Edge]) -> list[frozenset[Edge]]:
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# the stack type of enumerate_bonds' side search, a name that a test can
+# replace to count the nodes grown
+_Stack = list
 
 
 def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edge]]:
@@ -299,9 +302,29 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
 
     While nothing is barred the flood starts at the lowest vertex of
     comp - S and only tells whether S is a bond side.  A node whose cut
-    is over max_size grows without a flood.  Cuts are collected by size;
-    of two cuts of one size the larger mask is the one whose sorted edge
-    list comes first.  Components larger than the cap raise.
+    is over max_size grows without a flood, but only into children that
+    pass the fence.  A node's fence is the incident-edge mask of its
+    barred vertices.  A side below the node holds S and leaves the
+    barred vertices out, so its cut holds every edge between S and a
+    barred vertex, and those edges are exactly cut(S) & fence.  A child
+    S' = S + j is therefore pushed only when cut(S') & fence, taken with
+    the fence that bars j's earlier siblings, has at most max_size
+    edges; below a child that fails lies no bond of at most max_size
+    edges, its own cut included.
+
+    This bounds the search.  Every barred vertex is adjacent to S, by a
+    distinct edge of cut(S) & fence, so a pushed node bars at most
+    kappa = min(max_size, m) vertices.  The i-th child of a node, counting
+    the children that fail, bars i-1 more vertices than its parent, so
+    the child indices i_1, ..., i_d on the path to a node of depth d
+    satisfy sum(i_t - 1) <= kappa.  There are C(d + kappa, kappa) such
+    paths, and d < n for a component of n vertices, as S gains a vertex
+    at each step, so a component grows at most
+    sum(C(d + kappa, kappa) for d < n) = C(n + kappa, kappa + 1) nodes:
+    polynomial for fixed kappa.  The stack is made by ``_Stack``, so a
+    test can count the nodes.  Cuts are collected by size; of two cuts
+    of one size the larger mask is the one whose sorted edge list comes
+    first.  Components larger than the cap raise.
     """
     _, index, adj = G._view
     edges = sorted(G.edges)
@@ -311,8 +334,9 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
         bit = 1 << (m - 1 - k)
         inc[index[u]] |= bit
         inc[index[v]] |= bit
-    # no cut holds more than the m edges
+    # no cut holds more than the m edges, so a cap of m fences nothing
     cap = m if max_size is None else min(max_size, m)
+    unbounded = cap == m
     by_size: list[list[int]] = [[] for _ in range(cap + 1)]
     for comp in _components(adj):
         size = comp.bit_count()
@@ -320,12 +344,13 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
             raise InputError(
                 f"component with {size} vertices exceeds the enumeration cap"
             )
-        # a node is comp - S, S's frontier, the barred vertices and S's cut
+        # a node is comp - S, S's frontier, the barred vertices, their
+        # fence and S's cut
         anchor = comp & -comp
         i = anchor.bit_length() - 1
-        stack = [(comp ^ anchor, adj[i], 0, inc[i])]
+        stack = _Stack([(comp ^ anchor, adj[i], 0, 0, inc[i])])
         while stack:
-            rest, frontier, barred, cut = stack.pop()
+            rest, frontier, barred, fence, cut = stack.pop()
             if rest and cut.bit_count() <= cap:
                 start = barred or rest
                 reach = _reach(adj, start & -start, rest)
@@ -345,9 +370,12 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
                 low = fresh & -fresh
                 fresh ^= low
                 j = low.bit_length() - 1
-                left = rest ^ low
-                stack.append((left, (frontier | adj[j]) & left, barred, cut ^ inc[j]))
+                child = cut ^ inc[j]
+                if unbounded or (child & fence).bit_count() <= cap:
+                    left = rest ^ low
+                    stack.append((left, (frontier | adj[j]) & left, barred, fence, child))
                 barred |= low
+                fence |= inc[j]
     # a cut's binary digits under a leading 1, read left to right, select
     # its edges from the sorted edges
     top = 1 << m

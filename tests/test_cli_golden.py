@@ -188,6 +188,8 @@ def test_fm_outputs_match_recorded_digest(tmp_path, monkeypatch, capsys):
     _write_fixtures(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("FM_EVAL_BUDGET", raising=False)
+    # argparse wraps usage errors to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
     digest = hashlib.sha256()
     for argv in COMMANDS:
         code = cli.main(list(argv))

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import math
 import pickle
 import time
 
 import pytest
 
+import finmodel.graph as graph
 from finmodel.corpus import gnp_graph
 from finmodel.decompose import chain_slices
 from finmodel.graph import (
@@ -497,6 +499,83 @@ def test_enumerate_bonds_size_bound_past_the_edge_count():
             assert enumerate_bonds(G, max_size=k) == every
         for k in (0, -1, -(10**12)):
             assert enumerate_bonds(G, max_size=k) == []
+
+
+def _bonds_by_is_bond(G, k, vertices=None):
+    """The edge sets of 1 to k edges, among the edges with both ends in
+    ``vertices`` (default: all), that ``is_bond`` accepts, sorted by size
+    and then by sorted edge list."""
+    edges = sorted(e for e in G.edges if vertices is None or set(e) <= vertices)
+    found = [
+        frozenset(F)
+        for r in range(1, k + 1)
+        for F in itertools.combinations(edges, r)
+        if is_bond(G, F)
+    ]
+    return sorted(found, key=lambda F: (len(F), sorted(F)))
+
+
+def test_size_bounded_bond_lists_past_the_definition_gate():
+    # seeded hosts on 17 to 20 vertices, past the 16-vertex gate of
+    # bonds_by_definition and up to the enumeration cap: connected gnp
+    # graphs, a host of two components and an isolated vertex, and one
+    # labelled with set codes
+    rng = seeded(3030)
+    hosts = [_connected_gnp(n, p, rng) for n in (17, 18, 19, 20) for p in (0.2, 0.3)]
+    left, right = _connected_gnp(9, 0.4, rng), _connected_gnp(10, 0.35, rng)
+    hosts.append(
+        make_graph(range(20), left.edges | {(u + 9, v + 9) for u, v in right.edges})
+    )
+    hosts.append(recode_graph(_connected_gnp(18, 0.25, rng))[0])
+    assert len(components(hosts[-2])) == 3
+    for G in hosts:
+        # an unbounded listing on at most 45 edges takes under a second
+        every = enumerate_bonds(G) if len(G.edges) <= 45 else None
+        for k in (1, 2, 3):
+            want = _bonds_by_is_bond(G, k)
+            assert enumerate_bonds(G, k) == want
+            if every is not None:
+                assert [F for F in every if len(F) <= k] == want
+    assert sum(len(G.edges) <= 45 for G in hosts) == 8
+    # a permutation of the vertices carries any three edges of K20 into
+    # K6 on 0..5 and keeps bonds bonds, so K6's edge sets stand for all
+    K20 = complete_graph(20)
+    for k in (1, 2, 3):
+        assert enumerate_bonds(K20, k) == _bonds_by_is_bond(K20, k, set(range(6))) == []
+
+
+class _CountingStack(list):
+    """A stack for ``enumerate_bonds`` that counts the nodes it pops."""
+
+    pops = 0
+
+    def pop(self):
+        _CountingStack.pops += 1
+        return super().pop()
+
+
+def test_size_bounded_bond_listing_grows_at_most_the_fence_bound(monkeypatch):
+    # a listing of the bonds of at most kappa edges grows at most
+    # C(n + kappa, kappa + 1) nodes in a component of n vertices
+    monkeypatch.setattr(graph, "_Stack", _CountingStack)
+    rng = seeded(3031)
+    hosts = [
+        gnp_graph(rng.randint(2, 20), rng.choice((0.15, 0.3, 0.6, 1.0)), rng)
+        for _ in range(150)
+    ]
+    for G in hosts:
+        sizes = [len(c) for c in components(G)]
+        for kappa in (1, 2, 3, 4):
+            _CountingStack.pops = 0
+            enumerate_bonds(G, kappa)
+            assert 0 < _CountingStack.pops <= sum(
+                math.comb(n + kappa, kappa + 1) for n in sizes
+            )
+    # K20 has 2**19 connected sides that hold vertex 0; at kappa 2 the
+    # fence lets at most C(22, 3) = 1,540 of them grow
+    _CountingStack.pops = 0
+    assert enumerate_bonds(complete_graph(20), 2) == []
+    assert 0 < _CountingStack.pops <= 1540
 
 
 # SHA-256 of the bond lists below, recorded from the kernel that flooded
