@@ -302,8 +302,8 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
 
     While nothing is barred the flood starts at the lowest vertex of
     comp - S and only tells whether S is a bond side.  A node whose cut
-    is over max_size grows without a flood, but only into children that
-    pass the fence.  A node's fence is the incident-edge mask of its
+    is over max_size grows without a flood.  Every node grows only into
+    the children that pass the fence, the incident-edge mask of its
     barred vertices.  A side below the node holds S and leaves the
     barred vertices out, so its cut holds every edge between S and a
     barred vertex, and those edges are exactly cut(S) & fence.  A child
@@ -334,9 +334,8 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
         bit = 1 << (m - 1 - k)
         inc[index[u]] |= bit
         inc[index[v]] |= bit
-    # no cut holds more than the m edges, so a cap of m fences nothing
+    # no cut holds more than the m edges
     cap = m if max_size is None else min(max_size, m)
-    unbounded = cap == m
     by_size: list[list[int]] = [[] for _ in range(cap + 1)]
     for comp in _components(adj):
         size = comp.bit_count()
@@ -371,7 +370,7 @@ def enumerate_bonds(G: Graph, max_size: int | None = None) -> list[frozenset[Edg
                 fresh ^= low
                 j = low.bit_length() - 1
                 child = cut ^ inc[j]
-                if unbounded or (child & fence).bit_count() <= cap:
+                if (child & fence).bit_count() <= cap:
                     left = rest ^ low
                     stack.append((left, (frontier | adj[j]) & left, barred, fence, child))
                 barred |= low
