@@ -180,9 +180,10 @@ def _edges_json(edges) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (exit_code, result dict or DOT text, *answer);
-# a handler with an oracle route puts its fast answer after the result
-# for main to judge by :data:`ROUTES`, and "validated": false exits 1
+# handlers: each returns (exit_code, result dict, *answer); a handler
+# with an oracle route or a drawing puts its fast answer after the
+# result, for main to judge by :data:`ROUTES`, where "validated": false
+# exits 1, and to draw by :data:`DRAWINGS`
 
 
 def cmd_parse(args):
@@ -279,12 +280,10 @@ def cmd_slice(args):
         "covers_host": sliced.covers_host,
         "partition": partition,
     }
-    if args.format == "dot":
-        return EXIT_OK, graph_to_dot(G, sliced.slices)
     code = EXIT_OK
     if sliced.all_coherent and sliced.covers_host and not partition:
         code = EXIT_VIOLATION
-    return code, result
+    return code, result, G, sliced
 
 
 def cmd_probe(args):
@@ -358,7 +357,6 @@ def cmd_graph_veblen(args):
     if not outcome.ok:
         return EXIT_VIOLATION, {"decomposable": False, "odd_vertex": outcome.odd_vertex}
     parts = outcome.decomposition.parts
-    # with --format dot, main prints the cycles as DOT once they validate
     return EXIT_OK, {"decomposable": True, "cycles": [_edges_json(p.edges) for p in parts]}, G, parts
 
 
@@ -409,8 +407,6 @@ def cmd_bondfaithful_search(args):
     if outcome.decomposition is not None:
         result["parts"] = [graph_to_json(p) for p in outcome.decomposition.parts]
         result["report"] = _bond_report_json(outcome.report)
-        if args.format == "dot":
-            return EXIT_OK, graph_to_dot(G, outcome.decomposition.parts)
         return EXIT_OK, result, G, outcome
     return EXIT_VIOLATION, result, G, outcome
 
@@ -546,6 +542,15 @@ ROUTES = {
     "freeset": lambda args, chosen, mapping: is_free(chosen, mapping),
 }
 
+# ``fm --format dot`` draws these leaves' answers, as a graph and its
+# parts, where there are parts and they validate; every other answer
+# prints as its report
+DRAWINGS = {
+    "slice": lambda G, sliced: (G, sliced.slices),
+    "graph veblen": lambda G, parts: (G, parts),
+    "bondfaithful search": lambda G, outcome: outcome.decomposition and (G, outcome.decomposition.parts),
+}
+
 
 # ---------------------------------------------------------------------------
 # argument wiring
@@ -662,7 +667,7 @@ def _add_subcommands(parser, table: dict, dest: str, words, group: str = "") -> 
             p.add_argument(flag, **keywords)
         if group + name in ROUTES:
             p.add_argument("--validate", action="store_true")
-        p.set_defaults(handler=body, route=group + name)
+        p.set_defaults(handler=body, route=group + name, validate=False)
 
 
 def build_parser(words: Iterable[str] | None = None) -> argparse.ArgumentParser:
@@ -699,13 +704,11 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:  # ParseError and EvalError among them
         print(f"fm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(result, str):
-        sys.stdout.write(result)
-        return code
+    drawn = args.format == "dot" and args.route in DRAWINGS and answer and DRAWINGS[args.route](*answer)
     if not result.get("validated", True):
         code = EXIT_VIOLATION
-    elif args.format == "dot" and args.route == "graph veblen" and answer:
-        sys.stdout.write(graph_to_dot(*answer))
+    elif drawn:
+        sys.stdout.write(graph_to_dot(*drawn))
         return code
     report = {"schema": SCHEMA, "command": args.command, "result": result}
     try:  # both writers recurse once per nesting level of the report

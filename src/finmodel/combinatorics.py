@@ -9,7 +9,7 @@ that kernel.  Exhaustive searches double as oracles for it.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, read_int
 
@@ -148,11 +148,10 @@ class FreeSetReport(NamedTuple):
     maximum_size: int | None  # brute-force optimum on small grounds
 
 
-def is_free(chosen: Iterable[int], F: Mapping[int, frozenset[int]] | Callable[[int], frozenset[int]]) -> bool:
-    lookup = F.__getitem__ if isinstance(F, Mapping) else F
+def is_free(chosen: Iterable[int], F: Mapping[int, frozenset[int]]) -> bool:
     picked = list(chosen)
     return all(
-        y2 not in lookup(y1)
+        y2 not in F[y1]
         for y1 in picked
         for y2 in picked
         if y1 != y2
@@ -161,7 +160,7 @@ def is_free(chosen: Iterable[int], F: Mapping[int, frozenset[int]] | Callable[[i
 
 def free_set(
     ground: Iterable[int],
-    F: Mapping[int, Iterable[int]] | Callable[[int], Iterable[int]],
+    F: Mapping[int, Iterable[int]],
 ) -> FreeSetReport:
     """Greedy maximal free set for a set mapping, ascending scan.
 
@@ -170,8 +169,7 @@ def free_set(
     limit the true maximum size is computed alongside for comparison.
     """
     members = sorted(set(ground))
-    lookup = (lambda x: frozenset(F[x])) if isinstance(F, Mapping) else (lambda x: frozenset(F(x)))
-    images = {x: lookup(x) for x in members}
+    images = {x: frozenset(F[x]) for x in members}
     kept: list[int] = []
     blocked: set[int] = set()
     for x in members:

@@ -567,8 +567,10 @@ class FormulaPack:
 def subformula_closure(pack: FormulaPack) -> FormulaPack:
     """Close a pack under subformulas, deduplicating structurally.
 
-    Members come first in their original order, newly discovered
-    subformulas follow in discovery order.  Idempotent.
+    Each member, in order, is followed by those of its subformulas not
+    yet listed, in preorder: (``Ex (x in y)``, ``y = y``, ``x in y``)
+    closes to (``Ex (x in y)``, ``x in y``, ``y = y``).  Hull traces
+    follow this order.  Idempotent.
     """
     seen: dict[Formula, None] = {}
     for f in pack.formulas:

@@ -144,7 +144,7 @@ def _fresh_valuations(ordered: list[int], new: set[int], k: int) -> Iterable[tup
 def _close(
     seed: frozenset[int],
     oracle: _WitnessOracle,
-    trace: list[TraceStep] | None,
+    trace: list[TraceStep],
 ) -> frozenset[int]:
     current = set(seed)
     N, budget = oracle.N, oracle.budget
@@ -166,8 +166,7 @@ def _close(
             for values, w in search(N, budget, valuations):
                 if w not in current:
                     current.add(w)
-                    if trace is not None:
-                        trace.append(TraceStep(phi, tuple(zip(names, values)), w))
+                    trace.append(TraceStep(phi, tuple(zip(names, values)), w))
                     changed = True
     return frozenset(current)
 

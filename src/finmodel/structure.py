@@ -218,31 +218,30 @@ def _exhausted(budget: Budget, left: int) -> NoReturn:
 # 100 indentation levels in one function.
 _SPLIT_DEPTH = 12
 
-# The shape of a quantifier-free subformula, read through ``~~`` pairs:
-# an atom, a negated atom, a tree of ``|`` whose leaves are those, or
-# ``~`` of such a tree.  A ``~`` flips the low bit.
-_ATOM, _NEGATED_ATOM, _DISJUNCTION, _CONJUNCTION = range(4)
-
-
-def _conjuncts(body: Formula) -> list[tuple[Formula, bool]]:
-    """The literals of *body*, shaped an atom, a negated atom or a
-    conjunction, left to right, each as its atom and whether it stands
-    unnegated: the body itself, or the leaves of the ``|`` tree under its
-    ``~``, each negated."""
+def _conjuncts(body: Formula) -> list[tuple[Formula, bool]] | None:
+    """The literals of *body* when it is a conjunction of literals, left
+    to right, each as its atom and whether it stands unnegated, else
+    None.  Read through ``~~`` pairs, such a body is an atom, a negated
+    atom, or ``~`` of a tree of ``|`` whose leaves are those, which gives
+    the leaves, each negated."""
     negated = False
     while type(body) is Negation:
         body, negated = body.body, not negated
     if type(body) is not Disjunction:
-        return [(body, not negated)]
+        return [(body, not negated)] if type(body) is Membership or type(body) is Equality else None
+    if not negated:
+        return None
     literals, stack = [], [(body, False)]
     while stack:
         f, negated = stack.pop()
         while type(f) is Negation:
             f, negated = f.body, not negated
-        if type(f) is Disjunction:
-            stack += ((f.right, negated), (f.left, negated))
-        else:
+        if type(f) is Disjunction and not negated:
+            stack += ((f.right, False), (f.left, False))
+        elif type(f) is Membership or type(f) is Equality:
             literals.append((f, negated))
+        else:
+            return None
     return literals
 
 
@@ -261,60 +260,41 @@ class _Generator:
     sweep emits the body once over N and once with the scans over M, and
     a split function is handed the context it was split from.
 
-    One pass over the subformulas, innermost first, finds the shape of
-    each quantifier-free one and so the quantifiers whose body is a
-    conjunction of literals (:attr:`conjuncts`), and what the context
-    must hold (:attr:`uses`): ``members`` only where code reads it.  The
+    One preorder pass over the subformulas asks :func:`_conjuncts` which
+    quantifiers scan set-at-a-time, and so what the context must hold
+    (:attr:`uses`): ``members`` only where code reads it, at a membership
+    atom that no scan reads through ``containers`` or ``loops``.  The
     atoms it meets give the formula's free variables, in order of first
     occurrence, its constants and its quantifier depth."""
 
     def __init__(self, phi: Formula):
         self.kinds: set[type] = set()
         self.uses: set[str] = set()
-        # weak-keyed, so that a generator kept for its formula does not keep it
-        self.conjuncts: weakref.WeakKeyDictionary[Formula, list[tuple[Formula, bool]]] = weakref.WeakKeyDictionary()
-        shape: dict[Formula, int] = {}
-        # the subformulas whose code reads ``members``: a node is emitted
-        # alike wherever it occurs, so this holds at each occurrence
-        reads: set[Formula] = set()
         nodes = list(_walk(phi))
         atoms: list[tuple[Formula, tuple[str, ...]]] = []
-        for f, bound in reversed(nodes):
+        member_reads = 0  # the membership atoms whose code reads ``members``
+        for f, bound in nodes:
             kind = type(f)
             self.kinds.add(kind)
-            if kind is Negation:
-                if f.body in shape:
-                    shape[f] = shape[f.body] ^ 1
-                read = f.body in reads
-            elif kind is Disjunction:
-                if max(shape.get(f.left, _CONJUNCTION), shape.get(f.right, _CONJUNCTION)) <= _DISJUNCTION:
-                    shape[f] = _DISJUNCTION
-                read = f.left in reads or f.right in reads
-            elif kind is Membership or kind is Equality:
-                shape[f] = _ATOM
+            if kind is Membership or kind is Equality:
                 atoms.append((f, bound))
-                read = kind is Membership
-            elif shape.get(f.body, _DISJUNCTION) != _DISJUNCTION:
-                literals = self.conjuncts[f] = _conjuncts(f.body)
+                member_reads += kind is Membership
+            elif kind is Exists or kind is BoundedExists:
+                literals = _conjuncts(f.body)
+                if literals is None:
+                    if kind is Exists:
+                        self.uses.add("universe")
+                    continue
                 self.uses.add("full" if kind is Exists else "scopemask")
-                read = False
                 for atom, _ in literals:
-                    if type(atom) is Membership:
-                        if _is_var(atom.right, f.var):
-                            self.uses.add("loops" if _is_var(atom.left, f.var) else "containers")
-                        else:  # a member mask, or one member bit
-                            read = True
-            else:
-                if kind is Exists:
-                    self.uses.add("universe")
-                read = f.body in reads
-            if read:
-                reads.add(f)
-        if phi in reads:
+                    if type(atom) is Membership and _is_var(atom.right, f.var):
+                        self.uses.add("loops" if _is_var(atom.left, f.var) else "containers")
+                        member_reads -= 1
+        if member_reads:
             self.uses.add("members")
         self.relativized = BoundedExists in self.kinds
         self.nodes, self.atoms, self.depth = len(nodes), len(atoms), max(len(bound) for _, bound in atoms)
-        terms = [(t, bound) for f, bound in reversed(atoms) for t in (f.left, f.right)]  # in preorder
+        terms = [(t, bound) for f, bound in atoms for t in (f.left, f.right)]
         self.free_vars = list(dict.fromkeys(t.name for t, bound in terms if type(t) is Var and t.name not in bound))
         self.constants = tuple({t.ident for t, _ in terms if type(t) is Const})
 
@@ -506,8 +486,9 @@ class _Generator:
             charge, scan = ("size", "universe") if isinstance(phi, Exists) else ("nscope", "scope")
             if self.metered:
                 lines += [f"{pad}left -= {ctx[charge]}", f"{pad}if left < 0: _exhausted(budget, left)"]
-            if phi in self.conjuncts:
-                found = self.scan(phi, env, ctx, lines, pad)
+            literals = _conjuncts(phi.body)
+            if literals is not None:
+                found = self.scan(phi, literals, env, ctx, lines, pad)
             else:
                 found = self.variable()
                 lines += [f"{pad}r = False", f"{pad}for {found} in {ctx[scan]}:"]
@@ -534,9 +515,10 @@ class _Generator:
             return f"{ctx['members']}[{right}]"
         return f"{ctx['containers']}[{left}]" if y else f"-({ctx['members']}[{right}] >> {left} & 1)"
 
-    def scan(self, phi: Formula, env: dict[str, str], ctx: dict, lines: list[str], pad: str) -> str:
-        """Statements that scan the quantifier *phi*, whose body is a
-        conjunction of literals, set-at-a-time, after its own charge.
+    def scan(self, phi: Formula, literals: list[tuple[Formula, bool]], env: dict[str, str], ctx: dict, lines: list[str], pad: str) -> str:
+        """Statements that scan the quantifier *phi*, whose body is the
+        conjunction of *literals* (:func:`_conjuncts`), set-at-a-time,
+        after its own charge.
 
         The body holds at the elements of the AND of its literals' masks,
         each complemented where the literal is negated, and the scan's
@@ -551,7 +533,7 @@ class _Generator:
         at -1.  Of N's own mask, the elements 0 to size - 1, the bits up
         to the witness are its bit length, and all of them without one."""
         z, masks = phi.var, [ctx["full" if isinstance(phi, Exists) else "scopemask"]]
-        for atom, positive in self.conjuncts[phi]:
+        for atom, positive in literals:
             mask = self.literal(atom, z, env, ctx)
             masks.append(self.variable())
             lines.append(f"{pad}{masks[-1]} = {masks[-2]} & {mask if positive else f'~{mask}'}")

@@ -375,8 +375,9 @@ def test_bondfaithful_search_validates_status_and_parts(fixtures, monkeypatch, c
     monkeypatch.setattr(cli, "bond_faithful_by_definition", lambda *a: False)
     assert cli.main(search + ["1"]) == 1
     assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
-    assert cli.main(["--format", "dot"] + search + ["1"]) == 0
-    assert capsys.readouterr().out.startswith("graph G {")
+    # a decomposition that fails validation prints the report, not DOT
+    assert cli.main(["--format", "dot"] + search + ["1"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
 
 
 def test_failed_veblen_validation_prints_the_report_not_dot(fixtures, monkeypatch, capsys):

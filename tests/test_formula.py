@@ -179,6 +179,11 @@ def test_subformula_closure_known_cases():
     neg = subformula_closure(FormulaPack("n", (parse("~(x = y)"),)))
     assert neg.formulas == (parse("~(x = y)"), parse("x = y"))
 
+    # each member is followed by its subformulas not yet listed
+    pack = FormulaPack("q", (parse("Ex (x in y)"), parse("y = y"), parse("x in y")))
+    closed = subformula_closure(pack).formulas
+    assert closed == (parse("Ex (x in y)"), parse("x in y"), parse("y = y"))
+
 
 def test_subformula_closure_idempotent_and_monotone():
     pack = FormulaPack("p", (parse("Ex (x in y | Ez (z in x))"), parse("x = y")))
