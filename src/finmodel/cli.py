@@ -543,8 +543,8 @@ ROUTES = {
 }
 
 # ``fm --format dot`` draws these leaves' answers, as a graph and its
-# parts, where there are parts and they validate; every other answer
-# prints as its report
+# parts, where there are parts and they validate; any other answer of
+# theirs prints as its report, and any other leaf is a usage error
 DRAWINGS = {
     "slice": lambda G, sliced: (G, sliced.slices),
     "graph veblen": lambda G, parts: (G, parts),
@@ -694,6 +694,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches the contract
         return int(exc.code or 0)
+    if args.format == "dot" and args.route not in DRAWINGS:
+        print(f"fm: error: --format dot draws only {', '.join(DRAWINGS)}, not {args.route}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         code, result, *answer = args.handler(args)
         if answer and args.validate:
@@ -704,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:  # ParseError and EvalError among them
         print(f"fm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    drawn = args.format == "dot" and args.route in DRAWINGS and answer and DRAWINGS[args.route](*answer)
+    drawn = args.format == "dot" and answer and DRAWINGS[args.route](*answer)
     if not result.get("validated", True):
         code = EXIT_VIOLATION
     elif drawn:

@@ -144,9 +144,10 @@ def _prop_bridgeless(G: Graph) -> tuple[bool, object]:
     return True, None
 
 
-def _prop_no_small_component(G: Graph, bound: int = 3) -> tuple[bool, object]:
+def _prop_no_small_component(G: Graph) -> tuple[bool, object]:
+    # no component of two vertices, one edge on its own
     for comp in components(G):
-        if 1 < len(comp) < bound:
+        if len(comp) == 2:
             return False, {"component": sorted(comp)}
     return True, None
 
@@ -271,19 +272,15 @@ def well_reflecting_probe(
     the report simply records every failure found."""
     if property_name not in PROPERTIES:
         raise KeyError(f"unknown property {property_name!r}; available: {sorted(PROPERTIES)}")
-    prop = PROPERTIES[property_name]
     workers = min(workers, len(corpus), os.cpu_count() or 1)
+    args = [(G, pack, property_name, i, allow_rank5, budget) for i, G in enumerate(corpus)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(G, pack, property_name, i, allow_rank5, budget) for i, G in enumerate(corpus)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             instances = tuple(pool.map(_probe_star, args))
     else:
-        instances = tuple(
-            probe_one(G, pack, prop, i, allow_rank5, budget)
-            for i, G in enumerate(corpus)
-        )
+        instances = tuple(map(_probe_star, args))
     return ProbeReport(property_name, pack.name, instances)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, read_only
@@ -54,14 +53,8 @@ class Graph:
     __setattr__ = __delattr__ = read_only
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        _, index, adj = self._view
+        return adj[index[v]].bit_count() if v in index else 0
 
     @functools.cached_property
     def _view(self) -> tuple[list[int], dict[int, int], list[int]]:
@@ -89,9 +82,8 @@ def make_graph(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> Graph
     return Graph(vs, es)
 
 
-def cycle_graph(n: int, offset: int = 0) -> Graph:
-    vs = range(offset, offset + n)
-    return make_graph(vs, [(offset + i, offset + (i + 1) % n) for i in range(n)])
+def cycle_graph(n: int) -> Graph:
+    return make_graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
@@ -426,83 +418,92 @@ def check_bond_inheritance(G: Graph, H: Graph, F: Iterable[Edge]) -> BondInherit
 def edge_connectivity(G: Graph, x: int, y: int) -> int:
     """Minimum number of edges separating x from y (max-flow with unit
     capacities on both orientations of every edge)."""
-    if x == y:
-        raise InputError("endpoints must differ")
-    flow = _max_unit_flow(G, x, y)
-    return flow[0]
+    return _max_unit_flow(G, x, y)[0]
 
 
 def edge_disjoint_paths(G: Graph, x: int, y: int, k: int) -> list[list[int]]:
-    """k pairwise edge-disjoint x-y paths extracted from a maximum flow."""
+    """k pairwise edge-disjoint x-y paths extracted from a maximum flow:
+    each follows the flow from x along its lowest arcs, with the flow
+    cycles it walks through erased."""
+    value, out = _max_unit_flow(G, x, y, k)
+    if k > value:
+        raise InputError(f"asked for {k} paths but connectivity is {value}")
+    order, index, _ = G._view
+    paths = []
+    for _ in range(k):
+        walk = [index[x]]
+        while walk[-1] != index[y]:
+            v = walk[-1]
+            low = out[v] & -out[v]
+            out[v] ^= low
+            walk.append(low.bit_length() - 1)
+        paths.append([order[i] for i in _erase_loops(walk)[1]])
+    return paths
+
+
+def _max_unit_flow(G: Graph, x: int, y: int, k: int = 0) -> tuple[int, list[int]]:
+    """The value of a maximum unit flow from x to y, and out[u], the mask
+    of the positions that u sends a unit to.  The arc u -> v has room
+    exactly when v is in adj[u] & ~out[u]; augmenting along it cancels
+    v's unit to u or sends one from u.  Each round takes a shortest
+    augmenting path, neighbours in lowest-bit order.  k is the path count
+    asked for, checked here so that the entry points report x = y first,
+    then a negative k, then endpoints outside G."""
     if x == y:
         raise InputError("endpoints must differ")
     if k < 0:
         raise InputError(f"path count {k} is negative")
-    value, used = _max_unit_flow(G, x, y)
-    if k > value:
-        raise InputError(f"asked for {k} paths but connectivity is {value}")
-    paths = []
-    for _ in range(k):
-        walk = [x]
-        v = x
-        while v != y:
-            w = min(used[v])
-            used[v].discard(w)
-            if not used[v]:
-                del used[v]
-            walk.append(w)
-            v = w
-        # drop any flow cycles the trail walked through
-        path: list[int] = []
-        position: dict[int, int] = {}
-        for v in walk:
-            if v in position:
-                for dropped in path[position[v] + 1:]:
-                    del position[dropped]
-                del path[position[v] + 1:]
-            else:
-                position[v] = len(path)
-                path.append(v)
-        paths.append(path)
-    return paths
-
-
-def _max_unit_flow(G: Graph, x: int, y: int) -> tuple[int, dict[int, set[int]]]:
     if x not in G.vertices or y not in G.vertices:
         raise InputError("endpoints must be vertices")
-    # residual[u][v] == 1 means one more unit can travel u -> v
-    residual: dict[int, dict[int, int]] = {v: {} for v in G.vertices}
-    for u, v in G.edges:
-        residual[u][v] = 1
-        residual[v][u] = 1
+    _, index, adj = G._view
+    s, t = index[x], index[y]
+    out = [0] * len(adj)
+    parent = [0] * len(adj)
     value = 0
     while True:
-        parent = {x: None}
-        queue = deque([x])
-        while queue and y not in parent:
-            v = queue.popleft()
-            for w in sorted(residual[v]):
-                if residual[v][w] > 0 and w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        if y not in parent:
-            break
-        v = y
-        while parent[v] is not None:
+        seen = 1 << s
+        queue = [s]
+        for u in queue:
+            if seen >> t & 1:
+                break
+            fresh = adj[u] & ~out[u] & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                v = low.bit_length() - 1
+                parent[v] = u
+                queue.append(v)
+        if not seen >> t & 1:
+            return value, out
+        v = t
+        while v != s:
             u = parent[v]
-            residual[u][v] -= 1
-            residual[v][u] += 1
+            if out[v] >> u & 1:
+                out[v] ^= 1 << u
+            else:
+                out[u] |= 1 << v
             v = u
         value += 1
-    # net flow along each undirected edge gives the path system
-    used: dict[int, set[int]] = {}
-    for u, v in G.edges:
-        net_uv = 1 - residual[u][v]
-        if net_uv > 0:
-            used.setdefault(u, set()).add(v)
-        elif net_uv < 0:
-            used.setdefault(v, set()).add(u)
-    return value, used
+
+
+def _erase_loops(walk: list) -> tuple[list[list], list]:
+    """Cut each loop out of a walk as the walk closes it: the loops, each
+    listed from the vertex that closes it, and the path that is left."""
+    loops = []
+    path: list = []
+    position: dict = {}
+    for v in walk:
+        if v in position:
+            cut = position[v] + 1
+            loops.append(path[cut - 1:])
+            for dropped in path[cut:]:
+                del position[dropped]
+            del path[cut:]
+        else:
+            position[v] = len(path)
+            path.append(v)
+    return loops, path
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +543,11 @@ def is_decomposition(G: Graph, parts: Sequence[Graph]) -> bool:
 
 
 def is_cycle(G: Graph) -> bool:
-    active = [v for v in G.vertices if G.degree(v) > 0]
-    if not active or any(G.degree(v) != 2 for v in active):
+    adj = G._view[2]
+    if {nbrs.bit_count() for nbrs in adj} - {0} != {2}:
         return False
     # every degree is 0 or 2, so the edges form disjoint cycles: one is wanted
-    return sum(len(comp) > 1 for comp in components(G)) == 1
+    return sum(comp.bit_count() > 1 for comp in _components(adj)) == 1
 
 
 class CycleDecompositionResult(NamedTuple):
@@ -562,43 +563,31 @@ def veblen_decomposition(G: Graph) -> CycleDecompositionResult:
     """Partition the edges into cycles, possible exactly when every
     degree is even; otherwise report the smallest odd-degree vertex.
 
-    Peeling is deterministic: walks start at the smallest vertex with
-    remaining edges and always leave along the smallest-numbered unused
-    neighbor.
+    Peeling is deterministic: each closed trail starts at the smallest
+    vertex with remaining edges and always leaves along the smallest
+    unused neighbour, and its cycles are the loops cut out of it as it
+    closes them.  Evenness makes each trail end at its start.
     """
     odd = odd_vertices(G)
     if odd:
         return CycleDecompositionResult(None, odd[0])
-    remaining = G.adjacency()
+    order, _, adj = G._view
+    left = adj.copy()
     cycles = []
-    while True:
-        start = min((v for v in remaining if remaining[v]), default=None)
-        if start is None:
-            break
+    for start in range(len(left)):
         walk = [start]
-        index = {start: 0}
-        v = start
-        while remaining[v]:
-            w = min(remaining[v])
-            remaining[v].discard(w)
-            remaining[w].discard(v)
-            if w in index:
-                # close the cycle and keep walking from w; evenness
-                # guarantees the remaining walk can still be consumed
-                cycle_vertices = walk[index[w]:]
-                cycle_edges = [
-                    edge(cycle_vertices[i], cycle_vertices[(i + 1) % len(cycle_vertices)])
-                    for i in range(len(cycle_vertices))
-                ]
-                cycles.append(make_graph(cycle_vertices, cycle_edges))
-                for u in walk[index[w] + 1:]:
-                    del index[u]
-                del walk[index[w] + 1:]
-            else:
-                walk.append(w)
-                index[w] = len(walk) - 1
-            v = w
-        assert walk == [start], "walk finished away from its start"
+        while left[walk[-1]]:
+            v = walk[-1]
+            low = left[v] & -left[v]
+            w = low.bit_length() - 1
+            left[v] ^= low
+            left[w] ^= 1 << v
+            walk.append(w)
+        loops, path = _erase_loops(walk)
+        assert path == [start], "walk finished away from its start"
+        for loop in loops:
+            vs = [order[i] for i in loop]
+            cycles.append(make_graph(vs, zip(vs, vs[1:] + vs[:1])))
     return CycleDecompositionResult(Decomposition(tuple(cycles)), None)
 
 
@@ -660,24 +649,23 @@ def enumerate_cycles(G: Graph) -> list[frozenset[Edge]]:
     """Edge sets of all simple cycles, canonically ordered.
 
     Each cycle is found once, rooted at its smallest vertex, extending
-    paths only through larger-or-equal vertices.
+    paths only through larger vertices.
     """
-    adj = G.adjacency()
+    order, _, adj = G._view
     cycles: set[frozenset[Edge]] = set()
-    for root in sorted(G.vertices):
-        stack = [(root, [root], set())]
+    for root in range(len(adj)):
+        stack = [[root]]
         while stack:
-            v, path, used = stack.pop()
-            for w in sorted(adj[v]):
-                e = edge(v, w)
-                if e in used:
-                    continue
+            path = stack.pop()
+            nbrs = adj[path[-1]] >> root << root
+            while nbrs:
+                w = (nbrs & -nbrs).bit_length() - 1
+                nbrs &= nbrs - 1
                 if w == root and len(path) >= 3:
-                    cycles.add(frozenset(used | {e}))
-                    continue
-                if w in path or w < root:
-                    continue
-                stack.append((w, path + [w], used | {e}))
+                    vs = [order[i] for i in path]
+                    cycles.add(frozenset(map(edge, vs, vs[1:] + vs[:1])))
+                elif w not in path:
+                    stack.append(path + [w])
     return sorted(cycles, key=lambda c: (len(c), sorted(c)))
 
 
@@ -689,7 +677,9 @@ class DoubleCoverResult(NamedTuple):
 def cycle_double_cover_search(G: Graph, budget: int = 200_000) -> DoubleCoverResult:
     """Backtracking search for a family of cycles covering each edge
     exactly twice.  Bridged input is rejected outright (a bridge lies on
-    no cycle, so no cover can exist)."""
+    no cycle, so no cover can exist).  Edge k of the sorted edges is bit
+    k, and each node carries the masks of the edges covered once and
+    twice."""
     if bridges(G):
         raise InputError("graph has a bridge; no cycle can cover it")
     if len(G.edges) > _DOUBLE_COVER_EDGE_GATE:
@@ -698,42 +688,32 @@ def cycle_double_cover_search(G: Graph, budget: int = 200_000) -> DoubleCoverRes
         return DoubleCoverResult("found", ())
     cycles = enumerate_cycles(G)
     edges = sorted(G.edges)
-    cycles_through: dict[Edge, list[int]] = {e: [] for e in edges}
-    for i, cyc in enumerate(cycles):
-        for e in cyc:
-            cycles_through[e].append(i)
-
-    demand = {e: 2 for e in edges}
+    bit = {e: 1 << k for k, e in enumerate(edges)}
+    masks = [sum(map(bit.get, cyc)) for cyc in cycles]
+    full = (1 << len(edges)) - 1
     chosen: list[int] = []
     nodes = 0
 
-    def search() -> str:
+    def search(once: int, twice: int) -> str:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             return "budget"
-        open_edges = [e for e in edges if demand[e] > 0]
-        if not open_edges:
+        if twice == full:
             return "found"
         # every cover has a cycle through the first open edge, so trying
         # each of them (a cycle may repeat) keeps the search complete
-        target = open_edges[0]
-        for i in cycles_through[target]:
-            cyc = cycles[i]
-            if any(demand[e] == 0 for e in cyc):
-                continue
-            for e in cyc:
-                demand[e] -= 1
-            chosen.append(i)
-            verdict = search()
-            if verdict != "absent":
-                return verdict
-            chosen.pop()
-            for e in cyc:
-                demand[e] += 1
+        target = ~twice & twice + 1
+        for i, cyc in enumerate(masks):
+            if cyc & target and not cyc & twice:
+                chosen.append(i)
+                verdict = search(once ^ cyc, twice | once & cyc)
+                if verdict != "absent":
+                    return verdict
+                chosen.pop()
         return "absent"
 
-    verdict = search()
+    verdict = search(0, 0)
     if verdict == "found":
         family = tuple(cycles[i] for i in chosen)
         counts: dict[Edge, int] = {e: 0 for e in edges}

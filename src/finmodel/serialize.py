@@ -9,7 +9,7 @@ identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import read_int
 from .graph import Graph, make_graph
@@ -112,16 +112,13 @@ _DOT_COLORS = (
 )
 
 
-def graph_to_dot(G: Graph, parts: Sequence[Iterable] | None = None, name: str = "G") -> str:
-    """DOT text; with *parts* given, edges are colored by the part
-    (slice or decomposition member) they belong to."""
-    color_of = {}
-    if parts:
-        for i, part in enumerate(parts):
-            edges = part.edges if isinstance(part, Graph) else part
-            for u, v in edges:
-                color_of[(min(u, v), max(u, v))] = _DOT_COLORS[i % len(_DOT_COLORS)]
-    lines = [f"graph {name} {{"]
+def graph_to_dot(G: Graph, parts: Sequence[Graph] = ()) -> str:
+    """DOT text; edges are colored by the part (slice or decomposition
+    member) they belong to."""
+    color_of = {
+        e: _DOT_COLORS[i % len(_DOT_COLORS)] for i, part in enumerate(parts) for e in part.edges
+    }
+    lines = ["graph G {"]
     for v in sorted(G.vertices):
         lines.append(f"  {v};")
     for u, v in sorted(G.edges):

@@ -390,6 +390,22 @@ def test_failed_veblen_validation_prints_the_report_not_dot(fixtures, monkeypatc
     assert json.loads(capsys.readouterr().out)["result"]["validated"] is False
 
 
+def test_format_dot_is_a_usage_error_on_leaves_that_draw_nothing(fixtures, monkeypatch, capsys):
+    # the format is refused before the handler runs
+    monkeypatch.chdir(fixtures)
+    monkeypatch.setattr(cli, "enumerate_bonds", lambda *a, **k: pytest.fail("the handler ran"))
+    assert cli.main(["--format", "dot", "graph", "bonds", "--graph", "c4.json"]) == 2
+    assert capsys.readouterr() == (
+        "", "fm: error: --format dot draws only slice, graph veblen, bondfaithful search, not graph bonds\n"
+    )
+    # a drawing leaf whose answer has no parts prints its report
+    assert cli.main(["--format", "dot", "graph", "veblen", "--graph", "k4.json"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"] == {"decomposable": False, "odd_vertex": 0}
+    search = ["bondfaithful", "search", "--graph", "c4.json", "--kappa", "2"]
+    assert cli.main(["--format", "dot", *search]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["status"] == "proven-absent"
+
+
 def test_graph_nw_answers_past_the_old_cap_alike_in_both_modes(fixtures):
     # odd cuts are decided by degree parity, so a 24-cycle, past the
     # 20-vertex cap the bipartition scan had, has none in either mode

@@ -245,6 +245,38 @@ def test_connectivity_answers_match_recorded_digests():
     assert digest.hexdigest() == INHERITANCE_DIGEST
 
 
+# SHA-256 of the answers below, recorded from the code that walked trails
+# and cycles on adjacency sets, ran flows on a residual table and kept
+# the double cover's demand per edge
+WALK_DIGEST = "ac1a59ee080eac938e1b39c7fcafc43b4470a04718cfa5a5ee9689c6c61a4f96"
+
+
+def test_walks_flows_and_cycles_match_recorded_digest():
+    # every graph on up to 5 vertices, labelled 1, 2, 4, 8, 16 so that
+    # labels differ from bit positions; 0 and 1 << n are no vertices
+    digest = hashlib.sha256()
+    for n in range(6):
+        labels = [1 << i for i in range(n)]
+        for G in _every_graph_on(labels):
+            found = veblen_decomposition(G)
+            parts = found.ok and [
+                (sorted(C.vertices), sorted(C.edges)) for C in found.decomposition.parts
+            ]
+            degrees = [G.degree(v) for v in (0, *labels, 1 << n)]
+            cycles = [sorted(c) for c in enumerate_cycles(G)]
+            digest.update(repr((parts, found.odd_vertex, is_cycle(G), degrees, cycles)).encode())
+            for x, y in itertools.permutations(labels, 2):
+                k = edge_connectivity(G, x, y)
+                digest.update(repr((k, edge_disjoint_paths(G, x, y, k))).encode())
+            if bridges(G):
+                continue
+            runs = [cycle_double_cover_search(G, b) for b in range(1, 21)]
+            for out in runs + [cycle_double_cover_search(G)]:
+                cover = out.cycles and [sorted(c) for c in out.cycles]
+                digest.update(repr((out.status, cover)).encode())
+    assert digest.hexdigest() == WALK_DIGEST
+
+
 def test_edge_connectivity_known_cases():
     two = make_graph([0, 1, 2, 3], [(0, 1), (2, 3)])
     assert edge_connectivity(two, 0, 2) == 0
